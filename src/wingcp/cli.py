@@ -4,7 +4,8 @@ Commands: check-geometry, extract, synth, train, crossval, eval,
 predict, report. Every command writes its outputs plus a
 run_manifest.json (command, config snapshot, seed, input digests,
 version, timings). Timings live only in the manifest, so all other
-output files are bitwise reproducible under a fixed seed.
+output files are bitwise reproducible under a fixed seed at a fixed
+BLAS thread count.
 """
 
 import argparse
@@ -181,56 +182,19 @@ def _write_weight_log(path, result, probe_rows):
                 writer.writerow(row)
 
 
-def _meta_to_samples_fields(meta_row):
-    return {
-        "patch_id": meta_row["patch_id"],
-        "u": meta_row["u"],
-        "v": meta_row["v"],
-        "x": meta_row["x"],
-        "y": meta_row["y"],
-        "z": meta_row["z"],
-        "AoA": meta_row["AoA"],
-        "cp": meta_row["cp"],
-    }
-
-
 def _write_err_map(path, meta_rows, indices, predictions, targets):
     errs = error_map(predictions, targets)
+    fields = ("patch_id", "u", "v", "x", "y", "z", "AoA", "cp")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row", "patch_id", "u", "v", "x", "y", "z", "AoA", "cp", "prediction", "abs_err"])
+        writer.writerow(["row", *fields, "prediction", "abs_err"])
         for out_i, src in enumerate(indices):
-            f = _meta_to_samples_fields(meta_rows[int(src)])
+            meta = meta_rows[int(src)]
             writer.writerow(
-                [
-                    int(src),
-                    f["patch_id"],
-                    f["u"],
-                    f["v"],
-                    f["x"],
-                    f["y"],
-                    f["z"],
-                    f["AoA"],
-                    f["cp"],
-                    format(predictions[out_i], ".17g"),
-                    format(errs[out_i], ".17g"),
-                ]
+                [int(src)]
+                + [meta[f] for f in fields]
+                + [format(predictions[out_i], ".17g"), format(errs[out_i], ".17g")]
             )
-
-
-class _SampleShim:
-    """Minimal sample-like wrapper so split helpers can run off meta rows."""
-
-    class _Cond:
-        def __init__(self, aoa):
-            self.aoa = aoa
-
-    def __init__(self, aoa):
-        self.condition = self._Cond(aoa)
-
-
-def _meta_aoas(meta_rows):
-    return [_SampleShim(float(r["AoA"])) for r in meta_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +289,11 @@ def cmd_extract(args, cfg):
 
 def _train_once(batch, meta_rows, model_name, cfg, seed, outdir, fold_note, convention=None):
     """Shared train path: split, normalize, fit, checkpoint. Returns val info."""
-    shims = _meta_aoas(meta_rows)
-    all_idx = np.arange(batch.n)
-    train_idx, val_idx = train_val_split(all_idx, shims, seed=seed, val_fraction=cfg.get("val_fraction", 0.10))
+    train_cfg = _train_config(cfg, seed)
+    aoas = np.array([float(r["AoA"]) for r in meta_rows])
+    train_idx, val_idx = train_val_split(
+        np.arange(batch.n), aoas, seed=seed, val_fraction=cfg.get("val_fraction", 0.10)
+    )
     normalize_targets = cfg.get("normalize_targets", False)
     normalizer = fit_normalizer(
         batch.subset(train_idx), normalize_targets=normalize_targets, fitted_on=f"train({fold_note})"
@@ -341,7 +307,7 @@ def _train_once(batch, meta_rows, model_name, cfg, seed, outdir, fold_note, conv
     probes = (
         np.unique(np.linspace(0, train_batch.n - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
-    result = train(model, train_batch, val_batch, _train_config(cfg, seed), probe_indices=probes)
+    result = train(model, train_batch, val_batch, train_cfg, probe_indices=probes)
 
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(
@@ -505,7 +471,9 @@ def cmd_report(args, cfg):
     t0 = time.perf_counter()
     with open(os.path.join(args.run, "report.json")) as fh:
         run = json.load(fh)
-    report = EvalReport.from_folds(run["fold_mse"], run.get("n_samples"))
+    # report.json stores folds key-sorted as strings; list them by numeric AoA
+    fold_mse = {label: run["fold_mse"][label] for label in sorted(run["fold_mse"], key=float)}
+    report = EvalReport.from_folds(fold_mse, run.get("n_samples"))
     baseline_mse = None
     if args.baseline:
         with open(os.path.join(args.baseline, "report.json")) as fh:

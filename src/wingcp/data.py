@@ -340,17 +340,21 @@ def fold_split(samples, fold_aoas) -> list:
     return folds
 
 
-def train_val_split(indices, samples, seed: int, val_fraction: float = 0.10):
+def train_val_split(indices, aoas, seed: int, val_fraction: float = 0.10):
     """Seeded train/validation split, stratified by AoA.
 
-    Groups with a single sample stay in training; every other group
-    contributes at least one validation sample.
+    ``aoas[i]`` is the angle of attack of batch row i. Groups with a
+    single sample stay in training; every other group contributes at
+    least one validation sample. Raises ConfigError unless
+    0 <= val_fraction < 1.
     """
+    if not 0.0 <= val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
     indices = np.asarray(indices)
     rng = np.random.default_rng([int(seed), 91])
     groups: dict[float, list] = {}
     for idx in indices:
-        groups.setdefault(_aoa_of(samples[int(idx)]), []).append(int(idx))
+        groups.setdefault(float(aoas[int(idx)]), []).append(int(idx))
     train, val = [], []
     for aoa in sorted(groups):
         members = np.array(groups[aoa])

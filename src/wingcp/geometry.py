@@ -25,6 +25,10 @@ contractions are supported; in two dimensions they differ by sign only:
     "standard"     R_ij = sum_k R^k_ikj   (spheres get positive scalar curvature)
     "first-index"  R_ij = sum_k R^k_kij   (the opposite sign)
 
+Each formula above is evaluated as one array contraction (einsum) over
+index-ordered arrays of the jet partials; "first-index" is computed as
+the exact negation of "standard".
+
 Scalar curvature is S = g^ij R_ij in either case.
 """
 
@@ -73,54 +77,38 @@ class RiemannianFeatures:
     convention: str
 
 
-def _dF(jet_: SurfaceJet, *indices) -> np.ndarray:
-    """Partial of F for a list of coordinate indices (0 = u, 1 = v)."""
-    p = sum(1 for i in indices if i == 0)
-    q = len(indices) - p
-    return jet_.partial(p, q)
+# _U_COUNT[s][i1, ..., is] = number of u-indices among (i1, ..., is)
+_U_COUNT = {s: s - np.indices((2,) * s).sum(axis=0) for s in (1, 2, 3)}
+
+
+def _partials(jet_: SurfaceJet, s: int) -> np.ndarray:
+    """All order-s partials of F, shape (2,)*s + (3,): [i1]...[is][xyz]."""
+    p = _U_COUNT[s]
+    return jet_.d[p, s - p]
 
 
 def metric(jet_: SurfaceJet):
     """Metric g_ij and its first derivatives d_l g_ij from an order>=2 jet.
 
     Returns (g, dg) with g shape (2, 2) and dg shape (2, 2, 2) indexed
-    [l][i][j]. Symmetric slots are mirrored, so g and dg are symmetric
-    in (i, j) exactly as stored.
+    [l][i][j]. Both are built as a + a^T over (i, j), so they are
+    symmetric in (i, j) exactly as stored.
     """
     if jet_.order < 2:
         raise ValueError("metric derivatives need a jet of order >= 2")
-    e = [_dF(jet_, 0), _dF(jet_, 1)]
-    g = np.empty((2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            g[i, j] = g[j, i] = float(e[i] @ e[j])
-    dg = np.empty((2, 2, 2))
-    for l in range(2):
-        for i in range(2):
-            for j in range(i, 2):
-                val = float(_dF(jet_, l, i) @ e[j]) + float(e[i] @ _dF(jet_, l, j))
-                dg[l, i, j] = dg[l, j, i] = val
-    return g, dg
+    f1, f2 = _partials(jet_, 1), _partials(jet_, 2)
+    a = 0.5 * np.einsum("ic,jc->ij", f1, f1)  # halving, then a + a^T, is exact
+    da = np.einsum("lic,jc->lij", f2, f1)
+    return a + a.T, da + da.swapaxes(1, 2)
 
 
 def _metric_hessian(jet_: SurfaceJet) -> np.ndarray:
     """Second metric derivatives d_m d_l g_ij, shape (2, 2, 2, 2) [m][l][i][j]."""
     if jet_.order < 3:
         raise ValueError("second metric derivatives need an order-3 jet")
-    e = [_dF(jet_, 0), _dF(jet_, 1)]
-    ddg = np.empty((2, 2, 2, 2))
-    for m_ in range(2):
-        for l in range(2):
-            for i in range(2):
-                for j in range(i, 2):
-                    val = (
-                        float(_dF(jet_, m_, l, i) @ e[j])
-                        + float(_dF(jet_, l, i) @ _dF(jet_, m_, j))
-                        + float(_dF(jet_, m_, i) @ _dF(jet_, l, j))
-                        + float(e[i] @ _dF(jet_, m_, l, j))
-                    )
-                    ddg[m_, l, i, j] = ddg[m_, l, j, i] = val
-    return ddg
+    f1, f2, f3 = _partials(jet_, 1), _partials(jet_, 2), _partials(jet_, 3)
+    a = np.einsum("mlic,jc->mlij", f3, f1) + np.einsum("lic,mjc->mlij", f2, f2)
+    return a + a.swapaxes(2, 3)
 
 
 def inverse_metric(g: np.ndarray, point: SurfacePoint | None = None) -> np.ndarray:
@@ -133,6 +121,11 @@ def inverse_metric(g: np.ndarray, point: SurfacePoint | None = None) -> np.ndarr
     return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """d_i g_jl + d_j g_li - d_l g_ij as [...][i][j][l], from dg[...][l][i][j]."""
+    return dg + np.einsum("...jli->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+
+
 def christoffel(jet_: SurfaceJet):
     """Christoffel symbols and their coordinate derivatives.
 
@@ -142,63 +135,37 @@ def christoffel(jet_: SurfaceJet):
     """
     g, dg = metric(jet_)
     g_inv = inverse_metric(g, jet_.point)
-    ddg = _metric_hessian(jet_)
-
-    # dginv[x] = -g_inv @ dg[x] @ g_inv
-    dginv = np.stack([-g_inv @ dg[x] @ g_inv for x in range(2)])
-
-    gamma = np.empty((2, 2, 2))
-    dgamma = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            for k in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc += g_inv[k, l] * (dg[i, j, l] + dg[j, l, i] - dg[l, i, j])
-                gamma[k, i, j] = gamma[k, j, i] = 0.5 * acc
-            for x in range(2):
-                for k in range(2):
-                    acc = 0.0
-                    for l in range(2):
-                        acc += dginv[x, k, l] * (dg[i, j, l] + dg[j, l, i] - dg[l, i, j])
-                        acc += g_inv[k, l] * (ddg[x, i, j, l] + ddg[x, j, l, i] - ddg[x, l, i, j])
-                    dgamma[x, k, i, j] = dgamma[x, k, j, i] = 0.5 * acc
+    dg_inv = -np.einsum("ka,xab,bl->xkl", g_inv, dg, g_inv)
+    c, dc = _first_kind(dg), _first_kind(_metric_hessian(jet_))
+    gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, c)
+    dgamma = 0.5 * (np.einsum("xkl,ijl->xkij", dg_inv, c) + np.einsum("kl,xijl->xkij", g_inv, dc))
     return gamma, dgamma
 
 
 def riemann_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature coefficients R^s_ijk from Christoffel data at one point.
 
-    R^s_ijk = (Gamma^l_ik Gamma^s_jl - Gamma^l_jk Gamma^s_il)
-              + d_j Gamma^s_ik - d_i Gamma^s_jk
+    R^s_ijk = a^s_ijk - a^s_jik  with  a^s_ijk = Gamma^l_ik Gamma^s_jl + d_j Gamma^s_ik,
+
+    so the result is antisymmetric in (i, j) exactly as stored.
     """
-    riem = np.empty((2, 2, 2, 2))
-    for s in range(2):
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    quad = 0.0
-                    for l in range(2):
-                        quad += gamma[l, i, k] * gamma[s, j, l] - gamma[l, j, k] * gamma[s, i, l]
-                    riem[s, i, j, k] = quad + dgamma[j, s, i, k] - dgamma[i, s, j, k]
-    return riem
+    a = np.einsum("lik,sjl->sijk", gamma, gamma) + np.einsum("jsik->sijk", dgamma)
+    return a - a.swapaxes(1, 2)
 
 
 def contract(riemann: np.ndarray, g_inv: np.ndarray, convention: str = DEFAULT_CONVENTION):
     """Ricci tensor and scalar curvature from the curvature coefficients.
 
-    The two supported contractions differ by sign only in 2D; this is
-    asserted at runtime unless Python runs with -O.
+    Only the standard contraction R_ij = sum_k R^k_ikj is evaluated;
+    "first-index" is its exact negation, which equals sum_k R^k_kij
+    because the curvature coefficients are antisymmetric in (i, j). The
+    test suite checks that identity; nothing asserts it at runtime.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
-    ricci_std = np.einsum("aiaj->ij", riemann)
-    ricci_first = np.einsum("aaij->ij", riemann)
-    scale = max(1.0, float(np.max(np.abs(riemann))))
-    assert np.allclose(ricci_first, -ricci_std, atol=1e-9 * scale), (
-        "Ricci contractions are not opposite in sign; curvature input is inconsistent"
-    )
-    ricci = ricci_std if convention == "standard" else ricci_first
+    ricci = np.einsum("aiaj->ij", riemann)
+    if convention == "first-index":
+        ricci = -ricci
     scalar = float(np.einsum("ij,ij->", g_inv, ricci))
     return ricci, scalar
 
@@ -217,11 +184,8 @@ def feature_bundle(
     grid = manifold.grid(point.patch_id)
     jet_ = jet(grid, point.u, point.v, order=3)
     g, _ = metric(jet_)
-    try:
-        g_inv = inverse_metric(g, point)
-        gamma, dgamma = christoffel(jet_)
-    except DegenerateMetric as exc:
-        raise DegenerateMetric(exc.det, point) from None
+    g_inv = inverse_metric(g, point)
+    gamma, dgamma = christoffel(jet_)
     riem = riemann_tensor(gamma, dgamma)
     ricci, scalar = contract(riem, g_inv, convention)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]

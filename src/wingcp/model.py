@@ -12,7 +12,9 @@ normalization is applied to it). A plain concatenation baseline maps
 the flattened groups through a single dense stack to one output.
 
 Training is full reverse-mode gradient descent with Adam, seeded and
-bitwise deterministic for a fixed configuration and data order.
+bitwise deterministic for a fixed configuration, data order and BLAS
+thread count (matrix products round differently when split over
+another number of threads).
 """
 
 import json
@@ -356,6 +358,14 @@ class TrainConfig:
     batch_size: int = 470
     epochs: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: surface
 evaluation uses de Casteljau recursion (the package uses Bernstein-row
 contraction), polynomial derivatives are taken on monomial coefficients
-directly, curvature comes from the closed-form graph-surface formulas,
-and gradients come from central finite differences of the scalar loss.
+directly, curvature comes from the closed-form graph-surface formulas
+or from scalar index loops over the tensor components (the package
+contracts whole arrays), and gradients come from central finite
+differences of the scalar loss.
 """
 
 from fractions import Fraction
@@ -186,6 +188,102 @@ def graph_surface_features(f_coeffs, u, v):
         gamma[k] = hess * grad[k] / denom
     scalar = 2.0 * (fuu * fvv - fuv * fuv) / denom**2
     return g, gamma, scalar
+
+
+# ---------------------------------------------------------------------------
+# Index-loop Riemannian chain (the scalar reference for wingcp.geometry)
+# ---------------------------------------------------------------------------
+
+
+def _loop_dF(jet_, *indices):
+    """Partial of F for a list of coordinate indices (0 = u, 1 = v)."""
+    p = sum(1 for i in indices if i == 0)
+    return jet_.partial(p, len(indices) - p)
+
+
+def loop_metric(jet_):
+    """(g, dg[l][i][j]) from one scalar inner product per component."""
+    e = [_loop_dF(jet_, 0), _loop_dF(jet_, 1)]
+    g = np.empty((2, 2))
+    dg = np.empty((2, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            g[i, j] = float(e[i] @ e[j])
+            for l in range(2):
+                dg[l, i, j] = float(_loop_dF(jet_, l, i) @ e[j]) + float(e[i] @ _loop_dF(jet_, l, j))
+    return g, dg
+
+
+def loop_metric_hessian(jet_):
+    """d_m d_l g_ij, [m][l][i][j], term by term from the product rule."""
+    e = [_loop_dF(jet_, 0), _loop_dF(jet_, 1)]
+    ddg = np.empty((2, 2, 2, 2))
+    for m_ in range(2):
+        for l in range(2):
+            for i in range(2):
+                for j in range(2):
+                    ddg[m_, l, i, j] = (
+                        float(_loop_dF(jet_, m_, l, i) @ e[j])
+                        + float(_loop_dF(jet_, l, i) @ _loop_dF(jet_, m_, j))
+                        + float(_loop_dF(jet_, m_, i) @ _loop_dF(jet_, l, j))
+                        + float(e[i] @ _loop_dF(jet_, m_, l, j))
+                    )
+    return ddg
+
+
+def _inverse_2x2(g):
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+
+
+def loop_christoffel(jet_):
+    """(gamma[k][i][j], dgamma[x][k][i][j]) with d(g^-1) = -g^-1 (dg) g^-1."""
+    g, dg = loop_metric(jet_)
+    ddg = loop_metric_hessian(jet_)
+    g_inv = _inverse_2x2(g)
+    dginv = np.stack([-g_inv @ dg[x] @ g_inv for x in range(2)])
+    gamma = np.empty((2, 2, 2))
+    dgamma = np.empty((2, 2, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                acc = 0.0
+                for l in range(2):
+                    acc += g_inv[k, l] * (dg[i, j, l] + dg[j, l, i] - dg[l, i, j])
+                gamma[k, i, j] = 0.5 * acc
+            for x in range(2):
+                for k in range(2):
+                    acc = 0.0
+                    for l in range(2):
+                        acc += dginv[x, k, l] * (dg[i, j, l] + dg[j, l, i] - dg[l, i, j])
+                        acc += g_inv[k, l] * (ddg[x, i, j, l] + ddg[x, j, l, i] - ddg[x, l, i, j])
+                    dgamma[x, k, i, j] = 0.5 * acc
+    return gamma, dgamma
+
+
+def loop_riemann_tensor(gamma, dgamma):
+    """R^s_ijk = (Gamma^l_ik Gamma^s_jl - Gamma^l_jk Gamma^s_il) + d_j Gamma^s_ik - d_i Gamma^s_jk."""
+    riem = np.empty((2, 2, 2, 2))
+    for s in range(2):
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    quad = 0.0
+                    for l in range(2):
+                        quad += gamma[l, i, k] * gamma[s, j, l] - gamma[l, j, k] * gamma[s, i, l]
+                    riem[s, i, j, k] = quad + dgamma[j, s, i, k] - dgamma[i, s, j, k]
+    return riem
+
+
+def loop_contract(riem, g_inv, convention):
+    """Ricci tensor and scalar; each convention summed as its own index pattern."""
+    ricci = np.zeros((2, 2))
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                ricci[i, j] += riem[k, i, k, j] if convention == "standard" else riem[k, k, i, j]
+    scalar = sum(g_inv[i, j] * ricci[i, j] for i in range(2) for j in range(2))
+    return ricci, float(scalar)
 
 
 # ---------------------------------------------------------------------------

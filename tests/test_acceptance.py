@@ -16,6 +16,7 @@ import pytest
 
 from oracles import fd_jet, fd_model_gradients, graph_surface_features, rel_err
 
+import wingcp
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from wingcp.data import assemble, fit_normalizer, fold_split
 from wingcp.geometry import feature_bundle
@@ -253,7 +254,10 @@ val_fraction = 0.15
 
 
 def _run_pipeline(root):
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    # the child imports the same wingcp as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingcp.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
     os.makedirs(root, exist_ok=True)
     conf = os.path.join(root, "pipeline.conf")
     with open(conf, "w") as fh:

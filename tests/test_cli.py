@@ -211,6 +211,12 @@ class TestTrainEvalPredictCli:
         assert "c0" in rows[0]
 
 
+def _csv_rows(path):
+    """Data rows of a CSV file (header dropped)."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 class TestCrossvalReportCli:
     def test_crossval_and_report(self, synth_dir, tmp_path, tiny_conf):
         cv = tmp_path / "cv"
@@ -237,6 +243,12 @@ class TestCrossvalReportCli:
         rdata = json.loads((rep / "report.json").read_text())
         assert rdata["average_reduction_pct"] == pytest.approx(0.0, abs=1e-12)
 
+        # the report lists folds in crossval's order and repeats its average verbatim
+        cv_rows = _csv_rows(cv / "report.csv")
+        rep_rows = [r for r in _csv_rows(rep / "report.csv") if not r[0].startswith("#")]
+        assert [r[0] for r in rep_rows] == [r[0] for r in cv_rows] == ["6", "12", "average"]
+        assert rep_rows[-1][1] == cv_rows[-1][1]
+
     def test_missing_fold_aoa_fails(self, synth_dir, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("fold_aoas = 99\nepochs = 2\n")
@@ -245,3 +257,29 @@ class TestCrossvalReportCli:
                    "--model", "mtl", "--d", "0.005", "--seed", "2",
                    "--out", str(tmp_path / "cv"), "--config", str(conf)])
         assert rc == 1
+
+
+BAD_TRAINING_SETTINGS = [
+    ("epochs = 0", "epochs"),
+    ("batch_size = 0", "batch_size"),
+    ("learning_rate = -1", "learning_rate"),
+    ("learning_rate = 0", "learning_rate"),
+    ("learning_rate = nan", "learning_rate"),
+    ("learning_rate = inf", "learning_rate"),
+    ("val_fraction = 1.5", "val_fraction"),
+    ("val_fraction = 1", "val_fraction"),
+    ("val_fraction = -0.1", "val_fraction"),
+]
+
+
+class TestTrainingSettingsRejected:
+    @pytest.mark.parametrize("line,key", BAD_TRAINING_SETTINGS)
+    def test_exits_one_with_one_error_line(self, features_dir, tmp_path, capsys, line, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"epochs = 2\n{line}\n")
+        capsys.readouterr()
+        rc = main(["train", "--features", str(features_dir), "--model", "mtl",
+                   "--seed", "1", "--out", str(tmp_path / "run"), "--config", str(conf)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]

@@ -255,22 +255,26 @@ class TestFoldSplit:
 
 class TestTrainValSplit:
     def test_stratified_and_disjoint(self):
-        samples = [make_sample("p", 0.5, 0.5, aoa=a) for a in [7] * 10 + [12] * 10]
-        train, val = train_val_split(np.arange(20), samples, seed=0, val_fraction=0.1)
+        aoas = np.array([7.0] * 10 + [12.0] * 10)
+        train, val = train_val_split(np.arange(20), aoas, seed=0, val_fraction=0.1)
         assert set(train) | set(val) == set(range(20))
         assert set(train) & set(val) == set()
-        val_aoas = {samples[i].condition.aoa for i in val}
+        val_aoas = {aoas[i] for i in val}
         assert val_aoas == {7.0, 12.0}
 
     def test_deterministic(self):
-        samples = [make_sample("p", 0.5, 0.5, aoa=a) for a in [7] * 6 + [12] * 6]
-        a = train_val_split(np.arange(12), samples, seed=3)
-        b = train_val_split(np.arange(12), samples, seed=3)
+        aoas = np.array([7.0] * 6 + [12.0] * 6)
+        a = train_val_split(np.arange(12), aoas, seed=3)
+        b = train_val_split(np.arange(12), aoas, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_val_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ConfigError):
+            train_val_split(np.arange(4), np.array([7.0] * 4), seed=0, val_fraction=fraction)
+
     def test_singleton_group_stays_in_train(self):
-        samples = [make_sample("p", 0.5, 0.5, aoa=7.0)]
-        train, val = train_val_split(np.array([0]), samples, seed=0)
+        train, val = train_val_split(np.array([0]), np.array([7.0]), seed=0)
         assert list(train) == [0] and len(val) == 0
 
 

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import graph_surface_features, rel_err
+from oracles import (
+    graph_surface_features,
+    loop_christoffel,
+    loop_contract,
+    loop_metric,
+    loop_metric_hessian,
+    loop_riemann_tensor,
+    rel_err,
+)
 
-from wingcp.bezier import PiecewiseManifold, SurfacePoint, jet
+from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from wingcp.errors import DegenerateMetric, InvalidPatch
 from wingcp.geometry import (
+    CONVENTIONS,
+    _metric_hessian,
     christoffel,
     contract,
     feature_bundle,
@@ -16,6 +26,7 @@ from wingcp.geometry import (
     riemann_tensor,
 )
 from wingcp.shapes import flat_grid, graph_surface_grid, paraboloid_grid
+from wingcp.synth import SynthConfig, generate_synthetic
 
 
 def random_poly_coeffs(rng, total_degree=4, scale=0.6):
@@ -25,6 +36,13 @@ def random_poly_coeffs(rng, total_degree=4, scale=0.6):
         for q in range(total_degree + 1 - p):
             c[p, q] = scale * rng.uniform(-1.0, 1.0)
     return c
+
+
+def random_general_grid(rng, m=4, n=3, jitter=0.05):
+    """Unit square control net moved in all three coordinates (not a graph surface)."""
+    pts = np.array(flat_grid(m, n).points) + rng.uniform(-jitter, jitter, (m + 1, n + 1, 3))
+    pts[..., 2] += rng.uniform(-0.3, 0.3, (m + 1, n + 1))
+    return ControlGrid("general", pts)
 
 
 class TestMetric:
@@ -180,6 +198,68 @@ class TestContract:
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             contract(np.zeros((2, 2, 2, 2)), np.eye(2), "bogus")
+
+
+# fixed before measuring: elementwise relative error, floor 1.0
+LOOP_REL_TOL = 1e-13
+
+
+def _general_patch_jets():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        grid = random_general_grid(rng)
+        for u, v in rng.uniform(0.0, 1.0, (6, 2)):
+            yield jet(grid, u, v)
+
+
+def _synthetic_wing_jets():
+    wing = generate_synthetic(SynthConfig())
+    for point in dict.fromkeys(s.location for s in wing.samples):
+        yield jet(wing.manifold.grid(point.patch_id), point.u, point.v)
+
+
+class TestLoopReference:
+    """The array chain against the scalar index loops of tests/oracles.py."""
+
+    def _check(self, jets):
+        n = 0
+        for j in jets:
+            g, dg = metric(j)
+            g_ref, dg_ref = loop_metric(j)
+            gamma, dgamma = christoffel(j)
+            gamma_ref, dgamma_ref = loop_christoffel(j)
+            riem = riemann_tensor(gamma, dgamma)
+            riem_ref = loop_riemann_tensor(gamma_ref, dgamma_ref)
+            pairs = [
+                (g, g_ref),
+                (dg, dg_ref),
+                (_metric_hessian(j), loop_metric_hessian(j)),
+                (gamma, gamma_ref),
+                (dgamma, dgamma_ref),
+                (riem, riem_ref),
+            ]
+            g_inv = inverse_metric(g)
+            for convention in CONVENTIONS:
+                ricci, scalar = contract(riem, g_inv, convention)
+                ricci_ref, scalar_ref = loop_contract(riem_ref, g_inv, convention)
+                pairs += [(ricci, ricci_ref), (scalar, scalar_ref)]
+            for got, ref in pairs:
+                assert np.max(rel_err(got, ref, floor=1.0)) <= LOOP_REL_TOL
+            n += 1
+        assert n > 0
+
+    def test_general_patches(self):
+        self._check(_general_patch_jets())
+
+    def test_default_synthetic_wing(self):
+        self._check(_synthetic_wing_jets())
+
+    def test_ricci_sign_identity(self):
+        """In 2D sum_a R^a_aij = -sum_a R^a_iaj exactly, which lets contract
+        evaluate one contraction and negate it for "first-index"."""
+        for j in _general_patch_jets():
+            riem = riemann_tensor(*christoffel(j))
+            assert np.array_equal(np.einsum("aaij->ij", riem), -np.einsum("aiaj->ij", riem))
 
 
 class TestGraphSurfaceOracle:

@@ -226,6 +226,26 @@ class TestAdam:
             adam_step([w], [np.array([1.0])], AdamState.init([w]), t=0, cfg=TrainConfig())
 
 
+class TestTrainConfigRanges:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"epochs": 0},
+            {"batch_size": 0},
+            {"learning_rate": -1.0},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+        ],
+    )
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
+    def test_smallest_valid_settings_accepted(self):
+        TrainConfig(epochs=1, batch_size=1, learning_rate=1e-12)
+
+
 class TestTrain:
     def test_curve_lengths(self):
         model = build_model(tiny_config())
