@@ -27,10 +27,11 @@ from .data import (
     fold_split,
     load_feature_cache,
     load_samples,
+    meta_rows,
     save_feature_cache,
     train_val_split,
 )
-from .errors import WingcpError
+from .errors import ConfigError, WingcpError
 from .geometry import CONVENTIONS, DEFAULT_CONVENTION
 from .model import (
     TrainConfig,
@@ -182,17 +183,17 @@ def _write_weight_log(path, result, probe_rows):
                 writer.writerow(row)
 
 
-def _write_err_map(path, meta_rows, indices, predictions, targets):
+def _write_err_map(path, meta, indices, predictions, targets):
     errs = error_map(predictions, targets)
     fields = ("patch_id", "u", "v", "x", "y", "z", "AoA", "cp")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", *fields, "prediction", "abs_err"])
         for out_i, src in enumerate(indices):
-            meta = meta_rows[int(src)]
+            row = meta[int(src)]
             writer.writerow(
                 [int(src)]
-                + [meta[f] for f in fields]
+                + [row[f] for f in fields]
                 + [format(predictions[out_i], ".17g"), format(errs[out_i], ".17g")]
             )
 
@@ -287,10 +288,13 @@ def cmd_extract(args, cfg):
     return 0
 
 
-def _train_once(batch, meta_rows, model_name, cfg, seed, outdir, fold_note, convention=None):
+def _train_once(batch, meta, model_name, cfg, seed, outdir, fold_note, convention=None):
     """Shared train path: split, normalize, fit, checkpoint. Returns val info."""
     train_cfg = _train_config(cfg, seed)
-    aoas = np.array([float(r["AoA"]) for r in meta_rows])
+    n_probe = cfg.get("probe_points", 0)
+    if n_probe < 0:
+        raise ConfigError(f"probe_points must be >= 0, got {n_probe}")
+    aoas = np.array([float(r["AoA"]) for r in meta])
     train_idx, val_idx = train_val_split(
         np.arange(batch.n), aoas, seed=seed, val_fraction=cfg.get("val_fraction", 0.10)
     )
@@ -303,7 +307,6 @@ def _train_once(batch, meta_rows, model_name, cfg, seed, outdir, fold_note, conv
     val_batch = norm_all.subset(val_idx) if val_idx.size else None
 
     model = build_model(_model_config(model_name, cfg, seed))
-    n_probe = cfg.get("probe_points", 0)
     probes = (
         np.unique(np.linspace(0, train_batch.n - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
@@ -368,30 +371,17 @@ def cmd_crossval(args, cfg):
     manifold = _load_checked(args.manifold, cfg)
     samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
     result = assemble(manifold, samples, d=args.d, convention=args.convention)
-    kept_samples = [samples[i] for i in result.kept]
     batch = result.batch()
-    meta_rows = [
-        {
-            "patch_id": s.location.patch_id,
-            "u": format(s.location.u, ".17g"),
-            "v": format(s.location.v, ".17g"),
-            "x": format(result.tensors[i].x2[0, 4, 0], ".17g"),
-            "y": format(result.tensors[i].x2[0, 4, 1], ".17g"),
-            "z": format(result.tensors[i].x2[0, 4, 2], ".17g"),
-            "AoA": format(s.condition.aoa, ".17g"),
-            "cp": format(s.cp, ".17g"),
-        }
-        for i, s in enumerate(kept_samples)
-    ]
+    meta = meta_rows(result, samples)
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
-    folds = fold_split(kept_samples, fold_aoas)
+    folds = fold_split([samples[i] for i in result.kept], fold_aoas)
 
     fold_mse, fold_n = {}, {}
     for k, (train_idx, test_idx) in enumerate(folds):
         label = _label(fold_aoas[k])
         fold_dir = os.path.join(args.out, f"fold_{label}")
         fold_seed = args.seed + k
-        train_meta = [meta_rows[i] for i in train_idx]
+        train_meta = [meta[i] for i in train_idx]
         model, normalizer, _, _, _ = _train_once(
             batch.subset(train_idx), train_meta, args.model, cfg, fold_seed, fold_dir,
             fold_note=f"fold={label}", convention=args.convention,
@@ -400,7 +390,7 @@ def cmd_crossval(args, cfg):
         mse = loss_mse(pred, targets)
         fold_mse[label] = mse
         fold_n[label] = int(test_idx.size)
-        _write_err_map(os.path.join(fold_dir, "err_map.csv"), meta_rows, test_idx, pred, targets)
+        _write_err_map(os.path.join(fold_dir, "err_map.csv"), meta, test_idx, pred, targets)
         with open(os.path.join(fold_dir, "eval.json"), "w") as fh:
             json.dump({"fold": label, "test_mse": mse, "n_test": int(test_idx.size)}, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -42,6 +42,7 @@ __all__ = [
     "fit_normalizer",
     "fold_split",
     "train_val_split",
+    "meta_rows",
     "save_feature_cache",
     "load_feature_cache",
 ]
@@ -447,6 +448,35 @@ def _group_columns(key) -> list:
     return [key + "_" + "_".join(str(i) for i in row) for row in idx]
 
 
+def meta_rows(result: AssembleResult, samples) -> list:
+    """One ``meta.csv`` row per kept sample: text fields keyed by column name.
+
+    These are the rows ``load_feature_cache`` reads back; x, y, z are the
+    position of the stencil centre.
+    """
+    rows = []
+    for out_row, src_idx in enumerate(result.kept):
+        s = samples[src_idx]
+        x, y, z = (format(c, ".17g") for c in result.tensors[out_row].x2[0, 4, :])
+        rows.append(
+            {
+                "row": str(out_row),
+                "patch_id": s.location.patch_id,
+                "u": format(s.location.u, ".17g"),
+                "v": format(s.location.v, ".17g"),
+                "x": x,
+                "y": y,
+                "z": z,
+                "Ma": format(s.condition.ma, ".17g"),
+                "AoA": format(s.condition.aoa, ".17g"),
+                "Re": format(s.condition.re, ".17g"),
+                "span": "" if s.span_station is None else format(s.span_station, ".17g"),
+                "cp": format(s.cp, ".17g"),
+            }
+        )
+    return rows
+
+
 def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
     """Write raw (un-normalized) feature CSVs, sample metadata and manifest."""
     os.makedirs(outdir, exist_ok=True)
@@ -464,27 +494,9 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
         for val in batch.y:
             writer.writerow([format(val, ".17g")])
     with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_META_HEADER)
-        for out_row, src_idx in enumerate(result.kept):
-            s = samples[src_idx]
-            pos = result.tensors[out_row].x2[0, 4, :]
-            writer.writerow(
-                [
-                    out_row,
-                    s.location.patch_id,
-                    format(s.location.u, ".17g"),
-                    format(s.location.v, ".17g"),
-                    format(pos[0], ".17g"),
-                    format(pos[1], ".17g"),
-                    format(pos[2], ".17g"),
-                    format(s.condition.ma, ".17g"),
-                    format(s.condition.aoa, ".17g"),
-                    format(s.condition.re, ".17g"),
-                    "" if s.span_station is None else format(s.span_station, ".17g"),
-                    format(s.cp, ".17g"),
-                ]
-            )
+        writer = csv.DictWriter(fh, _META_HEADER)
+        writer.writeheader()
+        writer.writerows(meta_rows(result, samples))
     with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(feature_csv_header(stencil_slot=True))

@@ -57,8 +57,7 @@ class NetSpec:
     kind: str  # "dense" | "conv"
     widths: tuple = (16, 16, 16)  # dense hidden widths
     channels: tuple = (4, 8, 16)  # conv out-channels per layer
-    kernel: tuple = (2, 2)
-    stride: tuple = (2, 2)
+    kernel: tuple = (2, 2)  # conv windows do not overlap: the stride is the kernel
 
     def __post_init__(self):
         if self.kind not in ("dense", "conv"):
@@ -66,7 +65,16 @@ class NetSpec:
         self.widths = tuple(self.widths)
         self.channels = tuple(self.channels)
         self.kernel = tuple(self.kernel)
-        self.stride = tuple(self.stride)
+
+    @classmethod
+    def from_dict(cls, d):
+        """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
+        d = dict(d)
+        stride = d.pop("stride", None)
+        spec = cls(**d)
+        if stride is not None and not np.array_equal(stride, spec.kernel):
+            raise ConfigError(f"conv stride {stride} differs from kernel {list(spec.kernel)}")
+        return spec
 
 
 @dataclass
@@ -106,9 +114,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        d["nets"] = {int(z): NetSpec(**spec) for z, spec in d.get("nets", {}).items()}
-        d["context"] = NetSpec(**d["context"])
-        d["concat"] = NetSpec(**d["concat"])
+        d["nets"] = {int(z): NetSpec.from_dict(spec) for z, spec in d.get("nets", {}).items()}
+        d["context"] = NetSpec.from_dict(d["context"])
+        d["concat"] = NetSpec.from_dict(d["concat"])
         d["active"] = tuple(d["active"])
         return cls(**d)
 
@@ -182,7 +190,7 @@ def _build_stack(rng, spec: NetSpec, in_shape, out_dim, slope) -> Stack:
         return dense_stack(rng, int(np.prod(in_shape)), spec.widths, out_dim, slope)
     if len(in_shape) != 3:
         raise ConfigError(f"conv network needs a (C, H, W) feature group, got shape {in_shape}")
-    return conv_stack(rng, in_shape, spec.channels, out_dim, spec.kernel, spec.stride, slope)
+    return conv_stack(rng, in_shape, spec.channels, out_dim, spec.kernel, slope)
 
 
 class FusionModel:

@@ -5,8 +5,9 @@ Layers expose a functional interface: ``forward(x) -> (y, cache)`` and
 layer's ``params`` list. No layer mutates shared state during a pass,
 so a parameter snapshot can serve inference from many threads.
 
-Conv2d follows NCHW layout with "valid" output sizing
-(floor((dim - k)/stride) + 1); a spatial dim smaller than the kernel is
+Conv2d follows NCHW layout with stride equal to the kernel and "valid"
+output sizing (floor(dim / k)): a remainder row or column that does not
+fill a window is dropped. A spatial dim smaller than the kernel is
 zero-padded (bottom/right) up to kernel size so the stack stays
 applicable to 2x2 inputs.
 """
@@ -71,18 +72,22 @@ class Dense:
 
 
 class Conv2d:
-    """2D convolution, kernels (out_ch, in_ch, kh, kw), x (B, C, H, W)."""
+    """Non-overlapping 2D convolution (stride = kernel), a patchify.
 
-    def __init__(self, k, b, stride=(2, 2)):
+    Kernels (out_ch, in_ch, kh, kw), x (B, C, H, W). Each output cell is
+    one (kh, kw) window, so forward and backward are single contractions
+    over the (C, kh, kw) axes of a window view of the input.
+    """
+
+    def __init__(self, k, b):
         self.k = k
         self.b = b
-        self.stride = stride
 
     @classmethod
-    def create(cls, rng, in_ch, out_ch, kernel=(2, 2), stride=(2, 2)):
+    def create(cls, rng, in_ch, out_ch, kernel=(2, 2)):
         fan_in = in_ch * kernel[0] * kernel[1]
         k = uniform_init(rng, (out_ch, in_ch) + tuple(kernel), fan_in)
-        return cls(k, np.zeros(out_ch), stride=tuple(stride))
+        return cls(k, np.zeros(out_ch))
 
     @property
     def params(self):
@@ -96,41 +101,30 @@ class Conv2d:
             x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
         return x
 
+    def _windows(self, xp):
+        """View (B, C, ho, kh, wo, kw) of the whole windows of a padded input."""
+        kh, kw = self.k.shape[2], self.k.shape[3]
+        b, c, h, w = xp.shape
+        ho, wo = h // kh, w // kw
+        return xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
+
     @staticmethod
-    def output_shape(in_shape, out_ch, kernel, stride):
+    def output_shape(in_shape, out_ch, kernel):
         c, h, w = in_shape
-        h = max(h, kernel[0])
-        w = max(w, kernel[1])
-        return (out_ch, (h - kernel[0]) // stride[0] + 1, (w - kernel[1]) // stride[1] + 1)
+        return (out_ch, max(h, kernel[0]) // kernel[0], max(w, kernel[1]) // kernel[1])
 
     def forward(self, x):
         xp = self._pad(x)
-        kh, kw = self.k.shape[2], self.k.shape[3]
-        sh, sw = self.stride
-        ho = (xp.shape[2] - kh) // sh + 1
-        wo = (xp.shape[3] - kw) // sw + 1
-        out = np.empty((x.shape[0], self.k.shape[0], ho, wo))
-        for i in range(ho):
-            for j in range(wo):
-                window = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-                out[:, :, i, j] = np.einsum("bcpq,ocpq->bo", window, self.k)
-        out += self.b[None, :, None, None]
+        out = np.tensordot(self.k, self._windows(xp), axes=([1, 2, 3], [1, 3, 5]))
+        out = np.moveaxis(out, 0, 1) + self.b[None, :, None, None]
         return out, (xp, x.shape)
 
     def backward(self, dy, cache):
         xp, x_shape = cache
-        kh, kw = self.k.shape[2], self.k.shape[3]
-        sh, sw = self.stride
-        dk = np.zeros_like(self.k)
+        dk = np.tensordot(dy, self._windows(xp), axes=([0, 2, 3], [0, 2, 4]))
         dxp = np.zeros_like(xp)
-        for i in range(dy.shape[2]):
-            for j in range(dy.shape[3]):
-                window = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-                g = dy[:, :, i, j]
-                dk += np.einsum("bo,bcpq->ocpq", g, window)
-                dxp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw] += np.einsum(
-                    "bo,ocpq->bcpq", g, self.k
-                )
+        dwin = np.tensordot(dy, self.k, axes=([1], [0]))  # (B, ho, wo, C, kh, kw)
+        self._windows(dxp)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
         db = dy.sum(axis=(0, 2, 3))
         dx = dxp[:, :, : x_shape[2], : x_shape[3]]
         return dx, [dk, db]
@@ -199,14 +193,14 @@ def dense_stack(rng, in_dim, widths, out_dim, slope=0.01) -> Stack:
     return Stack(layers)
 
 
-def conv_stack(rng, in_shape, channels, out_dim, kernel=(2, 2), stride=(2, 2), slope=0.01) -> Stack:
+def conv_stack(rng, in_shape, channels, out_dim, kernel=(2, 2), slope=0.01) -> Stack:
     """Conv+LeakyReLU layers, then flatten and one affine map to out_dim."""
     layers = []
     shape = tuple(in_shape)
     for out_ch in channels:
-        layers.append(Conv2d.create(rng, shape[0], out_ch, kernel, stride))
+        layers.append(Conv2d.create(rng, shape[0], out_ch, kernel))
         layers.append(LeakyReLU(slope))
-        shape = Conv2d.output_shape(shape, out_ch, kernel, stride)
+        shape = Conv2d.output_shape(shape, out_ch, kernel)
     layers.append(Flatten())
     flat = int(np.prod(shape))
     layers.append(Dense.create(rng, flat, out_dim))

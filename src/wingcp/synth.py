@@ -19,6 +19,7 @@ import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint, save_control_grids
 from .data import RawSample, FlightCondition, save_samples
+from .errors import ConfigError
 from .geometry import feature_bundle
 from .shapes import poly_substitute_affine_v, surface_from_polynomials
 
@@ -60,9 +61,10 @@ class SynthConfig:
 
     def __post_init__(self):
         if not 3 <= self.n_patches <= 6:
-            raise ValueError("n_patches must be in 3..6")
-        if self.stations < 1 or self.points_per_section < 1:
-            raise ValueError("stations and points_per_section must be positive")
+            raise ConfigError(f"n_patches must be in 3..6, got {self.n_patches}")
+        for key in ("stations", "points_per_section"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 def cp_formula(coeffs, aoa, u, w, scalar_curv, gamma_norm) -> float:

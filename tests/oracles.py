@@ -5,8 +5,9 @@ evaluation uses de Casteljau recursion (the package uses Bernstein-row
 contraction), polynomial derivatives are taken on monomial coefficients
 directly, curvature comes from the closed-form graph-surface formulas
 or from scalar index loops over the tensor components (the package
-contracts whole arrays), and gradients come from central finite
-differences of the scalar loss.
+contracts whole arrays), convolutions loop over output positions (the
+package contracts a window view once), and gradients come from central
+finite differences of the scalar loss.
 """
 
 from fractions import Fraction
@@ -284,6 +285,46 @@ def loop_contract(riem, g_inv, convention):
                 ricci[i, j] += riem[k, i, k, j] if convention == "standard" else riem[k, k, i, j]
     scalar = sum(g_inv[i, j] * ricci[i, j] for i in range(2) for j in range(2))
     return ricci, float(scalar)
+
+
+# ---------------------------------------------------------------------------
+# Loop convolution (the reference for wingcp.nn.Conv2d)
+# ---------------------------------------------------------------------------
+
+
+def _loop_conv_pad(x, kh, kw):
+    """Zero-pad (bottom/right) each spatial dim smaller than the kernel."""
+    ph, pw = max(0, kh - x.shape[2]), max(0, kw - x.shape[3])
+    return np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
+
+
+def loop_conv2d_forward(k, b, x):
+    """Stride = kernel convolution, one window contraction per output position."""
+    kh, kw = k.shape[2], k.shape[3]
+    xp = _loop_conv_pad(x, kh, kw)
+    ho = (xp.shape[2] - kh) // kh + 1
+    wo = (xp.shape[3] - kw) // kw + 1
+    out = np.empty((x.shape[0], k.shape[0], ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            window = xp[:, :, i * kh : (i + 1) * kh, j * kw : (j + 1) * kw]
+            out[:, :, i, j] = np.einsum("bcpq,ocpq->bo", window, k)
+    return out + b[None, :, None, None]
+
+
+def loop_conv2d_backward(k, x, dy):
+    """(dx, dk, db) of loop_conv2d_forward, accumulated window by window."""
+    kh, kw = k.shape[2], k.shape[3]
+    xp = _loop_conv_pad(x, kh, kw)
+    dk = np.zeros_like(k)
+    dxp = np.zeros_like(xp)
+    for i in range(dy.shape[2]):
+        for j in range(dy.shape[3]):
+            rows, cols = slice(i * kh, (i + 1) * kh), slice(j * kw, (j + 1) * kw)
+            g = dy[:, :, i, j]
+            dk += np.einsum("bo,bcpq->ocpq", g, xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("bo,ocpq->bcpq", g, k)
+    return dxp[:, :, : x.shape[2], : x.shape[3]], dk, dy.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

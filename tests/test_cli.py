@@ -269,6 +269,7 @@ BAD_TRAINING_SETTINGS = [
     ("val_fraction = 1.5", "val_fraction"),
     ("val_fraction = 1", "val_fraction"),
     ("val_fraction = -0.1", "val_fraction"),
+    ("probe_points = -3", "probe_points"),
 ]
 
 
@@ -280,6 +281,25 @@ class TestTrainingSettingsRejected:
         capsys.readouterr()
         rc = main(["train", "--features", str(features_dir), "--model", "mtl",
                    "--seed", "1", "--out", str(tmp_path / "run"), "--config", str(conf)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+BAD_SYNTH_SETTINGS = [
+    ("n_patches = 2", "n_patches"),
+    ("n_patches = 9", "n_patches"),
+    ("stations = 0", "stations"),
+    ("points_per_section = 0", "points_per_section"),
+]
+
+
+class TestSynthSettingsRejected:
+    @pytest.mark.parametrize("line,key", BAD_SYNTH_SETTINGS)
+    def test_exits_one_with_one_error_line(self, tmp_path, capsys, line, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{line}\n")
+        rc = main(["synth", "--seed", "1", "--out", str(tmp_path / "data"), "--config", str(conf)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]

@@ -321,7 +321,7 @@ class TestPresets:
         for z in (2, 3, 4):
             assert cfg.nets[z].kind == "conv"
             assert cfg.nets[z].channels == (4, 8, 16)
-            assert cfg.nets[z].kernel == (2, 2) and cfg.nets[z].stride == (2, 2)
+            assert cfg.nets[z].kernel == (2, 2)
         assert cfg.context.widths == (16, 16, 16)
 
     def test_mtl_topology(self):
@@ -370,6 +370,28 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.forward(batch), model.forward(batch))
         assert manifest["extra"]["model"] == "tiny"
         assert norm_back.fitted_on == normalizer.fitted_on
+
+    def test_stride_listed_by_older_checkpoints(self, tmp_path):
+        """Older model.json files list a stride per net: equal to the kernel it
+        loads unchanged, anything else is a ConfigError."""
+        import json
+
+        model = build_model(preset("rgfil", seed=1))
+        save_checkpoint(tmp_path / "ckpt", model)
+        path = tmp_path / "ckpt" / "model.json"
+        manifest = json.loads(path.read_text())
+        config = manifest["config"]
+        for spec in (config["context"], config["concat"], *config["nets"].values()):
+            spec["stride"] = list(spec["kernel"])
+        path.write_text(json.dumps(manifest))
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        batch = random_batch(np.random.default_rng(20), 5)
+        np.testing.assert_array_equal(loaded.forward(batch), model.forward(batch))
+
+        config["nets"]["3"]["stride"] = [1, 1]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="stride"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_layout_is_documented(self, tmp_path):
         import json

@@ -1,7 +1,30 @@
 import numpy as np
 import pytest
 
+from oracles import loop_conv2d_backward, loop_conv2d_forward, rel_err
+
+from wingcp.model import input_shapes, preset
 from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
+
+# (input shape (C, H, W), out-channels) of every conv layer of the presets;
+# (2, 1, 1) pads both spatial dims
+PRESET_CONV_LAYERS = [
+    ((1, 9, 3), 4),
+    ((4, 4, 1), 8),
+    ((8, 2, 1), 16),
+    ((1, 18, 2), 4),
+    ((2, 18, 2), 4),
+    ((4, 9, 1), 8),
+    ((8, 4, 1), 16),
+    ((1, 2, 2), 4),
+    ((2, 2, 2), 4),
+    ((4, 1, 1), 8),
+    ((8, 1, 1), 16),
+    ((2, 1, 1), 3),
+]
+# presets have one output column; this has three, and a remainder row and column
+WIDE_CONV_LAYER = ((3, 5, 7), 2)
+LOOP_REL_TOL = 1e-13
 
 
 class TestConv2d:
@@ -60,6 +83,37 @@ class TestConv2d:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 assert fd == pytest.approx(gflat[i], rel=1e-5, abs=1e-7)
+
+
+class TestConvLoopReference:
+    """The patchify Conv2d against the per-position loops of tests/oracles.py."""
+
+    @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
+    def test_matches_loops(self, in_shape, out_ch):
+        rng = np.random.default_rng(sum(in_shape) + out_ch)
+        conv = Conv2d.create(rng, in_shape[0], out_ch)
+        conv.b = rng.normal(size=out_ch)
+        x = rng.normal(size=(7,) + in_shape)
+        out, cache = conv.forward(x)
+        dy = rng.normal(size=out.shape)
+        dx, (dk, db) = conv.backward(dy, cache)
+        ref_out = loop_conv2d_forward(conv.k, conv.b, x)
+        ref_dx, ref_dk, ref_db = loop_conv2d_backward(conv.k, x, dy)
+        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
+            assert got.shape == ref.shape
+            assert np.max(rel_err(got, ref, floor=1.0)) <= LOOP_REL_TOL
+
+    def test_covers_every_preset_layer(self):
+        for name in ("rgfil", "mdf", "mtl", "mlp"):
+            cfg = preset(name)
+            shapes = input_shapes(cfg.neighbor_mode)
+            for z, spec in cfg.nets.items():
+                if spec.kind != "conv":
+                    continue
+                shape = shapes[z]
+                for out_ch in spec.channels:
+                    assert (shape, out_ch) in PRESET_CONV_LAYERS
+                    shape = Conv2d.output_shape(shape, out_ch, spec.kernel)
 
 
 class TestDense:

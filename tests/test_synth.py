@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wingcp.data import assemble
+from wingcp.errors import ConfigError
 from wingcp.geometry import feature_bundle
 from wingcp.synth import SynthConfig, cp_formula, generate_synthetic
 
@@ -75,7 +76,7 @@ class TestGenerator:
         assert len(out.dropped) == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(n_patches=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(stations=0)
