@@ -20,7 +20,6 @@ from .bezier import (
 from .data import (
     FlightCondition,
     RawSample,
-    FeatureTensors,
     TensorBatch,
     NormalizationSpec,
     assemble,

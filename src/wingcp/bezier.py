@@ -107,11 +107,6 @@ class SurfaceJet:
     def position(self):
         return self.d[0, 0]
 
-    @property
-    def jacobian(self):
-        """3x2 Jacobian [dF/du, dF/dv] as columns."""
-        return np.stack([self.d[1, 0], self.d[0, 1]], axis=1)
-
 
 def bernstein(a: int, m: int, t: float) -> float:
     """Bernstein basis value B_{a,m}(t) = C(m,a) t^a (1-t)^(m-a)."""

@@ -11,6 +11,7 @@ BLAS thread count.
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .data import (
 from .errors import ConfigError, WingcpError
 from .geometry import CONVENTIONS, DEFAULT_CONVENTION
 from .model import (
+    ModelConfig,
     TrainConfig,
     build_model,
     load_checkpoint,
@@ -140,25 +142,20 @@ def _label(aoa: float) -> str:
     return format(aoa, "g")
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.get("learning_rate", 0.001),
-        beta1=cfg.get("beta1", 0.9),
-        beta2=cfg.get("beta2", 0.999),
-        epsilon=cfg.get("epsilon", 1e-8),
-        batch_size=cfg.get("batch_size", 470),
-        epochs=cfg.get("epochs", 2000),
-        seed=seed,
-    )
+def _given(cfg: dict, fn) -> dict:
+    """The config settings named like parameters of ``fn``, as keyword arguments.
+
+    Settings the config leaves out are not passed, so each default is
+    stated once, in the library.
+    """
+    return {k: cfg[k] for k in inspect.signature(fn).parameters if k in cfg}
 
 
-def _model_config(name: str, cfg: dict, seed: int):
-    return preset(
-        name,
-        k_outputs=cfg.get("k_outputs", 8),
-        leaky_slope=cfg.get("leaky_slope", 0.01),
-        seed=seed,
-    )
+def _check_all(manifold, cfg):
+    """Validity-check every patch, at ``check_samples`` per axis if the config sets it."""
+    if "check_samples" in cfg:
+        return manifold.check_all(samples_per_axis=cfg["check_samples"])
+    return manifold.check_all()
 
 
 def _write_losses(path, result):
@@ -205,20 +202,7 @@ def _write_err_map(path, meta, indices, predictions, targets):
 
 def cmd_synth(args, cfg):
     t0 = time.perf_counter()
-    synth_cfg = SynthConfig(
-        seed=args.seed,
-        aoa_set=cfg.get("aoa_set", SynthConfig().aoa_set),
-        stations=cfg.get("stations", 6),
-        points_per_section=cfg.get("points_per_section", 20),
-        n_patches=cfg.get("n_patches", 4),
-        noise_sigma=cfg.get("noise_sigma", 0.01),
-        ma=cfg.get("ma", 0.175),
-        reynolds=cfg.get("reynolds", 1.35e6),
-        span_length=cfg.get("span_length", 2.0),
-        thickness=cfg.get("thickness", 0.25),
-        twist=cfg.get("twist", 0.15),
-    )
-    result = generate_synthetic(synth_cfg, args.out)
+    result = generate_synthetic(SynthConfig(seed=args.seed, **_given(cfg, SynthConfig)), args.out)
     _write_run_manifest(
         args.out, "synth", vars(args), args.seed, [], cfg, time.perf_counter() - t0
     )
@@ -229,7 +213,7 @@ def cmd_synth(args, cfg):
 def cmd_check_geometry(args, cfg):
     t0 = time.perf_counter()
     manifold = load_manifold(args.manifold)
-    reports = manifold.check_all(samples_per_axis=cfg.get("check_samples", 64))
+    reports = _check_all(manifold, cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "geometry_report.json"), "w") as fh:
         json.dump(
@@ -249,7 +233,7 @@ def cmd_check_geometry(args, cfg):
 
 def _load_checked(manifold_path, cfg):
     manifold = load_manifold(manifold_path)
-    manifold.check_all(samples_per_axis=cfg.get("check_samples", 64))
+    _check_all(manifold, cfg)
     bad = manifold.invalid_patches()
     if bad:
         raise WingcpError(f"geometry check failed for patches: {', '.join(bad)}")
@@ -290,23 +274,22 @@ def cmd_extract(args, cfg):
 
 def _train_once(batch, meta, model_name, cfg, seed, outdir, fold_note, convention=None):
     """Shared train path: split, normalize, fit, checkpoint. Returns val info."""
-    train_cfg = _train_config(cfg, seed)
+    train_cfg = TrainConfig(seed=seed, **_given(cfg, TrainConfig))
     n_probe = cfg.get("probe_points", 0)
     if n_probe < 0:
         raise ConfigError(f"probe_points must be >= 0, got {n_probe}")
     aoas = np.array([float(r["AoA"]) for r in meta])
     train_idx, val_idx = train_val_split(
-        np.arange(batch.n), aoas, seed=seed, val_fraction=cfg.get("val_fraction", 0.10)
+        np.arange(batch.n), aoas, seed=seed, **_given(cfg, train_val_split)
     )
-    normalize_targets = cfg.get("normalize_targets", False)
     normalizer = fit_normalizer(
-        batch.subset(train_idx), normalize_targets=normalize_targets, fitted_on=f"train({fold_note})"
+        batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
     )
     norm_all = normalizer.apply(batch)
     train_batch = norm_all.subset(train_idx)
     val_batch = norm_all.subset(val_idx) if val_idx.size else None
 
-    model = build_model(_model_config(model_name, cfg, seed))
+    model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
     probes = (
         np.unique(np.linspace(0, train_batch.n - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
@@ -371,7 +354,7 @@ def cmd_crossval(args, cfg):
     manifold = _load_checked(args.manifold, cfg)
     samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
     result = assemble(manifold, samples, d=args.d, convention=args.convention)
-    batch = result.batch()
+    batch = result.batch
     meta = meta_rows(result, samples)
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
     folds = fold_split([samples[i] for i in result.kept], fold_aoas)

@@ -1,8 +1,9 @@
 """Sample ingestion, feature assembly, normalization and fold splitting.
 
 Each measured sample carries a surface location, a flight condition and
-a pressure coefficient. Assembly expands every sample into five feature
-groups built from a 9-point stencil:
+a pressure coefficient. Assembly expands the samples into one
+TensorBatch of five feature groups built from a 9-point stencil (per
+sample):
 
     x1  (3,)         Ma, AoA, Re
     x2  (1, 9, 3)    3D positions of the stencil points
@@ -10,29 +11,32 @@ groups built from a 9-point stencil:
     x4  (2, 18, 2)   nine Christoffel arrays, upper index as channel
     x5  (9,)         nine scalar curvatures
 
-Slot order is identical across x2..x5. Normalization is componentwise
-max-min to [0, 1], fit on training data only; constant columns map
-to 0.0. Cross-validation folds are leave-one-AoA-out.
+Slot order is identical across x2..x5, and the feature cache's
+per-point dump (features_points.csv) is read back out of these arrays.
+Normalization is componentwise max-min to [0, 1], fit on training data
+only; constant columns map to 0.0. Cross-validation folds are
+leave-one-AoA-out.
 """
 
 import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint
 from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError, StencilOutOfPatch
-from .geometry import DEFAULT_CONVENTION, feature_bundle, feature_csv_header, feature_csv_row
+from .geometry import DEFAULT_CONVENTION, feature_bundle
 from .stencil import build_stencil
 
 __all__ = [
     "FOLD_AOAS_DEFAULT",
+    "FEATURE_POINTS_HEADER",
     "FlightCondition",
     "RawSample",
-    "FeatureTensors",
     "TensorBatch",
     "NormalizationSpec",
     "AssembleResult",
@@ -82,18 +86,6 @@ class RawSample:
 
 
 @dataclass
-class FeatureTensors:
-    """Per-sample feature groups in the documented shapes."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    x4: np.ndarray
-    x5: np.ndarray
-    y: float
-
-
-@dataclass
 class TensorBatch:
     """Stacked feature groups for B samples: x1 (B,3) ... x5 (B,9), y (B,)."""
 
@@ -103,19 +95,6 @@ class TensorBatch:
     x4: np.ndarray
     x5: np.ndarray
     y: np.ndarray
-
-    @classmethod
-    def stack(cls, tensors):
-        if not tensors:
-            raise ValueError("cannot stack an empty tensor list")
-        return cls(
-            x1=np.stack([t.x1 for t in tensors]),
-            x2=np.stack([t.x2 for t in tensors]),
-            x3=np.stack([t.x3 for t in tensors]),
-            x4=np.stack([t.x4 for t in tensors]),
-            x5=np.stack([t.x5 for t in tensors]),
-            y=np.array([t.y for t in tensors], dtype=float),
-        )
 
     @property
     def n(self):
@@ -145,25 +124,18 @@ class TensorBatch:
         )
 
 
-def _pack_sample(sample, stencil, bundles) -> FeatureTensors:
-    x1 = np.array([sample.condition.ma, sample.condition.aoa, sample.condition.re])
-    x2 = np.stack([b.position for b in bundles])[None, :, :]  # (1, 9, 3)
-    x3 = np.concatenate([b.g for b in bundles], axis=0)[None, :, :]  # (1, 18, 2)
-    x4 = np.concatenate([b.gamma for b in bundles], axis=1)  # (2, 18, 2)
-    x5 = np.array([b.scalar for b in bundles])
-    return FeatureTensors(x1=x1, x2=x2, x3=x3, x4=x4, x5=x5, y=sample.cp)
-
-
 @dataclass
 class AssembleResult:
-    tensors: list  # FeatureTensors, one per kept sample, in input order
+    """The features of every kept sample, stacked once, and where they came from.
+
+    Row r of ``batch`` is input sample ``kept[r]``, and ``stencils[r]``
+    holds its nine stencil points in the batch's slot order.
+    """
+
+    batch: TensorBatch
     kept: list  # indices into the input sample list
     dropped: list  # (index, reason) pairs
     stencils: list  # Stencil per kept sample
-    bundles: list  # 9-tuple of RiemannianFeatures per kept sample
-
-    def batch(self) -> TensorBatch:
-        return TensorBatch.stack(self.tensors)
 
 
 def assemble(
@@ -173,13 +145,14 @@ def assemble(
     convention: str = DEFAULT_CONVENTION,
     max_drop_fraction: float = 0.10,
 ) -> AssembleResult:
-    """Expand samples into stencil feature tensors, in input order.
+    """Expand samples into one batch of stencil feature tensors, in input order.
 
     Samples whose stencil or curvature extraction fails are dropped and
     logged; assembly fails only when the drop fraction exceeds
     ``max_drop_fraction``.
     """
-    tensors, kept, dropped, stencils, all_bundles = [], [], [], [], []
+    kept, dropped, stencils = [], [], []
+    x1, y, pos, g, gamma, scalar = [], [], [], [], [], []
     for idx, sample in enumerate(samples):
         try:
             stencil = build_stencil(manifold, sample.location, d)
@@ -187,18 +160,29 @@ def assemble(
         except (DegenerateMetric, StencilOutOfPatch) as exc:
             dropped.append((idx, f"{type(exc).__name__}: {exc}"))
             continue
-        tensors.append(_pack_sample(sample, stencil, bundles))
         kept.append(idx)
         stencils.append(stencil)
-        all_bundles.append(tuple(bundles))
+        x1.append((sample.condition.ma, sample.condition.aoa, sample.condition.re))
+        y.append(sample.cp)
+        pos.append(np.array([b.position for b in bundles]))  # (9, 3)
+        g.append(np.array([b.g for b in bundles]))  # (9, 2, 2)
+        gamma.append(np.array([b.gamma for b in bundles]))  # (9, 2, 2, 2), [slot][k][i][j]
+        scalar.append([b.scalar for b in bundles])
     n = len(samples)
     if n and len(dropped) > max_drop_fraction * n:
         raise AssemblyError(
             f"dropped {len(dropped)}/{n} samples (> {max_drop_fraction:.0%})", dropped=dropped
         )
-    return AssembleResult(
-        tensors=tensors, kept=kept, dropped=dropped, stencils=stencils, bundles=all_bundles
+    m = len(kept)
+    batch = TensorBatch(
+        x1=np.array(x1, dtype=float).reshape(m, 3),
+        x2=np.array(pos).reshape(m, 1, 9, 3),
+        x3=np.array(g).reshape(m, 1, 18, 2),
+        x4=np.array(gamma).reshape(m, 9, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(m, 2, 18, 2),
+        x5=np.array(scalar).reshape(m, 9),
+        y=np.array(y, dtype=float),
     )
+    return AssembleResult(batch=batch, kept=kept, dropped=dropped, stencils=stencils)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +425,27 @@ def save_samples(path, samples):
 
 _META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
 
+# features_points.csv: one row per stencil point, nine rows per sample
+FEATURE_POINTS_HEADER = [
+    "patch_id", "u", "v", "x", "y", "z", "g11", "g12", "g22",
+    "gam111", "gam112", "gam122", "gam211", "gam212", "gam222", "S", "stencil_slot",
+]
+_UPPER = ([0, 0, 1], [0, 1, 1])  # (i, j) with i <= j, in column order
+
 
 def _group_columns(key) -> list:
     shape = GROUP_SHAPES[key]
     idx = np.indices(shape).reshape(len(shape), -1).T
     return [key + "_" + "_".join(str(i) for i in row) for row in idx]
+
+
+def _point_values(batch: TensorBatch) -> np.ndarray:
+    """Numeric columns of features_points.csv, shape (B, 9, 13): x, y, z, g_ij, Gamma^k_ij, S."""
+    n = batch.n
+    g = batch.x3.reshape(n, 9, 2, 2)[:, :, _UPPER[0], _UPPER[1]]
+    gamma = batch.x4.reshape(n, 2, 9, 2, 2)[:, :, :, _UPPER[0], _UPPER[1]]  # [b][k][slot][ij]
+    gamma = gamma.transpose(0, 2, 1, 3).reshape(n, 9, 6)
+    return np.concatenate([batch.x2.reshape(n, 9, 3), g, gamma, batch.x5[:, :, None]], axis=2)
 
 
 def meta_rows(result: AssembleResult, samples) -> list:
@@ -457,7 +457,7 @@ def meta_rows(result: AssembleResult, samples) -> list:
     rows = []
     for out_row, src_idx in enumerate(result.kept):
         s = samples[src_idx]
-        x, y, z = (format(c, ".17g") for c in result.tensors[out_row].x2[0, 4, :])
+        x, y, z = (format(c, ".17g") for c in result.batch.x2[out_row, 0, 4, :])
         rows.append(
             {
                 "row": str(out_row),
@@ -480,7 +480,7 @@ def meta_rows(result: AssembleResult, samples) -> list:
 def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
     """Write raw (un-normalized) feature CSVs, sample metadata and manifest."""
     os.makedirs(outdir, exist_ok=True)
-    batch = result.batch()
+    batch = result.batch
     for key, x in batch.groups().items():
         flat = x.reshape(batch.n, -1)
         with open(os.path.join(outdir, f"{key}.csv"), "w", newline="") as fh:
@@ -499,10 +499,14 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
         writer.writerows(meta_rows(result, samples))
     with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(feature_csv_header(stencil_slot=True))
-        for bundles in result.bundles:
-            for slot, bundle in enumerate(bundles):
-                writer.writerow(feature_csv_row(bundle, stencil_slot=slot))
+        writer.writerow(FEATURE_POINTS_HEADER)
+        for stencil, values in zip(result.stencils, _point_values(batch)):
+            for slot, (p, vals) in enumerate(zip(stencil.points, values)):
+                writer.writerow(
+                    [p.patch_id, format(p.u, ".17g"), format(p.v, ".17g")]
+                    + [format(val, ".17g") for val in vals]
+                    + [slot]
+                )
     manifest = dict(manifest)
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}
     manifest["n_samples"] = batch.n
@@ -512,25 +516,43 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
         fh.write("\n")
 
 
+def _load_table(path, n: int, width: int) -> np.ndarray:
+    """The (n, width) data rows of a numeric cache CSV; SampleParseError names the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data rows is reported below
+            flat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise SampleParseError(f"{path}: {exc}") from None
+    if flat.shape[0] != n:
+        raise SampleParseError(f"{path}: {flat.shape[0]} data rows, manifest.json lists {n} samples")
+    if flat.shape[1] != width:
+        raise SampleParseError(f"{path}: {flat.shape[1]} columns, expected {width}")
+    if not np.isfinite(flat).all():
+        raise SampleParseError(f"{path}: non-finite value")
+    return flat
+
+
 def load_feature_cache(cachedir):
-    """Read a feature cache back into (TensorBatch, meta rows, manifest)."""
+    """Read a feature cache back into (TensorBatch, meta rows, manifest).
+
+    Every file must hold ``n_samples`` (from ``manifest.json``) data rows of
+    the documented width; SampleParseError names the first file that does not.
+    """
     with open(os.path.join(cachedir, "manifest.json")) as fh:
         manifest = json.load(fh)
+    n = manifest.get("n_samples")
     arrays = {}
-    n = None
-    for key in GROUP_SHAPES:
-        path = os.path.join(cachedir, f"{key}.csv")
-        flat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
-        if n is None:
-            n = flat.shape[0]
-        arrays[key] = flat.reshape((n,) + GROUP_SHAPES[key])
-    y = np.loadtxt(os.path.join(cachedir, "y.csv"), delimiter=",", skiprows=1, ndmin=1, dtype=float)
-    meta = []
-    with open(os.path.join(cachedir, "meta.csv"), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            meta.append(row)
-    batch = TensorBatch(y=np.asarray(y, dtype=float).reshape(-1), **arrays)
-    if batch.n != len(meta):
-        raise SampleParseError(f"{cachedir}: meta.csv rows ({len(meta)}) != tensor rows ({batch.n})")
-    return batch, meta, manifest
+    for key, shape in GROUP_SHAPES.items():
+        flat = _load_table(os.path.join(cachedir, f"{key}.csv"), n, math.prod(shape))
+        arrays[key] = flat.reshape((n,) + shape)
+    y = _load_table(os.path.join(cachedir, "y.csv"), n, 1)
+    path = os.path.join(cachedir, "meta.csv")
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows or rows[0] != _META_HEADER or any(len(r) != len(_META_HEADER) for r in rows):
+        raise SampleParseError(f"{path}: expected the {len(_META_HEADER)} fields {','.join(_META_HEADER)}")
+    if len(rows) - 1 != n:
+        raise SampleParseError(f"{path}: {len(rows) - 1} data rows, manifest.json lists {n} samples")
+    meta = [dict(zip(_META_HEADER, r)) for r in rows[1:]]
+    return TensorBatch(y=y[:, 0], **arrays), meta, manifest

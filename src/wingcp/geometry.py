@@ -49,8 +49,6 @@ __all__ = [
     "riemann_tensor",
     "contract",
     "feature_bundle",
-    "feature_csv_header",
-    "feature_csv_row",
 ]
 
 CONVENTIONS = ("standard", "first-index")
@@ -201,39 +199,3 @@ def feature_bundle(
         scalar=scalar,
         convention=convention,
     )
-
-
-# ---------------------------------------------------------------------------
-# Feature dump rows: patch_id,u,v,x,y,z,g11,g12,g22,gam111,...,gam222,S
-# (Christoffel columns ordered [k][i][j] with i <= j)
-# ---------------------------------------------------------------------------
-
-
-def feature_csv_header(stencil_slot: bool = False) -> list:
-    head = ["patch_id", "u", "v", "x", "y", "z", "g11", "g12", "g22"]
-    head += [f"gam{k + 1}{i + 1}{j + 1}" for k in range(2) for i in range(2) for j in range(i, 2)]
-    head += ["S"]
-    if stencil_slot:
-        head.append("stencil_slot")
-    return head
-
-
-def feature_csv_row(f: RiemannianFeatures, stencil_slot: int | None = None) -> list:
-    vals = [
-        f.point.patch_id,
-        format(f.point.u, ".17g"),
-        format(f.point.v, ".17g"),
-        format(f.position[0], ".17g"),
-        format(f.position[1], ".17g"),
-        format(f.position[2], ".17g"),
-        format(f.g[0, 0], ".17g"),
-        format(f.g[0, 1], ".17g"),
-        format(f.g[1, 1], ".17g"),
-    ]
-    vals += [
-        format(f.gamma[k, i, j], ".17g") for k in range(2) for i in range(2) for j in range(i, 2)
-    ]
-    vals.append(format(f.scalar, ".17g"))
-    if stencil_slot is not None:
-        vals.append(str(stencil_slot))
-    return vals

@@ -37,8 +37,6 @@ __all__ = [
     "build_model",
     "FusionModel",
     "ConcatModel",
-    "forward",
-    "backward",
     "loss_mse",
     "AdamState",
     "adam_step",
@@ -71,6 +69,9 @@ class NetSpec:
         """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
         d = dict(d)
         stride = d.pop("stride", None)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown net spec key(s) {', '.join(unknown)}")
         spec = cls(**d)
         if stride is not None and not np.array_equal(stride, spec.kernel):
             raise ConfigError(f"conv stride {stride} differs from kernel {list(spec.kernel)}")
@@ -328,17 +329,6 @@ class ConcatModel:
 
 def build_model(config: ModelConfig):
     return FusionModel(config) if config.arch == "fusion" else ConcatModel(config)
-
-
-def forward(model, batch: TensorBatch, return_weights: bool = False):
-    """Module-level alias for model.forward."""
-    return model.forward(batch, return_weights=return_weights)
-
-
-def backward(model, batch: TensorBatch):
-    """Gradients of the MSE loss for every parameter, in parameter order."""
-    _, grads, _ = model.loss_and_grads(batch)
-    return grads
 
 
 def loss_mse(yhat, y) -> float:

@@ -103,27 +103,3 @@ def poly_substitute_affine_v(coeffs, a: float, b: float) -> np.ndarray:
             if w != 0.0:
                 out[:, r] += c[:, q] * w
     return out
-
-
-def poly_eval2(coeffs, u, v) -> float:
-    """Evaluate sum c[p,q] u^p v^q (plain monomial evaluation)."""
-    c = np.asarray(coeffs, dtype=float)
-    up = u ** np.arange(c.shape[0])
-    vq = v ** np.arange(c.shape[1])
-    return float(up @ c @ vq)
-
-
-def poly_partial(coeffs, du: int, dv: int) -> np.ndarray:
-    """Monomial coefficients of the (du, dv) partial derivative."""
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(du):
-        p = np.arange(1, c.shape[0])
-        c = c[1:, :] * p[:, None]
-        if c.shape[0] == 0:
-            return np.zeros((1, 1))
-    for _ in range(dv):
-        q = np.arange(1, c.shape[1])
-        c = c[:, 1:] * q[None, :]
-        if c.shape[1] == 0:
-            return np.zeros((1, 1))
-    return c

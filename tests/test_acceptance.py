@@ -161,7 +161,7 @@ def test_overfit_capability():
                     aoa_set=(0.0, 5.0, 10.0, 15.0, 20.0))
     )
     out = assemble(res.manifold, res.samples, d=0.005)
-    batch = out.batch()
+    batch = out.batch
     assert batch.n == 50
     normalizer = fit_normalizer(batch)
     model = build_model(preset("rgfil", seed=0))
@@ -178,7 +178,7 @@ def test_directional_ablation():
                     aoa_set=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), noise_sigma=0.01)
     )
     out = assemble(res.manifold, res.samples, d=0.005)
-    batch = out.batch()
+    batch = out.batch
     kept = [res.samples[i] for i in out.kept]
     folds = fold_split(kept, [4.0, 8.0, 16.0])
 

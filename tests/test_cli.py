@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -303,3 +304,61 @@ class TestSynthSettingsRejected:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+def _edit_rows(path, change):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(change(rows))
+
+
+def _first_cell(value):
+    return lambda rows: [rows[0], [value] + rows[1][1:]] + rows[2:]
+
+
+BAD_FEATURE_CACHES = [
+    ("x3.csv", lambda rows: rows[:-1]),  # one data row short
+    ("x1.csv", lambda rows: rows + rows[-1:]),  # one data row too many
+    ("y.csv", lambda rows: rows[:-1]),
+    ("x5.csv", lambda rows: rows[:1]),  # header only
+    ("meta.csv", lambda rows: rows[:-1]),
+    ("meta.csv", lambda rows: [r[:-1] for r in rows]),  # no cp column
+    ("x2.csv", lambda rows: [r[:-1] for r in rows]),  # one column short of (1, 9, 3)
+    ("x4.csv", _first_cell("abc")),
+    ("x5.csv", _first_cell("nan")),
+]
+
+
+class TestFeatureCacheRejected:
+    @pytest.mark.parametrize("name,change", BAD_FEATURE_CACHES)
+    def test_exits_one_with_one_error_line(self, features_dir, tmp_path, capsys, name, change):
+        cache = tmp_path / "cache"
+        shutil.copytree(features_dir, cache)
+        _edit_rows(cache / name, change)
+        conf = tmp_path / "short.conf"
+        conf.write_text("epochs = 2\n")
+        capsys.readouterr()
+        rc = main(["train", "--features", str(cache), "--model", "mtl",
+                   "--seed", "1", "--out", str(tmp_path / "run"), "--config", str(conf)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+
+
+def test_checkpoint_with_unknown_net_spec_key_exits_one(features_dir, tmp_path, capsys):
+    conf = tmp_path / "short.conf"
+    conf.write_text("epochs = 2\n")
+    run = tmp_path / "run"
+    assert main(["train", "--features", str(features_dir), "--model", "mtl",
+                 "--seed", "1", "--out", str(run), "--config", str(conf)]) == 0
+    path = run / "checkpoint" / "model.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["nets"]["2"]["dilation"] = [1, 1]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(run / "checkpoint"),
+               "--features", str(features_dir), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "dilation" in err[0]

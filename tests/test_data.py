@@ -83,7 +83,7 @@ class TestAssemble:
         samples = [make_sample("flat", 0.5, 0.5), make_sample("flat", 0.3, 0.7)]
         result = assemble(flat_manifold, samples, d=0.01)
         assert result.kept == [0, 1]
-        batch = result.batch()
+        batch = result.batch
         expected_x3 = np.tile(np.eye(2), (9, 1)).reshape(1, 18, 2)
         np.testing.assert_allclose(batch.x3[0], expected_x3, atol=1e-13)
         np.testing.assert_allclose(batch.x4, 0.0, atol=1e-13)
@@ -92,7 +92,7 @@ class TestAssemble:
     def test_paraboloid_center_curvature(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.0, 0.0)]
         result = assemble(paraboloid_manifold, samples, d=0.001)
-        x5 = result.tensors[0].x5
+        x5 = result.batch.x5[0]
         assert x5[4] == pytest.approx(8.0, abs=1e-9)
 
     def test_center_slot_matches_bundle(self, paraboloid_manifold):
@@ -100,19 +100,50 @@ class TestAssemble:
 
         samples = [make_sample("paraboloid", 0.4, 0.6), make_sample("paraboloid", 0.2, 0.3)]
         result = assemble(paraboloid_manifold, samples, d=0.005)
-        for sample, tensors in zip(samples, result.tensors):
-            assert tensors.x5[4] == feature_bundle(paraboloid_manifold, sample.location).scalar
+        for sample, x5 in zip(samples, result.batch.x5):
+            assert x5[4] == feature_bundle(paraboloid_manifold, sample.location).scalar
 
     def test_deterministic(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", u, v) for u, v in [(0.2, 0.2), (0.8, 0.5), (0.5, 0.9)]]
         a = assemble(paraboloid_manifold, samples, d=0.005)
         b = assemble(paraboloid_manifold, samples, d=0.005)
-        for ta, tb in zip(a.tensors, b.tensors):
-            assert np.array_equal(ta.x3, tb.x3) and np.array_equal(ta.x5, tb.x5)
+        for key, x in a.batch.groups().items():
+            assert np.array_equal(x, b.batch.groups()[key])
+
+    @pytest.mark.parametrize("convention", ["standard", "first-index"])
+    def test_batch_is_bundles_stacked_in_slot_order(self, paraboloid_manifold, convention):
+        from wingcp.geometry import feature_bundle
+        from wingcp.stencil import build_stencil
+        from wingcp.synth import SynthConfig, generate_synthetic
+
+        wing = generate_synthetic(SynthConfig(seed=3, stations=3, points_per_section=4, aoa_set=(0.0,)))
+        cases = [
+            (paraboloid_manifold, [make_sample("paraboloid", 0.4, 0.6, aoa=12.0, cp=-0.3),
+                                   make_sample("paraboloid", 0.0, 0.9, aoa=7.0, cp=0.2)]),
+            (wing.manifold, wing.samples),  # includes stencils clamped at patch seams
+        ]
+        for manifold, samples in cases:
+            result = assemble(manifold, samples, d=0.005, convention=convention)
+            b = result.batch
+            assert result.kept == list(range(len(samples))) and b.n == len(samples)
+            for r, s in enumerate(samples):
+                assert b.x1[r].tolist() == [s.condition.ma, s.condition.aoa, s.condition.re]
+                assert b.y[r] == s.cp
+                stencil = build_stencil(manifold, s.location, 0.005)
+                f = [feature_bundle(manifold, p, convention) for p in stencil.points]
+                stacked = {
+                    "x2": np.stack([x.position for x in f])[None],
+                    "x3": np.concatenate([x.g for x in f])[None],
+                    "x4": np.concatenate([x.gamma for x in f], axis=1),
+                    "x5": np.array([x.scalar for x in f]),
+                }
+                for key, expected in stacked.items():
+                    got = b.groups()[key][r]
+                    assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
 
     def test_shape_contract(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.4, 0.4), make_sample("paraboloid", 0.6, 0.6)]
-        batch = assemble(paraboloid_manifold, samples, d=0.005).batch()
+        batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         assert batch.x1.shape == (2, 3)
         assert batch.x2.shape == (2, 1, 9, 3)
         assert batch.x3.shape == (2, 1, 18, 2)
@@ -121,7 +152,7 @@ class TestAssemble:
 
     def test_metric_rows_symmetric(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.5, 0.5)]
-        batch = assemble(paraboloid_manifold, samples, d=0.005).batch()
+        batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         for r in range(9):
             block = batch.x3[0, 0, 2 * r : 2 * r + 2, :]
             assert abs(block[0, 1] - block[1, 0]) < 1e-12
@@ -288,7 +319,7 @@ class TestFeatureCache:
         cache = tmp_path / "features"
         save_feature_cache(cache, result, samples, {"d": 0.005, "convention": "standard"})
         batch, meta, manifest = load_feature_cache(cache)
-        orig = result.batch()
+        orig = result.batch
         for key in ("x1", "x2", "x3", "x4", "x5"):
             np.testing.assert_allclose(batch.groups()[key], orig.groups()[key], rtol=1e-15)
         np.testing.assert_allclose(batch.y, orig.y, rtol=1e-15)
@@ -298,17 +329,17 @@ class TestFeatureCache:
         assert manifest["n_samples"] == 2
 
         import csv
-        from wingcp.geometry import feature_csv_header
+        from wingcp.data import FEATURE_POINTS_HEADER
 
         with open(cache / "features_points.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == feature_csv_header(stencil_slot=True)
+        assert rows[0] == FEATURE_POINTS_HEADER and rows[0][-1] == "stencil_slot"
         assert len(rows) == 1 + 2 * 9  # header + 9 stencil points per sample
         assert [r[-1] for r in rows[1:10]] == [str(s) for s in range(9)]
 
     def test_pointwise_view(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.4, 0.6)]
-        batch = assemble(paraboloid_manifold, samples, d=0.005).batch()
+        batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         pw = batch.pointwise()
         assert pw.x2.shape == (1, 3)
         assert pw.x3.shape == (1, 1, 2, 2)

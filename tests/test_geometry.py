@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from oracles import (
 )
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
+from wingcp.data import FlightCondition, RawSample, assemble, save_feature_cache
 from wingcp.errors import DegenerateMetric, InvalidPatch
 from wingcp.geometry import (
     CONVENTIONS,
@@ -19,13 +22,12 @@ from wingcp.geometry import (
     christoffel,
     contract,
     feature_bundle,
-    feature_csv_header,
-    feature_csv_row,
     inverse_metric,
     metric,
     riemann_tensor,
 )
 from wingcp.shapes import flat_grid, graph_surface_grid, paraboloid_grid
+from wingcp.stencil import build_stencil
 from wingcp.synth import SynthConfig, generate_synthetic
 
 
@@ -358,16 +360,49 @@ class TestFeatureBundle:
         np.testing.assert_allclose(f.g @ f.g_inv, np.eye(2), atol=1e-10)
 
 
-class TestFeatureCsv:
-    def test_header_and_row_width(self, paraboloid_manifold):
-        f = feature_bundle(paraboloid_manifold, SurfacePoint("paraboloid", 0.25, 0.5))
-        header = feature_csv_header()
-        row = feature_csv_row(f)
-        assert header[:6] == ["patch_id", "u", "v", "x", "y", "z"]
-        assert header[-1] == "S"
-        assert len(header) == len(row) == 16
+class TestFeaturePointsCsv:
+    """Every row of a saved features_points.csv against the stencil it names and
+    a fresh per-point feature_bundle, compared exactly after parsing."""
 
-    def test_slot_column(self, paraboloid_manifold):
-        f = feature_bundle(paraboloid_manifold, SurfacePoint("paraboloid", 0.25, 0.5))
-        assert feature_csv_header(stencil_slot=True)[-1] == "stencil_slot"
-        assert feature_csv_row(f, stencil_slot=4)[-1] == "4"
+    VALUE_COLUMNS = ["x", "y", "z", "g11", "g12", "g22"] + [
+        f"gam{k}{i}{j}" for k in (1, 2) for i, j in ((1, 1), (1, 2), (2, 2))
+    ] + ["S"]
+
+    def _check(self, tmp_path, manifold, samples, d):
+        result = assemble(manifold, samples, d=d)
+        save_feature_cache(tmp_path, result, samples, {"d": d})
+        with open(tmp_path / "features_points.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["patch_id", "u", "v", *self.VALUE_COLUMNS, "stencil_slot"]
+        assert len(rows) == 9 * len(result.kept)
+        clamped = 0
+        for r, src in enumerate(result.kept):
+            stencil = build_stencil(manifold, samples[src].location, d)
+            clamped += any(stencil.clamped)
+            for slot, p in enumerate(stencil.points):
+                row = rows[9 * r + slot]
+                assert row["patch_id"] == p.patch_id and row["stencil_slot"] == str(slot)
+                assert (float(row["u"]), float(row["v"])) == (p.u, p.v)
+                f = feature_bundle(manifold, p)
+                upper = [(0, 0), (0, 1), (1, 1)]
+                expected = [*f.position, *(f.g[i, j] for i, j in upper)]
+                expected += [f.gamma[k, i, j] for k in range(2) for i, j in upper] + [f.scalar]
+                assert [float(row[c]) for c in self.VALUE_COLUMNS] == expected
+        return clamped
+
+    def test_paraboloid(self, tmp_path, paraboloid_manifold):
+        locations = [(0.5, 0.5), (0.2, 0.7), (0.0, 0.4), (0.9, 1.0)]
+        samples = [_raw_sample(SurfacePoint("paraboloid", u, v)) for u, v in locations]
+        assert self._check(tmp_path, paraboloid_manifold, samples, 0.005) == 2
+
+    def test_synth_wing_with_seam_stencils(self, tmp_path):
+        res = generate_synthetic(
+            SynthConfig(seed=3, stations=3, points_per_section=4, aoa_set=(0.0, 12.0))
+        )
+        # stencils centred on a patch seam (v = 0) clamp their south offset
+        assert self._check(tmp_path, res.manifold, res.samples, 0.005) > 0
+
+
+def _raw_sample(point):
+    return RawSample(location=point, condition=FlightCondition(ma=0.175, aoa=7.0, re=1.35e6), cp=0.5)

@@ -11,9 +11,7 @@ from wingcp.model import (
     NetSpec,
     TrainConfig,
     adam_step,
-    backward,
     build_model,
-    forward,
     load_checkpoint,
     loss_mse,
     preset,
@@ -96,7 +94,7 @@ class TestForward:
         cfg = preset("rgfil", seed=5)
         model = build_model(cfg)
         batch = random_batch(np.random.default_rng(5), 3)
-        yhat, c = forward(model, batch, return_weights=True)
+        yhat, c = model.forward(batch, return_weights=True)
         assert c.shape == (3, len(cfg.active) * cfg.k_outputs)
 
     def test_context_width_invariant(self):
@@ -136,7 +134,8 @@ class TestBackward:
             x1=batch.x1, x2=batch.x2, x3=batch.x3, x4=batch.x4, x5=batch.x5,
             y=model.forward(batch),
         )
-        for g in backward(model, fitted):
+        _, grads, _ = model.loss_and_grads(fitted)
+        for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_gradients_match_finite_differences(self):
