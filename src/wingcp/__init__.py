@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .bezier import (
     ControlGrid,
     PiecewiseManifold,
-    SurfaceJet,
     SurfacePoint,
     ValidityReport,
     bernstein,

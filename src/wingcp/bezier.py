@@ -9,7 +9,8 @@ Several patches concatenated form a piecewise smooth manifold. All
 derivatives are computed analytically through the Bernstein
 degree-reduction recursion (d/dt B_{a,m} = m (B_{a-1,m-1} - B_{a,m-1})),
 so jets are exact for polynomial data; derivatives beyond the polynomial
-degree are exactly zero.
+degree are exactly zero. Evaluation and jets take arrays of parameters:
+one point is the case without leading axes of the same code.
 """
 
 import csv
@@ -17,14 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidPatch, SampleParseError
 
 __all__ = [
     "ControlGrid",
     "SurfacePoint",
-    "SurfaceJet",
     "ValidityReport",
     "Seam",
     "PiecewiseManifold",
@@ -86,28 +85,6 @@ class SurfacePoint:
             raise ValueError(f"parameters outside [0,1]: u={self.u}, v={self.v}")
 
 
-@dataclass
-class SurfaceJet:
-    """All mixed partials d^(p+q) F / du^p dv^q with p+q <= order at one point.
-
-    ``d[p, q]`` is the 3-vector partial; slots with p+q > order are zero
-    and must not be read (use :meth:`partial`).
-    """
-
-    point: SurfacePoint
-    order: int
-    d: np.ndarray  # (order+1, order+1, 3)
-
-    def partial(self, p, q):
-        if p < 0 or q < 0 or p + q > self.order:
-            raise ValueError(f"partial ({p},{q}) outside jet order {self.order}")
-        return self.d[p, q]
-
-    @property
-    def position(self):
-        return self.d[0, 0]
-
-
 def bernstein(a: int, m: int, t: float) -> float:
     """Bernstein basis value B_{a,m}(t) = C(m,a) t^a (1-t)^(m-a)."""
     if not 0 <= a <= m:
@@ -117,31 +94,39 @@ def bernstein(a: int, m: int, t: float) -> float:
     return math.comb(m, a) * t**a * (1.0 - t) ** (m - a)
 
 
-def bernstein_row(m: int, t: float) -> np.ndarray:
-    """All degree-m Bernstein values at t, as a length-(m+1) vector."""
-    s = 1.0 - t
-    return np.array([math.comb(m, a) * t**a * s ** (m - a) for a in range(m + 1)])
+def bernstein_row(m: int, t) -> np.ndarray:
+    """All degree-m Bernstein values at t, shape np.shape(t) + (m+1,)."""
+    t = np.asarray(t, dtype=float)[..., None]
+    a = np.arange(m + 1)
+    comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+    return comb * t**a * (1.0 - t) ** (m - a)
 
 
 def _check_domain(u, v):
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+    if not (np.all((0.0 <= u) & (u <= 1.0)) and np.all((0.0 <= v) & (v <= 1.0))):
         raise ValueError(f"parameters outside [0,1]: u={u}, v={v}")
 
 
-def eval_patch(grid: ControlGrid, u: float, v: float) -> np.ndarray:
-    """Evaluate F(u, v) on one patch. Returns a 3-vector."""
+def _contract(bu, bv, net):
+    """sum_ab net_ab bu_a bv_b at each leading index of the basis rows."""
+    return np.einsum("...a,...b,abc->...c", bu, bv, net)
+
+
+def eval_patch(grid: ControlGrid, u, v) -> np.ndarray:
+    """Evaluate F(u, v) on one patch; u and v broadcast, result shape + (3,)."""
     _check_domain(u, v)
     m, n = grid.degrees
-    bu = bernstein_row(m, u)
-    bv = bernstein_row(n, v)
-    return np.einsum("a,b,abc->c", bu, bv, grid.points)
+    return _contract(bernstein_row(m, u), bernstein_row(n, v), grid.points)
 
 
-def jet(grid: ControlGrid, u: float, v: float, order: int = 3) -> SurfaceJet:
-    """Analytic derivative jet of the patch at (u, v).
+def jet(grid: ControlGrid, u, v, order: int = 3) -> np.ndarray:
+    """Analytic derivative jet of the patch at the points (u, v).
 
-    Partials are evaluated from iterated forward differences of the
-    control net:
+    Returns d with d[..., p, q, :] = d^(p+q)F/du^p dv^q for p+q <= order,
+    shape np.broadcast_shapes(np.shape(u), np.shape(v)) + (order+1,
+    order+1, 3); one point (scalar u, v) gives shape (order+1, order+1, 3).
+    Slots with p+q > order are zero. Partials are evaluated from iterated
+    forward differences of the control net:
 
         d^(p+q)F/du^p dv^q = m!/(m-p)! n!/(n-q)!
             * sum_ab (Delta^{p,q} P)_ab B_{a,m-p}(u) B_{b,n-q}(v)
@@ -153,7 +138,7 @@ def jet(grid: ControlGrid, u: float, v: float, order: int = 3) -> SurfaceJet:
         raise ValueError(f"jet order must be 1, 2 or 3, got {order}")
     _check_domain(u, v)
     m, n = grid.degrees
-    d = np.zeros((order + 1, order + 1, 3))
+    d = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)) + (order + 1, order + 1, 3))
     diff_u = grid.points
     for p in range(min(order, m) + 1):
         bu = bernstein_row(m - p, u)
@@ -161,10 +146,10 @@ def jet(grid: ControlGrid, u: float, v: float, order: int = 3) -> SurfaceJet:
         diff_uv = diff_u
         for q in range(min(order - p, n) + 1):
             bv = bernstein_row(n - q, v)
-            d[p, q] = (cu * math.perm(n, q)) * np.einsum("a,b,abc->c", bu, bv, diff_uv)
+            d[..., p, q, :] = (cu * math.perm(n, q)) * _contract(bu, bv, diff_uv)
             diff_uv = np.diff(diff_uv, axis=1)
         diff_u = np.diff(diff_u, axis=0)
-    return SurfaceJet(point=SurfacePoint(grid.patch_id, u, v), order=order, d=d)
+    return d
 
 
 @dataclass
@@ -206,6 +191,33 @@ class ValidityReport:
 
 
 _MAX_REPORTED_PAIRS = 64
+_SWEEP_BLOCK = 256  # points per block of the close-pair sweep
+
+
+def _close_pairs(pts: np.ndarray, r: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of points at distance <= r, in lexicographic order.
+
+    A sweep along the coordinate of largest spread: after sorting on it,
+    the candidates of a point are the following points whose coordinate
+    lies within r, and each candidate's distance is checked. Points go
+    through in blocks, so the candidate arrays stay bounded.
+    """
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    order = np.argsort(pts[:, axis], kind="stable")
+    srt = pts[order]
+    key = srt[:, axis]
+    count = np.searchsorted(key, np.nextafter(key + r, np.inf), side="right") - np.arange(1, len(key) + 1)
+    found = []
+    for lo in range(0, len(key), _SWEEP_BLOCK):
+        rows = np.arange(lo, min(lo + _SWEEP_BLOCK, len(key)))
+        k = count[rows]
+        i = np.repeat(rows, k)
+        j = i + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        close = np.linalg.norm(srt[i] - srt[j], axis=1) <= r
+        found.append(np.stack([order[i[close]], order[j[close]]], axis=1))
+    pairs = np.sort(np.concatenate(found), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
 
 
 def check_patch(
@@ -220,7 +232,8 @@ def check_patch(
     Tolerances scale with the control-net bounding-box diagonal:
     rank_tol defaults to 1e-8 * diag, eps_space to 1e-6 * diag. The
     self-intersection scan is a heuristic over the sample grid, not an
-    exact algebraic test.
+    exact algebraic test; it reports pairs in order of their sample
+    indices (row-major over the u, v grid).
     """
     if samples_per_axis < 4:
         raise ValueError("samples_per_axis must be >= 4")
@@ -232,10 +245,8 @@ def check_patch(
         eps_space = 1e-6 * diag
 
     ss = np.linspace(0.0, 1.0, samples_per_axis)
-    bu = np.array([bernstein_row(m, t) for t in ss])  # (N, m+1)
-    bv = np.array([bernstein_row(n, t) for t in ss])
-    bu1 = np.array([bernstein_row(m - 1, t) for t in ss])
-    bv1 = np.array([bernstein_row(n - 1, t) for t in ss])
+    bu, bv = bernstein_row(m, ss), bernstein_row(n, ss)  # (N, m+1), (N, n+1)
+    bu1, bv1 = bernstein_row(m - 1, ss), bernstein_row(n - 1, ss)
 
     pts = np.einsum("ia,jb,abc->ijc", bu, bv, grid.points)
     fu = m * np.einsum("ia,jb,abc->ijc", bu1, bv, np.diff(grid.points, axis=0))
@@ -251,8 +262,7 @@ def check_patch(
 
     uu, vv = np.meshgrid(ss, ss, indexing="ij")
     params = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    tree = cKDTree(pts.reshape(-1, 3))
-    pairs = tree.query_pairs(r=eps_space, output_type="ndarray")
+    pairs = _close_pairs(pts.reshape(-1, 3), eps_space)
     intersections = []
     count = 0
     if len(pairs):

@@ -123,7 +123,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_manifest(outdir, command, args, seed, inputs, config, elapsed):
+def _write_run_manifest(outdir, command, args, seed, inputs, config, elapsed, counts=None):
     manifest = {
         "command": command,
         "version": __version__,
@@ -133,6 +133,8 @@ def _write_run_manifest(outdir, command, args, seed, inputs, config, elapsed):
         "inputs": {path: _sha256(path) for path in inputs},
         "elapsed_seconds": elapsed,
     }
+    if counts is not None:
+        manifest["counts"] = counts
     with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -267,6 +269,7 @@ def cmd_extract(args, cfg):
         [args.manifold, args.samples],
         cfg,
         time.perf_counter() - t0,
+        counts=result.counts,
     )
     print(f"extract: {len(result.kept)} samples kept, {len(result.dropped)} dropped -> {args.out}")
     return 0

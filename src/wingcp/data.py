@@ -13,6 +13,9 @@ sample):
 
 Slot order is identical across x2..x5, and the feature cache's
 per-point dump (features_points.csv) is read back out of these arrays.
+Geometry is computed patch by patch over arrays: each distinct stencil
+centre is calibrated once and each distinct stencil point's chain runs
+once, whatever the number of samples that share them.
 Normalization is componentwise max-min to [0, 1], fit on training data
 only; constant columns map to 0.0. Cross-validation folds are
 leave-one-AoA-out.
@@ -28,9 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint
-from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError, StencilOutOfPatch
-from .geometry import DEFAULT_CONVENTION, feature_bundle
-from .stencil import build_stencil
+from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError
+from .geometry import DEFAULT_CONVENTION, point_features
+from .stencil import AXIAL, NEIGHBOR_SLOTS, out_of_patch, stencil_points
+
+# assemble calls neither of these one-point functions; the traced benchmark
+# (pipebench/layers.py) wraps them as names of this module, so they stay here.
+from .geometry import feature_bundle  # noqa: F401
+from .stencil import build_stencil  # noqa: F401
 
 __all__ = [
     "FOLD_AOAS_DEFAULT",
@@ -128,14 +136,25 @@ class TensorBatch:
 class AssembleResult:
     """The features of every kept sample, stacked once, and where they came from.
 
-    Row r of ``batch`` is input sample ``kept[r]``, and ``stencils[r]``
-    holds its nine stencil points in the batch's slot order.
+    Row r of ``batch`` is input sample ``kept[r]``, and ``uv[r]`` holds the
+    (u, v) of its nine stencil points on the sample's patch, in the batch's
+    slot order. ``counts`` tallies the work of one call: the distinct
+    centres calibrated and the distinct stencil points evaluated (summed
+    over patches), and over the kept samples the stencils with a clamped
+    offset and the neighbor slots at zero spacing.
     """
 
     batch: TensorBatch
     kept: list  # indices into the input sample list
     dropped: list  # (index, reason) pairs
-    stencils: list  # Stencil per kept sample
+    uv: np.ndarray  # (len(kept), 9, 2)
+    counts: dict
+
+
+def _distinct(uv: np.ndarray):
+    """The bitwise-distinct rows of an (N, 2) float array and each row's index among them."""
+    keys, inverse = np.unique(np.ascontiguousarray(uv).view(np.int64), axis=0, return_inverse=True)
+    return keys.view(float), inverse.reshape(-1)
 
 
 def assemble(
@@ -147,42 +166,82 @@ def assemble(
 ) -> AssembleResult:
     """Expand samples into one batch of stencil feature tensors, in input order.
 
-    Samples whose stencil or curvature extraction fails are dropped and
-    logged; assembly fails only when the drop fraction exceeds
-    ``max_drop_fraction``.
+    Works patch by patch over arrays: each distinct centre (u, v) is
+    calibrated once (``stencil_points``), each distinct stencil point's
+    jet -> metric -> connection -> curvature chain is computed once
+    (``point_features``), and the results are scattered back to the
+    samples. A sample is dropped and logged when an axial offset does not
+    fit in its patch (the first in E, W, N, S order: StencilOutOfPatch),
+    or else when a stencil point has a degenerate metric (the first in
+    slot order: DegenerateMetric); the reason is the text the one-point
+    calls ``build_stencil`` and ``feature_bundle`` raise. Assembly fails
+    only when the drop fraction exceeds ``max_drop_fraction``.
     """
-    kept, dropped, stencils = [], [], []
-    x1, y, pos, g, gamma, scalar = [], [], [], [], [], []
-    for idx, sample in enumerate(samples):
-        try:
-            stencil = build_stencil(manifold, sample.location, d)
-            bundles = [feature_bundle(manifold, p, convention) for p in stencil.points]
-        except (DegenerateMetric, StencilOutOfPatch) as exc:
-            dropped.append((idx, f"{type(exc).__name__}: {exc}"))
-            continue
-        kept.append(idx)
-        stencils.append(stencil)
-        x1.append((sample.condition.ma, sample.condition.aoa, sample.condition.re))
-        y.append(sample.cp)
-        pos.append(np.array([b.position for b in bundles]))  # (9, 3)
-        g.append(np.array([b.g for b in bundles]))  # (9, 2, 2)
-        gamma.append(np.array([b.gamma for b in bundles]))  # (9, 2, 2, 2), [slot][k][i][j]
-        scalar.append([b.scalar for b in bundles])
     n = len(samples)
+    uv, pos = np.empty((n, 9, 2)), np.empty((n, 9, 3))
+    g, gamma, scalar = np.empty((n, 9, 2, 2)), np.empty((n, 9, 2, 2, 2)), np.empty((n, 9))
+    good = np.zeros(n, dtype=bool)
+    reasons = {}
+    counts = dict.fromkeys(("distinct_centres", "distinct_points", "clamped_stencils", "zero_spacing_slots"), 0)
+    by_patch = {}
+    for i, s in enumerate(samples):
+        by_patch.setdefault(s.location.patch_id, []).append(i)
+    for pid, rows in by_patch.items():
+        manifold.assert_ready(pid)
+        grid = manifold.grid(pid)
+        rows = np.array(rows)
+        centres, centre_of = _distinct(np.array([(samples[i].location.u, samples[i].location.v) for i in rows]))
+        st_uv, clamped, extent = stencil_points(grid, centres[:, 0], centres[:, 1], d)
+        fits = (d <= extent).all(axis=1)
+        points, point_of = _distinct(st_uv[fits].reshape(-1, 2))
+        f = point_features(grid, points[:, 0], points[:, 1], convention)
+        slots = np.zeros((len(centres), 9), dtype=int)  # distinct point of each slot
+        slots[fits] = point_of.reshape(-1, 9)
+        bad_slots = np.zeros(slots.shape, dtype=bool)
+        bad_slots[fits] = f.degenerate[slots[fits]]
+        ok = fits & ~bad_slots.any(axis=1)
+        counts["distinct_centres"] += len(centres)
+        counts["distinct_points"] += len(points)
+
+        mine = ok[centre_of]
+        kept_rows, idx = rows[mine], slots[centre_of[mine]]
+        good[kept_rows] = True
+        uv[kept_rows] = st_uv[centre_of[mine]]
+        pos[kept_rows] = f.position[idx]
+        g[kept_rows] = f.g[idx]
+        gamma[kept_rows] = f.gamma[idx]
+        scalar[kept_rows] = f.scalar[idx]
+        zero = (f.position[idx[:, NEIGHBOR_SLOTS]] == f.position[idx[:, 4:5]]).all(axis=-1)
+        counts["clamped_stencils"] += int(clamped[centre_of[mine]].any(axis=1).sum())
+        counts["zero_spacing_slots"] += int(zero.sum())
+
+        for i, c in zip(rows[~mine], centre_of[~mine]):
+            center = samples[i].location
+            if not fits[c]:
+                k = int(np.argmax(d > extent[c]))
+                exc = out_of_patch(d, extent[c, k], AXIAL[k][0], center)
+            else:
+                slot = int(np.argmax(bad_slots[c]))
+                point = center if slot == 4 else SurfacePoint(pid, *st_uv[c, slot].tolist())
+                exc = DegenerateMetric(f.det_g[slots[c, slot]], point)
+            reasons[int(i)] = f"{type(exc).__name__}: {exc}"
+    dropped = sorted(reasons.items())
     if n and len(dropped) > max_drop_fraction * n:
         raise AssemblyError(
             f"dropped {len(dropped)}/{n} samples (> {max_drop_fraction:.0%})", dropped=dropped
         )
+    kept = np.flatnonzero(good)
     m = len(kept)
+    conditions = [(samples[i].condition.ma, samples[i].condition.aoa, samples[i].condition.re) for i in kept]
     batch = TensorBatch(
-        x1=np.array(x1, dtype=float).reshape(m, 3),
-        x2=np.array(pos).reshape(m, 1, 9, 3),
-        x3=np.array(g).reshape(m, 1, 18, 2),
-        x4=np.array(gamma).reshape(m, 9, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(m, 2, 18, 2),
-        x5=np.array(scalar).reshape(m, 9),
-        y=np.array(y, dtype=float),
+        x1=np.array(conditions, dtype=float).reshape(m, 3),
+        x2=pos[kept].reshape(m, 1, 9, 3),
+        x3=g[kept].reshape(m, 1, 18, 2),
+        x4=gamma[kept].transpose(0, 2, 1, 3, 4).reshape(m, 2, 18, 2),
+        x5=scalar[kept],
+        y=np.array([samples[i].cp for i in kept], dtype=float),
     )
-    return AssembleResult(batch=batch, kept=kept, dropped=dropped, stencils=stencils)
+    return AssembleResult(batch=batch, kept=kept.tolist(), dropped=dropped, uv=uv[kept], counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +483,7 @@ def save_samples(path, samples):
 # ---------------------------------------------------------------------------
 
 _META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
+_META_NUMERIC = ("u", "v", "x", "y", "z", "Ma", "AoA", "Re", "cp")  # span may also be empty
 
 # features_points.csv: one row per stencil point, nine rows per sample
 FEATURE_POINTS_HEADER = [
@@ -477,36 +537,49 @@ def meta_rows(result: AssembleResult, samples) -> list:
     return rows
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer's default dialect writes it inside a row (minimal quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_WRITE_BLOCK = 512  # rows formatted per write: no whole-file text is held
+
+
+def _write_rows(fh, rows: np.ndarray):
+    """Write 2-D float rows as CSV lines of 17-significant-digit numbers.
+
+    One %-format per row gives the text csv.writer gives for
+    ``format(value, ".17g")`` fields, with its CRLF line ends.
+    """
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        fh.write("".join([fmt % tuple(r) for r in rows[lo : lo + _WRITE_BLOCK].tolist()]))
+
+
 def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
     """Write raw (un-normalized) feature CSVs, sample metadata and manifest."""
     os.makedirs(outdir, exist_ok=True)
     batch = result.batch
     for key, x in batch.groups().items():
-        flat = x.reshape(batch.n, -1)
         with open(os.path.join(outdir, f"{key}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_group_columns(key))
-            for row in flat:
-                writer.writerow([format(val, ".17g") for val in row])
+            csv.writer(fh).writerow(_group_columns(key))
+            _write_rows(fh, x.reshape(batch.n, -1))
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cp"])
-        for val in batch.y:
-            writer.writerow([format(val, ".17g")])
+        csv.writer(fh).writerow(["cp"])
+        _write_rows(fh, batch.y[:, None])
     with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, _META_HEADER)
         writer.writeheader()
         writer.writerows(meta_rows(result, samples))
     with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_POINTS_HEADER)
-        for stencil, values in zip(result.stencils, _point_values(batch)):
-            for slot, (p, vals) in enumerate(zip(stencil.points, values)):
-                writer.writerow(
-                    [p.patch_id, format(p.u, ".17g"), format(p.v, ".17g")]
-                    + [format(val, ".17g") for val in vals]
-                    + [slot]
-                )
+        csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
+        fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"
+        values = np.concatenate([result.uv, _point_values(batch)], axis=2)
+        for i, rows in zip(result.kept, values):
+            pid = _csv_field(samples[i].location.patch_id)
+            fh.write("".join([fmt % (pid, *r, slot) for slot, r in enumerate(rows.tolist())]))
     manifest = dict(manifest)
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}
     manifest["n_samples"] = batch.n
@@ -537,7 +610,9 @@ def load_feature_cache(cachedir):
     """Read a feature cache back into (TensorBatch, meta rows, manifest).
 
     Every file must hold ``n_samples`` (from ``manifest.json``) data rows of
-    the documented width; SampleParseError names the first file that does not.
+    the documented width, and every numeric value (in ``meta.csv``: u, v,
+    x, y, z, Ma, AoA, Re, cp and a non-empty span) must parse as a finite
+    number; SampleParseError names the first file that does not.
     """
     with open(os.path.join(cachedir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -555,4 +630,12 @@ def load_feature_cache(cachedir):
     if len(rows) - 1 != n:
         raise SampleParseError(f"{path}: {len(rows) - 1} data rows, manifest.json lists {n} samples")
     meta = [dict(zip(_META_HEADER, r)) for r in rows[1:]]
+    for lineno, r in enumerate(meta, start=2):
+        try:
+            values = [float(r[k]) for k in _META_NUMERIC]
+            values += [float(r["span"])] if r["span"].strip() else []
+        except ValueError as exc:
+            raise SampleParseError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(x) for x in values):
+            raise SampleParseError(f"{path}:{lineno}: non-finite value")
     return TensorBatch(y=y[:, 0], **arrays), meta, manifest

@@ -26,17 +26,21 @@ contractions are supported; in two dimensions they differ by sign only:
     "first-index"  R_ij = sum_k R^k_kij   (the opposite sign)
 
 Each formula above is evaluated as one array contraction (einsum) over
-index-ordered arrays of the jet partials; "first-index" is computed as
-the exact negation of "standard".
+index-ordered arrays of the jet partials, with leading axes ``...`` for
+any number of points: one point and N points run the same code.
+"first-index" is computed as the exact negation of "standard".
 
-Scalar curvature is S = g^ij R_ij in either case.
+Scalar curvature is S = g^ij R_ij in either case. ``point_features``
+runs the chain for N points of one patch at once, evaluating the metric
+once and flagging degenerate points in a mask; ``feature_bundle`` is its
+one-point call, which raises DegenerateMetric instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import PiecewiseManifold, SurfaceJet, SurfacePoint, jet
+from .bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from .errors import DegenerateMetric
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "christoffel",
     "riemann_tensor",
     "contract",
+    "point_features",
     "feature_bundle",
 ]
 
@@ -61,17 +66,22 @@ _DEGENERATE_REL_TOL = 1e-12
 
 @dataclass
 class RiemannianFeatures:
-    """Full geometric feature set at one surface point."""
+    """Geometric features at surface points, over the points' leading axes ``...``.
 
-    point: SurfacePoint
-    position: np.ndarray  # F(u, v), 3-vector
-    g: np.ndarray  # (2, 2)
-    g_inv: np.ndarray  # (2, 2)
-    det_g: float
-    gamma: np.ndarray  # (2, 2, 2), [k][i][j]
-    riemann: np.ndarray  # (2, 2, 2, 2), [s][i][j][k]
-    ricci: np.ndarray  # (2, 2)
-    scalar: float
+    ``feature_bundle`` (one point) has no leading axes; ``point_features``
+    over N points has (N,). Where ``degenerate`` is set, the other fields
+    hold no meaningful values.
+    """
+
+    position: np.ndarray  # (..., 3), F(u, v)
+    g: np.ndarray  # (..., 2, 2)
+    g_inv: np.ndarray  # (..., 2, 2)
+    det_g: np.ndarray  # (...)
+    degenerate: np.ndarray  # (...), det(g) <= 1e-12 (trace g)^2
+    gamma: np.ndarray  # (..., 2, 2, 2), [k][i][j]
+    riemann: np.ndarray  # (..., 2, 2, 2, 2), [s][i][j][k]
+    ricci: np.ndarray  # (..., 2, 2)
+    scalar: np.ndarray  # (...)
     convention: str
 
 
@@ -79,44 +89,51 @@ class RiemannianFeatures:
 _U_COUNT = {s: s - np.indices((2,) * s).sum(axis=0) for s in (1, 2, 3)}
 
 
-def _partials(jet_: SurfaceJet, s: int) -> np.ndarray:
-    """All order-s partials of F, shape (2,)*s + (3,): [i1]...[is][xyz]."""
+def _partials(jet_: np.ndarray, s: int) -> np.ndarray:
+    """All order-s partials of F, shape (...,) + (2,)*s + (3,): [i1]...[is][xyz]."""
     p = _U_COUNT[s]
-    return jet_.d[p, s - p]
+    return jet_[..., p, s - p, :]
 
 
-def metric(jet_: SurfaceJet):
+def metric(jet_: np.ndarray):
     """Metric g_ij and its first derivatives d_l g_ij from an order>=2 jet.
 
-    Returns (g, dg) with g shape (2, 2) and dg shape (2, 2, 2) indexed
-    [l][i][j]. Both are built as a + a^T over (i, j), so they are
+    Returns (g, dg) with g shape (..., 2, 2) and dg shape (..., 2, 2, 2)
+    indexed [l][i][j]. Both are built as a + a^T over (i, j), so they are
     symmetric in (i, j) exactly as stored.
     """
-    if jet_.order < 2:
+    if jet_.shape[-2] < 3:
         raise ValueError("metric derivatives need a jet of order >= 2")
     f1, f2 = _partials(jet_, 1), _partials(jet_, 2)
-    a = 0.5 * np.einsum("ic,jc->ij", f1, f1)  # halving, then a + a^T, is exact
-    da = np.einsum("lic,jc->lij", f2, f1)
-    return a + a.T, da + da.swapaxes(1, 2)
+    a = 0.5 * np.einsum("...ic,...jc->...ij", f1, f1)  # halving, then a + a^T, is exact
+    da = np.einsum("...lic,...jc->...lij", f2, f1)
+    return a + a.swapaxes(-1, -2), da + da.swapaxes(-1, -2)
 
 
-def _metric_hessian(jet_: SurfaceJet) -> np.ndarray:
-    """Second metric derivatives d_m d_l g_ij, shape (2, 2, 2, 2) [m][l][i][j]."""
-    if jet_.order < 3:
+def _metric_hessian(jet_: np.ndarray) -> np.ndarray:
+    """Second metric derivatives d_m d_l g_ij, shape (..., 2, 2, 2, 2) [m][l][i][j]."""
+    if jet_.shape[-2] < 4:
         raise ValueError("second metric derivatives need an order-3 jet")
     f1, f2, f3 = _partials(jet_, 1), _partials(jet_, 2), _partials(jet_, 3)
-    a = np.einsum("mlic,jc->mlij", f3, f1) + np.einsum("lic,mjc->mlij", f2, f2)
-    return a + a.swapaxes(2, 3)
+    a = np.einsum("...mlic,...jc->...mlij", f3, f1) + np.einsum("...lic,...mjc->...mlij", f2, f2)
+    return a + a.swapaxes(-1, -2)
+
+
+def _inverse(g: np.ndarray):
+    """(g^-1, det g, degenerate mask) over leading axes; degenerate entries divide by 1."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    tr = g[..., 0, 0] + g[..., 1, 1]
+    degenerate = det <= _DEGENERATE_REL_TOL * tr * tr
+    adj = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
+    return adj.reshape(g.shape) / np.where(degenerate, 1.0, det)[..., None, None], det, degenerate
 
 
 def inverse_metric(g: np.ndarray, point: SurfacePoint | None = None) -> np.ndarray:
-    """Closed-form 2x2 inverse; raises DegenerateMetric when det is too small."""
-    g = np.asarray(g, dtype=float)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    tr = g[0, 0] + g[1, 1]
-    if det <= _DEGENERATE_REL_TOL * tr * tr:
-        raise DegenerateMetric(det, point)
-    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    """Closed-form 2x2 inverse; raises DegenerateMetric when a det is too small."""
+    g_inv, det, degenerate = _inverse(np.asarray(g, dtype=float))
+    if degenerate.any():
+        raise DegenerateMetric(det[degenerate].flat[0], point)
+    return g_inv
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -124,31 +141,33 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return dg + np.einsum("...jli->...ijl", dg) - np.einsum("...lij->...ijl", dg)
 
 
-def christoffel(jet_: SurfaceJet):
+def christoffel(jet_: np.ndarray, g_inv: np.ndarray, dg: np.ndarray):
     """Christoffel symbols and their coordinate derivatives.
 
-    Returns (gamma, dgamma): gamma[k][i][j] and dgamma[x][k][i][j], both
-    symmetric in (i, j) as stored. Requires an order-3 jet because
-    dgamma consumes third derivatives of F.
+    ``g_inv`` and ``dg`` are the inverse metric and the metric derivatives
+    at the jet's points (see :func:`metric`), so a chain evaluates the
+    metric once. Returns (gamma, dgamma): gamma[...][k][i][j] and
+    dgamma[...][x][k][i][j], both symmetric in (i, j) as stored. Requires
+    an order-3 jet because dgamma consumes third derivatives of F.
     """
-    g, dg = metric(jet_)
-    g_inv = inverse_metric(g, jet_.point)
-    dg_inv = -np.einsum("ka,xab,bl->xkl", g_inv, dg, g_inv)
+    dg_inv = -np.einsum("...ka,...xab,...bl->...xkl", g_inv, dg, g_inv)
     c, dc = _first_kind(dg), _first_kind(_metric_hessian(jet_))
-    gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, c)
-    dgamma = 0.5 * (np.einsum("xkl,ijl->xkij", dg_inv, c) + np.einsum("kl,xijl->xkij", g_inv, dc))
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, c)
+    dgamma = 0.5 * (
+        np.einsum("...xkl,...ijl->...xkij", dg_inv, c) + np.einsum("...kl,...xijl->...xkij", g_inv, dc)
+    )
     return gamma, dgamma
 
 
 def riemann_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """Curvature coefficients R^s_ijk from Christoffel data at one point.
+    """Curvature coefficients R^s_ijk from Christoffel data.
 
     R^s_ijk = a^s_ijk - a^s_jik  with  a^s_ijk = Gamma^l_ik Gamma^s_jl + d_j Gamma^s_ik,
 
     so the result is antisymmetric in (i, j) exactly as stored.
     """
-    a = np.einsum("lik,sjl->sijk", gamma, gamma) + np.einsum("jsik->sijk", dgamma)
-    return a - a.swapaxes(1, 2)
+    a = np.einsum("...lik,...sjl->...sijk", gamma, gamma) + np.einsum("...jsik->...sijk", dgamma)
+    return a - a.swapaxes(-3, -2)
 
 
 def contract(riemann: np.ndarray, g_inv: np.ndarray, convention: str = DEFAULT_CONVENTION):
@@ -161,11 +180,37 @@ def contract(riemann: np.ndarray, g_inv: np.ndarray, convention: str = DEFAULT_C
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
-    ricci = np.einsum("aiaj->ij", riemann)
+    ricci = np.einsum("...aiaj->...ij", riemann)
     if convention == "first-index":
         ricci = -ricci
-    scalar = float(np.einsum("ij,ij->", g_inv, ricci))
-    return ricci, scalar
+    return ricci, np.einsum("...ij,...ij->...", g_inv, ricci)
+
+
+def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION) -> RiemannianFeatures:
+    """Jet -> metric -> connection -> curvature at the points (u, v) of one patch.
+
+    u and v broadcast; their shape leads every returned field. The metric
+    is evaluated once and shared with the connection. A degenerate metric
+    is flagged in ``degenerate``, not raised.
+    """
+    jet_ = jet(grid, u, v, order=3)
+    g, dg = metric(jet_)
+    g_inv, det, degenerate = _inverse(g)
+    gamma, dgamma = christoffel(jet_, g_inv, dg)
+    riem = riemann_tensor(gamma, dgamma)
+    ricci, scalar = contract(riem, g_inv, convention)
+    return RiemannianFeatures(
+        position=jet_[..., 0, 0, :],
+        g=g,
+        g_inv=g_inv,
+        det_g=det,
+        degenerate=degenerate,
+        gamma=gamma,
+        riemann=riem,
+        ricci=ricci,
+        scalar=scalar,
+        convention=convention,
+    )
 
 
 def feature_bundle(
@@ -173,29 +218,14 @@ def feature_bundle(
     point: SurfacePoint,
     convention: str = DEFAULT_CONVENTION,
 ) -> RiemannianFeatures:
-    """Full jet -> metric -> connection -> curvature chain at one point.
+    """:func:`point_features` at one point of the manifold.
 
     The point's patch must have passed (or been exempted from) the
-    validity check. DegenerateMetric propagates with the point attached.
+    validity check. A degenerate metric raises DegenerateMetric with the
+    point attached.
     """
     manifold.assert_ready(point.patch_id)
-    grid = manifold.grid(point.patch_id)
-    jet_ = jet(grid, point.u, point.v, order=3)
-    g, _ = metric(jet_)
-    g_inv = inverse_metric(g, point)
-    gamma, dgamma = christoffel(jet_)
-    riem = riemann_tensor(gamma, dgamma)
-    ricci, scalar = contract(riem, g_inv, convention)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    return RiemannianFeatures(
-        point=point,
-        position=jet_.position.copy(),
-        g=g,
-        g_inv=g_inv,
-        det_g=float(det),
-        gamma=gamma,
-        riemann=riem,
-        ricci=ricci,
-        scalar=scalar,
-        convention=convention,
-    )
+    f = point_features(manifold.grid(point.patch_id), point.u, point.v, convention)
+    if f.degenerate:
+        raise DegenerateMetric(f.det_g, point)
+    return f

@@ -48,6 +48,13 @@ __all__ = [
 GROUP_IDS = (1, 2, 3, 4, 5)
 
 
+def _check_keys(cls, d: dict, what: str):
+    """Raise ConfigError naming the keys of ``d`` that are not fields of ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(unknown)}")
+
+
 @dataclass
 class NetSpec:
     """Topology of one subnetwork: a dense stack or a conv stack."""
@@ -69,9 +76,7 @@ class NetSpec:
         """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
         d = dict(d)
         stride = d.pop("stride", None)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown net spec key(s) {', '.join(unknown)}")
+        _check_keys(cls, d, "net spec")
         spec = cls(**d)
         if stride is not None and not np.array_equal(stride, spec.kernel):
             raise ConfigError(f"conv stride {stride} differs from kernel {list(spec.kernel)}")
@@ -114,7 +119,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Rebuild a config from :meth:`to_dict` output; ConfigError names an unknown key."""
         d = dict(d)
+        _check_keys(cls, d, "model config")
         d["nets"] = {int(z): NetSpec.from_dict(spec) for z, spec in d.get("nets", {}).items()}
         d["context"] = NetSpec.from_dict(d["context"])
         d["concat"] = NetSpec.from_dict(d["concat"])

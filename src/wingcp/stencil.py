@@ -2,10 +2,14 @@
 
 The target spacing d is a Euclidean (chord) distance in model space,
 realized by offsets along the two parameter axes. Offsets are found by
-bisection on the monotone chord-length function; diagonals compose the
-axial offsets (square layout). Stencils never cross patch seams; when
-the patch boundary is closer than d the offset clamps to the boundary
-and the point carries a flag instead of failing.
+bisection on the monotone chord-length function, for every offset of a
+patch at once: each offset keeps its own stop test and done mask, so a
+batch gives the offsets that one call per offset gives. Diagonals
+compose the axial offsets (square layout). Stencils never cross patch
+seams; when the patch boundary is closer than d the offset clamps to the
+boundary and the point carries a flag instead of failing. When d exceeds
+the chord across the whole patch along an axis, the stencil does not fit
+(StencilOutOfPatch for the first such offset in E, W, N, S order).
 
 Slot order is row-major NW,N,NE,W,center,E,SW,S,SE with north = +v and
 east = +u; the center occupies slot 4.
@@ -18,84 +22,112 @@ import numpy as np
 from .bezier import ControlGrid, PiecewiseManifold, SurfacePoint, eval_patch
 from .errors import StencilOutOfPatch
 
-__all__ = ["Stencil", "calibrate_offset", "build_stencil", "SLOT_NAMES", "NEIGHBOR_SLOTS"]
+__all__ = [
+    "Stencil",
+    "calibrate_offset",
+    "stencil_points",
+    "out_of_patch",
+    "build_stencil",
+    "SLOT_NAMES",
+    "NEIGHBOR_SLOTS",
+    "AXIAL",
+]
 
 SLOT_NAMES = ("NW", "N", "NE", "W", "C", "E", "SW", "S", "SE")
 NEIGHBOR_SLOTS = (0, 1, 2, 3, 5, 6, 7, 8)  # all slots except the center
+AXIAL = (("u", 1), ("u", -1), ("v", 1), ("v", -1))  # (axis, direction) of E, W, N, S
 
 _CHORD_REL_TOL = 1e-9
 _MAX_BISECT = 80
 
 
-def _chord(grid: ControlGrid, u0: float, v0: float, base: np.ndarray, axis: str, offset: float) -> float:
-    if axis == "u":
-        p = eval_patch(grid, u0 + offset, v0)
-    else:
-        p = eval_patch(grid, u0, v0 + offset)
-    return float(np.linalg.norm(p - base))
+def _chord(grid: ControlGrid, u, v, base, along_u, offset):
+    p = eval_patch(grid, np.where(along_u, u + offset, u), np.where(along_u, v, v + offset))
+    return np.linalg.norm(p - base, axis=-1)
 
 
-def calibrate_offset(
-    grid: ControlGrid,
-    point: SurfacePoint,
-    axis: str,
-    direction: int,
-    d: float,
-):
-    """Parameter offset delta >= 0 whose chord to the base point equals d.
+def calibrate_offset(grid: ControlGrid, u, v, axis, direction, d: float):
+    """Parameter offsets delta >= 0 whose chords from F(u, v) equal d.
 
-    Returns (delta, clamped). The returned delta is signed magnitude
+    u, v, axis ("u" or "v") and direction (+1 or -1) broadcast to one
+    shape, and every offset of that shape is bisected at once. Returns
+    (delta, clamped, extent), arrays of that shape. delta is the magnitude
     along +axis for direction=+1 or -axis for direction=-1 (always
     non-negative; the caller applies the sign). If the boundary arrives
-    before the chord reaches d, the offset clamps there and
-    clamped=True. If d exceeds the chord across the entire patch along
-    that axis, StencilOutOfPatch is raised.
+    before the chord reaches d, the offset clamps there and clamped is
+    set. extent is the chord across the entire patch along the axis at the
+    transverse coordinate; where d > extent the offset does not fit
+    (delta 0, not clamped), which its caller reports as StencilOutOfPatch.
     """
-    if axis not in ("u", "v"):
+    if not np.isin(axis, ("u", "v")).all():
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
-    if direction not in (-1, 1):
+    if not np.isin(direction, (-1, 1)).all():
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     if d <= 0.0:
         raise ValueError(f"spacing d must be positive, got {d}")
+    u, v, axis, direction = np.broadcast_arrays(
+        np.asarray(u, dtype=float), np.asarray(v, dtype=float), axis, direction
+    )
+    shape = u.shape
+    u, v, direction = u.ravel(), v.ravel(), direction.ravel()
+    along_u = axis.ravel() == "u"
 
-    u0, v0 = point.u, point.v
-    base = eval_patch(grid, u0, v0)
-    coord = u0 if axis == "u" else v0
-
-    lo_end = -coord  # offset reaching coordinate 0
-    hi_end = 1.0 - coord
-
+    base = eval_patch(grid, u, v)
+    coord = np.where(along_u, u, v)
     # chord across the full parameter range at the transverse coordinate
-    if axis == "u":
-        a = eval_patch(grid, 0.0, v0)
-        b = eval_patch(grid, 1.0, v0)
-    else:
-        a = eval_patch(grid, u0, 0.0)
-        b = eval_patch(grid, u0, 1.0)
-    whole = float(np.linalg.norm(b - a))
-    if d > whole:
-        raise StencilOutOfPatch(
-            f"spacing d={d} exceeds patch extent {whole:.6g} along {axis} at {point}"
-        )
+    a = eval_patch(grid, np.where(along_u, 0.0, u), np.where(along_u, v, 0.0))
+    b = eval_patch(grid, np.where(along_u, 1.0, u), np.where(along_u, v, 1.0))
+    extent = np.linalg.norm(b - a, axis=-1)
+    room = np.where(direction > 0, 1.0 - coord, coord)  # available room, >= 0
 
-    max_off = hi_end if direction > 0 else -lo_end  # available room, >= 0
-    if max_off <= 0.0:
-        return 0.0, True
-    reach = _chord(grid, u0, v0, base, axis, direction * max_off)
-    if reach < d:
-        return max_off, True
+    fits = d <= extent
+    delta = np.zeros(u.shape)
+    clamped = fits & (room <= 0.0)
+    todo = np.flatnonzero(fits & (room > 0.0))
+    reach = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * room[todo])
+    short = todo[reach < d]
+    delta[short] = room[short]
+    clamped[short] = True
 
-    lo, hi = 0.0, max_off
+    todo = todo[reach >= d]
+    lo, hi = np.zeros(todo.size), room[todo]
     for _ in range(_MAX_BISECT):
+        if not todo.size:
+            break
         mid = 0.5 * (lo + hi)
-        c = _chord(grid, u0, v0, base, axis, direction * mid)
-        if abs(c - d) <= _CHORD_REL_TOL * d:
-            return mid, False
-        if c < d:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
+        c = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * mid)
+        done = np.abs(c - d) <= _CHORD_REL_TOL * d
+        delta[todo[done]] = mid[done]
+        below = c < d
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        todo, lo, hi = todo[~done], lo[~done], hi[~done]
+    delta[todo] = 0.5 * (lo + hi)
+    return delta.reshape(shape), clamped.reshape(shape), extent.reshape(shape)
+
+
+def stencil_points(grid: ControlGrid, u: np.ndarray, v: np.ndarray, d: float):
+    """Calibrate the four axial offsets of N centres (u, v) of one patch at once.
+
+    Returns (uv, clamped, extent): uv (N, 9, 2) holds the (u, v) of the
+    nine stencil points in slot order, clamped (N, 8) flags the neighbor
+    slots in NEIGHBOR_SLOTS order, and extent (N, 4) the patch extent of
+    each offset in AXIAL order. A centre with d > extent in some column
+    has no stencil; its uv rows are meaningless.
+    """
+    axes, directions = zip(*AXIAL)
+    delta, cl, extent = calibrate_offset(grid, u[:, None], v[:, None], axes, directions, d)
+    (de, dw, dn, ds), (ce, cw, cn, cs) = delta.T, cl.T
+    west, east = u - dw, u + de
+    south, north = v - ds, v + dn
+    us = np.stack([west, u, east] * 3, axis=1)
+    vs = np.stack([north] * 3 + [v] * 3 + [south] * 3, axis=1)
+    clamped = np.stack([cw | cn, cn, ce | cn, cw, ce, cw | cs, cs, ce | cs], axis=1)
+    return np.stack([us, vs], axis=-1), clamped, extent
+
+
+def out_of_patch(d: float, extent: float, axis: str, center: SurfacePoint) -> StencilOutOfPatch:
+    """The error of a stencil whose offset along ``axis`` does not fit in its patch."""
+    return StencilOutOfPatch(f"spacing d={d} exceeds patch extent {extent:.6g} along {axis} at {center}")
 
 
 @dataclass
@@ -112,56 +144,23 @@ class Stencil:
     achieved_spacings: np.ndarray  # (8,)
     clamped: tuple  # 8 bools
 
-    def __post_init__(self):
-        assert self.points[4] == self.center
-
 
 def build_stencil(manifold: PiecewiseManifold, center: SurfacePoint, d: float) -> Stencil:
-    """Calibrate the 4 axial offsets and compose the 3x3 stencil."""
+    """The stencil of one center: :func:`stencil_points` with N = 1.
+
+    Raises StencilOutOfPatch for the first offset (E, W, N, S) that does
+    not fit in the patch.
+    """
     manifold.assert_ready(center.patch_id)
     grid = manifold.grid(center.patch_id)
-
-    du_pos, cl_e = calibrate_offset(grid, center, "u", +1, d)
-    du_neg, cl_w = calibrate_offset(grid, center, "u", -1, d)
-    dv_pos, cl_n = calibrate_offset(grid, center, "v", +1, d)
-    dv_neg, cl_s = calibrate_offset(grid, center, "v", -1, d)
-
-    u0, v0 = center.u, center.v
-    pid = center.patch_id
-    west, east = u0 - du_neg, u0 + du_pos
-    south, north = v0 - dv_neg, v0 + dv_pos
-
-    coords = [
-        (west, north),  # NW
-        (u0, north),  # N
-        (east, north),  # NE
-        (west, v0),  # W
-        (u0, v0),  # C
-        (east, v0),  # E
-        (west, south),  # SW
-        (u0, south),  # S
-        (east, south),  # SE
-    ]
+    uv, clamped, extent = stencil_points(grid, np.array([center.u]), np.array([center.v]), d)
+    out = np.flatnonzero(d > extent[0])
+    if out.size:
+        raise out_of_patch(d, extent[0, out[0]], AXIAL[out[0]][0], center)
     points = tuple(
-        center if slot == 4 else SurfacePoint(pid, u, v) for slot, (u, v) in enumerate(coords)
+        center if slot == 4 else SurfacePoint(center.patch_id, u, v)
+        for slot, (u, v) in enumerate(uv[0].tolist())
     )
-
-    slot_clamped = {
-        0: cl_w or cl_n,
-        1: cl_n,
-        2: cl_e or cl_n,
-        3: cl_w,
-        5: cl_e,
-        6: cl_w or cl_s,
-        7: cl_s,
-        8: cl_e or cl_s,
-    }
-    base = eval_patch(grid, u0, v0)
-    spacings = np.array(
-        [
-            float(np.linalg.norm(eval_patch(grid, points[s].u, points[s].v) - base))
-            for s in NEIGHBOR_SLOTS
-        ]
-    )
-    clamped = tuple(slot_clamped[s] for s in NEIGHBOR_SLOTS)
-    return Stencil(center=center, points=points, d=d, achieved_spacings=spacings, clamped=clamped)
+    pos = eval_patch(grid, uv[0, :, 0], uv[0, :, 1])
+    spacings = np.linalg.norm(pos[list(NEIGHBOR_SLOTS)] - pos[4], axis=-1)
+    return Stencil(center, points, d, spacings, tuple(clamped[0].tolist()))

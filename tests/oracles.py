@@ -5,16 +5,21 @@ evaluation uses de Casteljau recursion (the package uses Bernstein-row
 contraction), polynomial derivatives are taken on monomial coefficients
 directly, curvature comes from the closed-form graph-surface formulas
 or from scalar index loops over the tensor components (the package
-contracts whole arrays), convolutions loop over output positions (the
-package contracts a window view once), and gradients come from central
-finite differences of the scalar loss.
+contracts whole arrays), stencils are calibrated one offset at a time
+and assembled one sample at a time (the package bisects all offsets of
+a patch at once and evaluates each distinct point once), convolutions
+loop over output positions (the package contracts a window view once),
+and gradients come from central finite differences of the scalar loss.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
 
+from wingcp.bezier import SurfacePoint
+from wingcp.errors import DegenerateMetric, StencilOutOfPatch
 from wingcp.model import loss_mse
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ def graph_surface_features(f_coeffs, u, v):
 def _loop_dF(jet_, *indices):
     """Partial of F for a list of coordinate indices (0 = u, 1 = v)."""
     p = sum(1 for i in indices if i == 0)
-    return jet_.partial(p, len(indices) - p)
+    return jet_[p, len(indices) - p]
 
 
 def loop_metric(jet_):
@@ -285,6 +290,126 @@ def loop_contract(riem, g_inv, convention):
                 ricci[i, j] += riem[k, i, k, j] if convention == "standard" else riem[k, k, i, j]
     scalar = sum(g_inv[i, j] * ricci[i, j] for i in range(2) for j in range(2))
     return ricci, float(scalar)
+
+
+# ---------------------------------------------------------------------------
+# One point at a time: scalar jet, scalar bisection, per-sample assembly
+# ---------------------------------------------------------------------------
+
+
+def scalar_bernstein_row(m, t):
+    """Degree-m Bernstein values at one parameter, in Python floats."""
+    s = 1.0 - t
+    return np.array([math.comb(m, a) * t**a * s ** (m - a) for a in range(m + 1)])
+
+
+def scalar_eval_patch(points, u, v):
+    m, n = points.shape[0] - 1, points.shape[1] - 1
+    return np.einsum("a,b,abc->c", scalar_bernstein_row(m, u), scalar_bernstein_row(n, v), points)
+
+
+def scalar_jet(points, u, v, order=3):
+    """Partials d[p, q] at one point, one forward-difference contraction each."""
+    m, n = points.shape[0] - 1, points.shape[1] - 1
+    d = np.zeros((order + 1, order + 1, 3))
+    diff_u = points
+    for p in range(min(order, m) + 1):
+        bu = scalar_bernstein_row(m - p, u)
+        diff_uv = diff_u
+        for q in range(min(order - p, n) + 1):
+            bv = scalar_bernstein_row(n - q, v)
+            d[p, q] = (math.perm(m, p) * math.perm(n, q)) * np.einsum("a,b,abc->c", bu, bv, diff_uv)
+            diff_uv = np.diff(diff_uv, axis=1)
+        diff_u = np.diff(diff_u, axis=0)
+    return d
+
+
+def scalar_calibrate_offset(points, center, axis, direction, d, tol=1e-9, max_bisect=80):
+    """One offset by bisection on the chord: (delta, clamped); StencilOutOfPatch if d
+    exceeds the chord across the patch. The same midpoints and stop test as the package."""
+    u0, v0 = center.u, center.v
+
+    def chord(offset):
+        p = scalar_eval_patch(points, u0 + offset, v0) if axis == "u" else scalar_eval_patch(points, u0, v0 + offset)
+        return float(np.linalg.norm(p - base))
+
+    base = scalar_eval_patch(points, u0, v0)
+    coord = u0 if axis == "u" else v0
+    if axis == "u":
+        whole = float(np.linalg.norm(scalar_eval_patch(points, 1.0, v0) - scalar_eval_patch(points, 0.0, v0)))
+    else:
+        whole = float(np.linalg.norm(scalar_eval_patch(points, u0, 1.0) - scalar_eval_patch(points, u0, 0.0)))
+    if d > whole:
+        raise StencilOutOfPatch(
+            f"spacing d={d} exceeds patch extent {whole:.6g} along {axis} at {center}"
+        )
+    room = 1.0 - coord if direction > 0 else coord
+    if room <= 0.0:
+        return 0.0, True
+    if chord(direction * room) < d:
+        return room, True
+    lo, hi = 0.0, room
+    for _ in range(max_bisect):
+        mid = 0.5 * (lo + hi)
+        c = chord(direction * mid)
+        if abs(c - d) <= tol * d:
+            return mid, False
+        if c < d:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), False
+
+
+def scalar_stencil(points, center, d):
+    """(nine SurfacePoints in slot order, eight clamped flags in neighbor-slot order)."""
+    (de, ce), (dw, cw), (dn, cn), (ds, cs) = (
+        scalar_calibrate_offset(points, center, axis, direction, d)
+        for axis, direction in (("u", 1), ("u", -1), ("v", 1), ("v", -1))
+    )
+    us = (center.u - dw, center.u, center.u + de)
+    vs = (center.v + dn, center.v, center.v - ds)
+    pts = tuple(SurfacePoint(center.patch_id, u, v) for v in vs for u in us)
+    return pts, (cw or cn, cn, ce or cn, cw, ce, cw or cs, cs, ce or cs)
+
+
+def loop_point_features(points, point, convention):
+    """(position, g, gamma, S) at one point from scalar_jet and the index-loop chain.
+
+    Raises DegenerateMetric(det, point) where the package's tolerance calls g singular.
+    """
+    j = scalar_jet(points, point.u, point.v)
+    g, _ = loop_metric(j)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    tr = g[0, 0] + g[1, 1]
+    if det <= 1e-12 * tr * tr:
+        raise DegenerateMetric(det, point)
+    gamma, dgamma = loop_christoffel(j)
+    _, scalar = loop_contract(loop_riemann_tensor(gamma, dgamma), _inverse_2x2(g), convention)
+    return j[0, 0], g, gamma, scalar
+
+
+def loop_assemble(manifold, samples, d, convention="standard"):
+    """One sample at a time: stencil, then the chain at each of its nine points.
+
+    Returns (kept, dropped, uv (k, 9, 2), pos (k, 9, 3), g (k, 9, 2, 2),
+    gamma (k, 9, 2, 2, 2), S (k, 9)); dropped holds (index, reason) with the
+    reason text of the first failing offset (E, W, N, S) or slot.
+    """
+    kept, dropped, rows = [], [], []
+    for idx, sample in enumerate(samples):
+        center = sample.location
+        points = manifold.grid(center.patch_id).points
+        try:
+            stencil, _ = scalar_stencil(points, center, d)
+            feats = [loop_point_features(points, p, convention) for p in stencil]
+        except (DegenerateMetric, StencilOutOfPatch) as exc:
+            dropped.append((idx, f"{type(exc).__name__}: {exc}"))
+            continue
+        kept.append(idx)
+        rows.append(([(p.u, p.v) for p in stencil], *zip(*feats)))
+    uv, pos, g, gamma, scalar = (np.array(col, dtype=float) for col in zip(*rows)) if rows else [np.empty(0)] * 5
+    return kept, dropped, uv, pos, g, gamma, scalar
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_jet_correctness():
             fd = fd_jet(grid.points, u, v, order=3, h=1e-4)
             for p in range(4):
                 for q in range(4 - p):
-                    err = np.abs(j.partial(p, q) - fd[(p, q)]) / np.maximum(1.0, np.abs(fd[(p, q)]))
+                    err = np.abs(j[p, q] - fd[(p, q)]) / np.maximum(1.0, np.abs(fd[(p, q)]))
                     assert np.max(err) < 1e-5, f"partial ({p},{q}): {np.max(err):.2e}"
 
 

@@ -104,23 +104,23 @@ class TestJet:
         g = flat_grid(2, 2)
         for u, v in [(0.0, 0.0), (0.3, 0.8), (1.0, 1.0)]:
             j = jet(g, u, v)
-            np.testing.assert_allclose(j.partial(1, 0), [1, 0, 0], atol=1e-14)
-            np.testing.assert_allclose(j.partial(0, 1), [0, 1, 0], atol=1e-14)
-            np.testing.assert_allclose(j.partial(2, 0), [0, 0, 0], atol=1e-14)
+            np.testing.assert_allclose(j[1, 0], [1, 0, 0], atol=1e-14)
+            np.testing.assert_allclose(j[0, 1], [0, 1, 0], atol=1e-14)
+            np.testing.assert_allclose(j[2, 0], [0, 0, 0], atol=1e-14)
 
     def test_paraboloid_symbolic(self):
         # d/du (u, v, u^2+v^2) = (1, 0, 2u), etc.
         j = jet(paraboloid_grid(), 0.5, 0.0)
-        np.testing.assert_allclose(j.partial(1, 0), [1, 0, 1], atol=1e-14)
-        np.testing.assert_allclose(j.partial(0, 1), [0, 1, 0], atol=1e-14)
-        np.testing.assert_allclose(j.partial(2, 0), [0, 0, 2], atol=1e-14)
+        np.testing.assert_allclose(j[1, 0], [1, 0, 1], atol=1e-14)
+        np.testing.assert_allclose(j[0, 1], [0, 1, 0], atol=1e-14)
+        np.testing.assert_allclose(j[2, 0], [0, 0, 2], atol=1e-14)
 
     def test_order_zero_matches_eval(self):
         rng = np.random.default_rng(12)
         g = ControlGrid("r", rng.uniform(-1, 1, (4, 5, 3)))
         for u, v in rng.uniform(0, 1, (5, 2)):
             j = jet(g, u, v)
-            np.testing.assert_allclose(j.position, eval_patch(g, u, v), rtol=1e-12)
+            np.testing.assert_allclose(j[0, 0], eval_patch(g, u, v), rtol=1e-12)
 
     def test_first_derivative_vs_fd(self):
         rng = np.random.default_rng(13)
@@ -129,7 +129,7 @@ class TestJet:
         for u, v in rng.uniform(0.1, 0.9, (5, 2)):
             j = jet(g, u, v)
             fd = (eval_patch(g, u + h, v) - eval_patch(g, u - h, v)) / (2 * h)
-            np.testing.assert_allclose(j.partial(1, 0), fd, atol=1e-6)
+            np.testing.assert_allclose(j[1, 0], fd, atol=1e-6)
 
     def test_all_partials_vs_fd_oracle(self):
         from oracles import fd_jet
@@ -143,7 +143,7 @@ class TestJet:
             fd = fd_jet(g.points, u, v, order=3)
             for p in range(4):
                 for q in range(4 - p):
-                    err = np.abs(j.partial(p, q) - fd[(p, q)]) / np.maximum(1.0, np.abs(fd[(p, q)]))
+                    err = np.abs(j[p, q] - fd[(p, q)]) / np.maximum(1.0, np.abs(fd[(p, q)]))
                     assert np.max(err) < 1e-5, f"partial ({p},{q})"
 
     def test_degree_exactness(self):
@@ -161,13 +161,13 @@ class TestJet:
             for p in range(4):
                 for q in range(4 - p):
                     expected = [mono_eval(mono_partial(c, p, q), u, v) for c in (cx, cy, cz)]
-                    np.testing.assert_allclose(j.partial(p, q), expected, atol=1e-10)
+                    np.testing.assert_allclose(j[p, q], expected, atol=1e-10)
 
     def test_beyond_degree_is_zero(self):
         g = flat_grid(1, 1)
         j = jet(g, 0.4, 0.4, order=3)
-        np.testing.assert_array_equal(j.partial(2, 0), [0, 0, 0])
-        np.testing.assert_array_equal(j.partial(3, 0), [0, 0, 0])
+        np.testing.assert_array_equal(j[2, 0], [0, 0, 0])
+        np.testing.assert_array_equal(j[3, 0], [0, 0, 0])
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -212,6 +212,17 @@ class TestCheckPatch:
         par = np.array([[u, v] for u in ss for v in ss])
         hits = brute_force_close_pairs(pts, par, rep.eps_space, rep.delta_param)
         assert len(hits) == rep.intersection_count
+
+    def test_close_pairs_match_all_pairs(self):
+        from wingcp.bezier import _close_pairs
+
+        rng = np.random.default_rng(16)
+        clustered = np.round(rng.uniform(0, 1, (300, 3)), 1)  # many exact duplicates
+        flat = rng.uniform(0, 1, (300, 3)) * [1.0, 1.0, 0.0]
+        for pts, r in ((clustered, 0.0), (clustered, 0.1), (flat, 0.03), (np.zeros((40, 3)), 0.0)):
+            dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+            i, j = np.nonzero(np.triu(dist <= r, k=1))  # row-major: lexicographic order
+            np.testing.assert_array_equal(_close_pairs(pts, r), np.stack([i, j], axis=1).reshape(-1, 2))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
+from wingcp.bezier import load_manifold
 from wingcp.cli import main, parse_config
+from wingcp.data import load_samples
 from wingcp.errors import WingcpError
+from wingcp.stencil import build_stencil
 
 TINY_CONF = """
 # tiny pipeline settings for fast tests
@@ -142,6 +145,25 @@ class TestExtractCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["d"] == 0.005
         assert manifest["dataset_manifest"]["seed"] == 3
+
+    def test_run_manifest_counts(self, synth_dir, tmp_path):
+        out = tmp_path / "features"
+        assert main([
+            "extract", "--manifold", str(synth_dir / "manifold.csv"),
+            "--samples", str(synth_dir / "samples.csv"), "--d", "0.005", "--out", str(out),
+        ]) == 0
+        counts = json.loads((out / "run_manifest.json").read_text())["counts"]
+        manifold = load_manifold(synth_dir / "manifold.csv")
+        manifold.exempt_all()
+        samples = load_samples(synth_dir / "samples.csv")
+        stencils = [build_stencil(manifold, s.location, 0.005) for s in samples]
+        assert counts == {
+            "distinct_centres": len({s.location for s in samples}),
+            "distinct_points": len({p for st in stencils for p in st.points}),
+            "clamped_stencils": sum(any(st.clamped) for st in stencils),
+            "zero_spacing_slots": int(sum(np.sum(st.achieved_spacings == 0.0) for st in stencils)),
+        }
+        assert counts["zero_spacing_slots"] > 0
 
     def test_gate_names_failing_patch(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -317,6 +339,15 @@ def _first_cell(value):
     return lambda rows: [rows[0], [value] + rows[1][1:]] + rows[2:]
 
 
+def _meta_cell(column, value):
+    """Set ``column`` of the first data row of meta.csv."""
+    def change(rows):
+        row = list(rows[1])
+        row[rows[0].index(column)] = value
+        return [rows[0], row] + rows[2:]
+    return change
+
+
 BAD_FEATURE_CACHES = [
     ("x3.csv", lambda rows: rows[:-1]),  # one data row short
     ("x1.csv", lambda rows: rows + rows[-1:]),  # one data row too many
@@ -327,6 +358,8 @@ BAD_FEATURE_CACHES = [
     ("x2.csv", lambda rows: [r[:-1] for r in rows]),  # one column short of (1, 9, 3)
     ("x4.csv", _first_cell("abc")),
     ("x5.csv", _first_cell("nan")),
+    ("meta.csv", _meta_cell("AoA", "abc")),
+    ("meta.csv", _meta_cell("span", "inf")),
 ]
 
 
@@ -362,3 +395,21 @@ def test_checkpoint_with_unknown_net_spec_key_exits_one(features_dir, tmp_path, 
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "dilation" in err[0]
+
+
+def test_checkpoint_with_unknown_config_key_exits_one(features_dir, tmp_path, capsys):
+    conf = tmp_path / "short.conf"
+    conf.write_text("epochs = 2\n")
+    run = tmp_path / "run"
+    assert main(["train", "--features", str(features_dir), "--model", "mtl",
+                 "--seed", "1", "--out", str(run), "--config", str(conf)]) == 0
+    path = run / "checkpoint" / "model.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["dropout"] = 0.1
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(run / "checkpoint"),
+               "--features", str(features_dir), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "dropout" in err[0]

@@ -47,6 +47,12 @@ def random_general_grid(rng, m=4, n=3, jitter=0.05):
     return ControlGrid("general", pts)
 
 
+def christoffel_at(j):
+    """Christoffel symbols from a jet alone: the metric, its inverse, then the connection."""
+    g, dg = metric(j)
+    return christoffel(j, inverse_metric(g), dg)
+
+
 class TestMetric:
     def test_flat_plane(self):
         j = jet(flat_grid(2, 2), 0.3, 0.7)
@@ -101,24 +107,24 @@ class TestInverseMetric:
 
 class TestChristoffel:
     def test_flat_all_zero(self):
-        gamma, dgamma = christoffel(jet(flat_grid(2, 2), 0.4, 0.6))
+        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.4, 0.6))
         np.testing.assert_allclose(gamma, 0.0, atol=1e-14)
         np.testing.assert_allclose(dgamma, 0.0, atol=1e-14)
 
     def test_paraboloid_value(self):
         # graph-surface oracle: Gamma^1_11 = f_uu f_u / (1 + |grad f|^2) = 2*1/2
-        gamma, _ = christoffel(jet(paraboloid_grid(), 0.5, 0.0))
+        gamma, _ = christoffel_at(jet(paraboloid_grid(), 0.5, 0.0))
         assert gamma[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_paraboloid_origin_zero(self):
-        gamma, _ = christoffel(jet(paraboloid_grid(), 0.0, 0.0))
+        gamma, _ = christoffel_at(jet(paraboloid_grid(), 0.0, 0.0))
         np.testing.assert_allclose(gamma, 0.0, atol=1e-13)
 
     def test_lower_index_symmetry_exact(self):
         rng = np.random.default_rng(5)
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         for u, v in rng.uniform(0.1, 0.9, (5, 2)):
-            gamma, dgamma = christoffel(jet(grid, u, v))
+            gamma, dgamma = christoffel_at(jet(grid, u, v))
             for k in range(2):
                 assert gamma[k, 0, 1] == gamma[k, 1, 0]
                 for x in range(2):
@@ -130,25 +136,25 @@ class TestChristoffel:
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         h = 1e-4
         for u, v in rng.uniform(0.1, 0.9, (4, 2)):
-            _, dgamma = christoffel(jet(grid, u, v))
-            gp_u, _ = christoffel(jet(grid, u + h, v))
-            gm_u, _ = christoffel(jet(grid, u - h, v))
-            gp_v, _ = christoffel(jet(grid, u, v + h))
-            gm_v, _ = christoffel(jet(grid, u, v - h))
+            _, dgamma = christoffel_at(jet(grid, u, v))
+            gp_u, _ = christoffel_at(jet(grid, u + h, v))
+            gm_u, _ = christoffel_at(jet(grid, u - h, v))
+            gp_v, _ = christoffel_at(jet(grid, u, v + h))
+            gm_v, _ = christoffel_at(jet(grid, u, v - h))
             fd = np.stack([(gp_u - gm_u) / (2 * h), (gp_v - gm_v) / (2 * h)])
             assert np.max(rel_err(dgamma, fd, floor=1.0)) < 1e-4
 
 
 class TestRiemann:
     def test_flat_zero(self):
-        gamma, dgamma = christoffel(jet(flat_grid(2, 2), 0.2, 0.9))
+        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.2, 0.9))
         np.testing.assert_allclose(riemann_tensor(gamma, dgamma), 0.0, atol=1e-14)
 
     def test_antisymmetry_in_ij(self):
         rng = np.random.default_rng(7)
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         for u, v in rng.uniform(0.1, 0.9, (5, 2)):
-            gamma, dgamma = christoffel(jet(grid, u, v))
+            gamma, dgamma = christoffel_at(jet(grid, u, v))
             riem = riemann_tensor(gamma, dgamma)
             np.testing.assert_allclose(riem + riem.transpose(0, 2, 1, 3), 0.0, atol=1e-10)
             # in particular R^s_iik = 0
@@ -159,14 +165,14 @@ class TestRiemann:
 
     def test_paraboloid_origin_component(self):
         # |R_1212| = K det(g) = 4 at the origin where g = I
-        gamma, dgamma = christoffel(jet(paraboloid_grid(), 0.0, 0.0))
+        gamma, dgamma = christoffel_at(jet(paraboloid_grid(), 0.0, 0.0))
         riem = riemann_tensor(gamma, dgamma)
         assert abs(riem[1, 0, 1, 0]) == pytest.approx(4.0, abs=1e-11)
 
 
 class TestContract:
     def test_flat_zero(self):
-        gamma, dgamma = christoffel(jet(flat_grid(2, 2), 0.5, 0.5))
+        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.5, 0.5))
         g, _ = metric(jet(flat_grid(2, 2), 0.5, 0.5))
         ricci, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
         np.testing.assert_allclose(ricci, 0.0, atol=1e-13)
@@ -174,21 +180,21 @@ class TestContract:
 
     def test_paraboloid_origin(self):
         j = jet(paraboloid_grid(), 0.0, 0.0)
-        gamma, dgamma = christoffel(j)
+        gamma, dgamma = christoffel_at(j)
         g, _ = metric(j)
         _, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
         assert scalar == pytest.approx(8.0, abs=1e-10)
 
     def test_paraboloid_half(self):
         j = jet(paraboloid_grid(), 0.5, 0.5)
-        gamma, dgamma = christoffel(j)
+        gamma, dgamma = christoffel_at(j)
         g, _ = metric(j)
         _, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
         assert scalar == pytest.approx(8.0 / 9.0, rel=1e-10)
 
     def test_conventions_differ_by_sign(self):
         j = jet(paraboloid_grid(), 0.3, 0.6)
-        gamma, dgamma = christoffel(j)
+        gamma, dgamma = christoffel_at(j)
         g, _ = metric(j)
         riem = riemann_tensor(gamma, dgamma)
         g_inv = inverse_metric(g)
@@ -228,7 +234,7 @@ class TestLoopReference:
         for j in jets:
             g, dg = metric(j)
             g_ref, dg_ref = loop_metric(j)
-            gamma, dgamma = christoffel(j)
+            gamma, dgamma = christoffel(j, inverse_metric(g), dg)
             gamma_ref, dgamma_ref = loop_christoffel(j)
             riem = riemann_tensor(gamma, dgamma)
             riem_ref = loop_riemann_tensor(gamma_ref, dgamma_ref)
@@ -260,7 +266,7 @@ class TestLoopReference:
         """In 2D sum_a R^a_aij = -sum_a R^a_iaj exactly, which lets contract
         evaluate one contraction and negate it for "first-index"."""
         for j in _general_patch_jets():
-            riem = riemann_tensor(*christoffel(j))
+            riem = riemann_tensor(*christoffel_at(j))
             assert np.array_equal(np.einsum("aaij->ij", riem), -np.einsum("aiaj->ij", riem))
 
 

@@ -35,15 +35,14 @@ def brute_force_offset(grid, u0, v0, axis, d, lo=0.0, hi=None):
 class TestCalibrateOffset:
     def test_flat_parameter_equals_chord(self):
         g = flat_grid(2, 2)
-        delta, clamped = calibrate_offset(g, SurfacePoint("flat", 0.5, 0.5), "u", +1, 0.01)
+        delta, clamped, _ = calibrate_offset(g, 0.5, 0.5, "u", +1, 0.01)
         assert not clamped
         assert delta == pytest.approx(0.01, abs=1e-11)
 
     def test_paraboloid_matches_brute_force(self):
         g = paraboloid_grid()
-        point = SurfacePoint("paraboloid", 0.5, 0.5)
         d = 0.01
-        delta, clamped = calibrate_offset(g, point, "u", +1, d)
+        delta, clamped, _ = calibrate_offset(g, 0.5, 0.5, "u", +1, d)
         assert not clamped
         oracle = brute_force_offset(g, 0.5, 0.5, "u", d)
         assert delta == pytest.approx(oracle, rel=1e-6)
@@ -56,29 +55,32 @@ class TestCalibrateOffset:
 
     def test_boundary_clamp(self):
         g = flat_grid(2, 2)
-        delta, clamped = calibrate_offset(g, SurfacePoint("flat", 0.999, 0.5), "u", +1, 0.01)
+        delta, clamped, _ = calibrate_offset(g, 0.999, 0.5, "u", +1, 0.01)
         assert clamped
         assert delta == pytest.approx(0.001, abs=1e-12)
 
     def test_at_corner_zero_room(self):
         g = flat_grid(2, 2)
-        delta, clamped = calibrate_offset(g, SurfacePoint("flat", 0.0, 0.0), "u", -1, 0.01)
+        delta, clamped, _ = calibrate_offset(g, 0.0, 0.0, "u", -1, 0.01)
         assert clamped and delta == 0.0
 
     def test_spacing_exceeds_patch(self):
         g = flat_grid(2, 2)
-        with pytest.raises(StencilOutOfPatch):
-            calibrate_offset(g, SurfacePoint("flat", 0.5, 0.5), "u", +1, 1.5)
+        delta, clamped, extent = calibrate_offset(g, 0.5, 0.5, "u", +1, 1.5)
+        assert extent == pytest.approx(1.0) and delta == 0.0 and not clamped
+        manifold = PiecewiseManifold([g])
+        manifold.exempt_all()
+        with pytest.raises(StencilOutOfPatch, match="extent 1 along u"):
+            build_stencil(manifold, SurfacePoint("flat", 0.5, 0.5), 1.5)
 
     def test_bad_arguments(self):
         g = flat_grid()
-        p = SurfacePoint("flat", 0.5, 0.5)
         with pytest.raises(ValueError):
-            calibrate_offset(g, p, "w", +1, 0.01)
+            calibrate_offset(g, 0.5, 0.5, "w", +1, 0.01)
         with pytest.raises(ValueError):
-            calibrate_offset(g, p, "u", 0, 0.01)
+            calibrate_offset(g, 0.5, 0.5, "u", 0, 0.01)
         with pytest.raises(ValueError):
-            calibrate_offset(g, p, "u", +1, -0.1)
+            calibrate_offset(g, 0.5, 0.5, "u", +1, -0.1)
 
 
 class TestBuildStencil:
