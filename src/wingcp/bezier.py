@@ -15,7 +15,7 @@ one point is the case without leading axes of the same code.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,19 +175,7 @@ class ValidityReport:
     bbox_diagonal: float
 
     def to_dict(self):
-        return {
-            "patch_id": self.patch_id,
-            "valid": self.valid,
-            "immersion_margin": self.immersion_margin,
-            "margin_location": list(self.margin_location),
-            "rank_tol": self.rank_tol,
-            "intersections": self.intersections,
-            "intersection_count": self.intersection_count,
-            "eps_space": self.eps_space,
-            "delta_param": self.delta_param,
-            "samples_per_axis": self.samples_per_axis,
-            "bbox_diagonal": self.bbox_diagonal,
-        }
+        return asdict(self)
 
 
 _MAX_REPORTED_PAIRS = 64

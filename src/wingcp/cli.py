@@ -1,11 +1,17 @@
 """Command-line orchestration for the full pipeline.
 
 Commands: check-geometry, extract, synth, train, crossval, eval,
-predict, report. Every command writes its outputs plus a
-run_manifest.json (command, config snapshot, seed, input digests,
-version, timings). Timings live only in the manifest, so all other
-output files are bitwise reproducible under a fixed seed at a fixed
-BLAS thread count.
+predict, report. Each job has one code path: crossval assembles its
+data with extract's checks (``_extract``) and scores each fold with
+eval's code (``_evaluate``), and eval and predict load and match the
+checkpoint to the cache the same way (``_load_for_inference``).
+
+A command returns its exit code; ``main`` times it and writes
+run_manifest.json (command, config snapshot, seed, digests of the
+--manifold/--samples inputs, version, elapsed seconds, and for extract
+the assembly counts) for every command that did not raise. Timings
+live only in the manifest, so all other output files are bitwise
+reproducible under a fixed seed at a fixed BLAS thread count.
 """
 
 import argparse
@@ -123,25 +129,26 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_manifest(outdir, command, args, seed, inputs, config, elapsed, counts=None):
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_run_manifest(args, cfg, elapsed, counts):
+    inputs = [path for path in (getattr(args, "manifold", None), getattr(args, "samples", None)) if path]
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": seed,
-        "args": {k: v for k, v in sorted(args.items())},
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(config.items())},
+        "seed": args.seed,
+        "args": vars(args),
+        "config": cfg,
         "inputs": {path: _sha256(path) for path in inputs},
         "elapsed_seconds": elapsed,
     }
     if counts is not None:
         manifest["counts"] = counts
-    with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _label(aoa: float) -> str:
-    return format(aoa, "g")
+    _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
 
 
 def _given(cfg: dict, fn) -> dict:
@@ -169,121 +176,58 @@ def _write_losses(path, result):
 
 
 def _write_weight_log(path, result, probe_rows):
-    if result.weight_log is None:
-        return
-    n_probe, width = result.weight_log.shape[1], result.weight_log.shape[2]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "probe_row"] + [f"c{i}" for i in range(width)])
-        for e in range(result.weight_log.shape[0]):
-            for p in range(n_probe):
-                row = [e + 1, int(probe_rows[p])]
-                row += [format(x, ".17g") for x in result.weight_log[e, p]]
-                writer.writerow(row)
+        writer.writerow(["epoch", "probe_row"] + [f"c{i}" for i in range(result.weight_log.shape[2])])
+        for e, frame in enumerate(result.weight_log, start=1):
+            for p, weights in zip(probe_rows, frame):
+                writer.writerow([e, int(p)] + [format(x, ".17g") for x in weights])
 
 
 def _write_err_map(path, meta, indices, predictions, targets):
-    errs = error_map(predictions, targets)
     fields = ("patch_id", "u", "v", "x", "y", "z", "AoA", "cp")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", *fields, "prediction", "abs_err"])
-        for out_i, src in enumerate(indices):
+        for src, p, e in zip(indices, predictions, error_map(predictions, targets)):
             row = meta[int(src)]
-            writer.writerow(
-                [int(src)]
-                + [row[f] for f in fields]
-                + [format(predictions[out_i], ".17g"), format(errs[out_i], ".17g")]
-            )
+            writer.writerow([int(src), *(row[f] for f in fields), format(p, ".17g"), format(e, ".17g")])
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Shared steps
 # ---------------------------------------------------------------------------
 
-
-def cmd_synth(args, cfg):
-    t0 = time.perf_counter()
-    result = generate_synthetic(SynthConfig(seed=args.seed, **_given(cfg, SynthConfig)), args.out)
-    _write_run_manifest(
-        args.out, "synth", vars(args), args.seed, [], cfg, time.perf_counter() - t0
-    )
-    print(f"synth: wrote {len(result.samples)} samples to {args.out}")
-    return 0
+# Feature-cache settings a checkpoint records; eval and predict require the cache to match.
+_CACHE_KEYS = ("d", "convention")
 
 
-def cmd_check_geometry(args, cfg):
-    t0 = time.perf_counter()
+def _extract(args, cfg):
+    """Check the manifold, load the samples and assemble them: (result, samples)."""
     manifold = load_manifold(args.manifold)
-    reports = _check_all(manifold, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "geometry_report.json"), "w") as fh:
-        json.dump(
-            {pid: rep.to_dict() for pid, rep in reports.items()}, fh, indent=2, sort_keys=True
-        )
-        fh.write("\n")
-    _write_run_manifest(
-        args.out, "check-geometry", vars(args), args.seed, [args.manifold], cfg, time.perf_counter() - t0
-    )
-    bad = [pid for pid, rep in reports.items() if not rep.valid]
-    if bad:
-        print(f"check-geometry: invalid patches: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    print(f"check-geometry: {len(reports)} patches valid")
-    return 0
-
-
-def _load_checked(manifold_path, cfg):
-    manifold = load_manifold(manifold_path)
     _check_all(manifold, cfg)
     bad = manifold.invalid_patches()
     if bad:
         raise WingcpError(f"geometry check failed for patches: {', '.join(bad)}")
-    return manifold
-
-
-def cmd_extract(args, cfg):
-    t0 = time.perf_counter()
-    manifold = _load_checked(args.manifold, cfg)
     samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
     if not samples:
         raise WingcpError(f"{args.samples}: no samples to extract")
-    result = assemble(manifold, samples, d=args.d, convention=args.convention)
-    manifest = {
-        "d": args.d,
-        "convention": args.convention,
-        "source_samples": os.path.abspath(args.samples),
-        "source_manifold": os.path.abspath(args.manifold),
-        "normalization": "none (fit at training time)",
-    }
-    sibling = os.path.join(os.path.dirname(os.path.abspath(args.samples)), "dataset_manifest.json")
-    if os.path.exists(sibling):
-        with open(sibling) as fh:
-            manifest["dataset_manifest"] = json.load(fh)
-    save_feature_cache(args.out, result, samples, manifest)
-    _write_run_manifest(
-        args.out,
-        "extract",
-        vars(args),
-        args.seed,
-        [args.manifold, args.samples],
-        cfg,
-        time.perf_counter() - t0,
-        counts=result.counts,
-    )
-    print(f"extract: {len(result.kept)} samples kept, {len(result.dropped)} dropped -> {args.out}")
-    return 0
+    return assemble(manifold, samples, d=args.d, convention=args.convention), samples
 
 
-def _train_once(batch, meta, model_name, cfg, seed, outdir, fold_note, convention=None):
-    """Shared train path: split, normalize, fit, checkpoint. Returns val info."""
+def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
+    """Split by the batch's AoA column, normalize, fit and checkpoint.
+
+    ``settings`` holds the feature-cache settings (``_CACHE_KEYS``) that
+    the checkpoint records. Returns (model, normalizer, result,
+    train_idx, val_idx).
+    """
     train_cfg = TrainConfig(seed=seed, **_given(cfg, TrainConfig))
     n_probe = cfg.get("probe_points", 0)
     if n_probe < 0:
         raise ConfigError(f"probe_points must be >= 0, got {n_probe}")
-    aoas = np.array([float(r["AoA"]) for r in meta])
     train_idx, val_idx = train_val_split(
-        np.arange(batch.n), aoas, seed=seed, **_given(cfg, train_val_split)
+        np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
     normalizer = fit_normalizer(
         batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
@@ -304,25 +248,109 @@ def _train_once(batch, meta, model_name, cfg, seed, outdir, fold_note, conventio
         model,
         normalizer,
         extra={
-            "model": model_name,
-            "seed": seed,
-            "fold": fold_note,
-            "epochs": result.epochs_run,
-            "convention": convention,
+            "model": model_name, "seed": seed, "fold": fold_note, "epochs": result.epochs_run, **settings
         },
     )
     _write_losses(os.path.join(outdir, "losses.csv"), result)
     if result.weight_log is not None:
-        _write_weight_log(os.path.join(outdir, "weight_log.csv"), result, np.asarray(probes))
+        _write_weight_log(os.path.join(outdir, "weight_log.csv"), result, probes)
     return model, normalizer, result, train_idx, val_idx
 
 
-def cmd_train(args, cfg):
-    t0 = time.perf_counter()
+def _predict(model, normalizer, batch):
+    """Denormalized predictions for every row of ``batch``."""
+    return normalizer.invert_targets(model.forward(normalizer.apply(batch)))
+
+
+def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):
+    """Predict rows ``indices``; write err_map.csv and eval.json; return the MSE.
+
+    eval.json holds ``fields`` with ``test_mse`` and ``n_test``.
+    """
+    sub = batch.subset(indices)
+    pred = _predict(model, normalizer, sub)
+    mse = loss_mse(pred, sub.y)
+    _write_err_map(os.path.join(outdir, "err_map.csv"), meta, indices, pred, sub.y)
+    _write_json(os.path.join(outdir, "eval.json"), {**fields, "test_mse": mse, "n_test": int(sub.n)})
+    return mse
+
+
+def _load_for_inference(args):
+    """Checkpoint and feature cache of eval/predict: (model, normalizer, batch, meta).
+
+    Refuses a checkpoint without a normalizer, and one whose recorded
+    ``d`` or ``convention`` is missing or differs from the cache's.
+    """
+    model, normalizer, manifest = load_checkpoint(args.checkpoint)
+    if normalizer is None:
+        raise WingcpError(f"checkpoint {args.checkpoint} has no normalizer")
     batch, meta, cache_manifest = load_feature_cache(args.features)
-    model, normalizer, result, train_idx, val_idx = _train_once(
-        batch, meta, args.model, cfg, args.seed, args.out, fold_note="full-dataset",
-        convention=cache_manifest.get("convention"),
+    for key in _CACHE_KEYS:
+        have, want = manifest["extra"].get(key), cache_manifest.get(key)
+        if have is None or have != want:
+            raise WingcpError(
+                f"checkpoint {args.checkpoint} has {key} = {have!r}, "
+                f"feature cache {args.features} has {key} = {want!r}"
+            )
+    return model, normalizer, batch, meta
+
+
+def _read_report(run_dir):
+    """A crossval run's report.json, refused unless it holds a fold_mse table."""
+    path = os.path.join(run_dir, "report.json")
+    with open(path) as fh:
+        run = json.load(fh)
+    if not isinstance(run, dict) or not isinstance(run.get("fold_mse"), dict):
+        raise WingcpError(f"{path}: no fold_mse table")
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns its exit code, extract (exit code, counts)
+# ---------------------------------------------------------------------------
+
+
+def cmd_synth(args, cfg):
+    result = generate_synthetic(SynthConfig(seed=args.seed, **_given(cfg, SynthConfig)), args.out)
+    print(f"synth: wrote {len(result.samples)} samples to {args.out}")
+    return 0
+
+
+def cmd_check_geometry(args, cfg):
+    reports = _check_all(load_manifold(args.manifold), cfg)
+    report = {pid: rep.to_dict() for pid, rep in reports.items()}
+    _write_json(os.path.join(args.out, "geometry_report.json"), report)
+    bad = [pid for pid, rep in reports.items() if not rep.valid]
+    if bad:
+        print(f"check-geometry: invalid patches: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    print(f"check-geometry: {len(reports)} patches valid")
+    return 0
+
+
+def cmd_extract(args, cfg):
+    result, samples = _extract(args, cfg)
+    manifest = {
+        "d": args.d,
+        "convention": args.convention,
+        "source_samples": os.path.abspath(args.samples),
+        "source_manifold": os.path.abspath(args.manifold),
+        "normalization": "none (fit at training time)",
+    }
+    sibling = os.path.join(os.path.dirname(os.path.abspath(args.samples)), "dataset_manifest.json")
+    if os.path.exists(sibling):
+        with open(sibling) as fh:
+            manifest["dataset_manifest"] = json.load(fh)
+    save_feature_cache(args.out, result, samples, manifest)
+    print(f"extract: {len(result.kept)} samples kept, {len(result.dropped)} dropped -> {args.out}")
+    return 0, result.counts
+
+
+def cmd_train(args, cfg):
+    batch, _, cache_manifest = load_feature_cache(args.features)
+    settings = {key: cache_manifest.get(key) for key in _CACHE_KEYS}
+    _, _, result, train_idx, val_idx = _train_once(
+        batch, args.model, cfg, args.seed, args.out, "full-dataset", settings
     )
     summary = {
         "model": args.model,
@@ -330,135 +358,77 @@ def cmd_train(args, cfg):
         "final_val_mse": float(result.val_curve[-1]),
         "n_train": int(train_idx.size),
         "n_val": int(val_idx.size),
-        "d": cache_manifest.get("d"),
-        "convention": cache_manifest.get("convention"),
+        **settings,
     }
-    with open(os.path.join(args.out, "train_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_run_manifest(
-        args.out, "train", vars(args), args.seed, [], cfg, time.perf_counter() - t0
-    )
+    _write_json(os.path.join(args.out, "train_summary.json"), summary)
     print(f"train: final train MSE {result.final_train_mse:.6g} -> {args.out}")
     return 0
 
 
-def _evaluate(model, normalizer, batch, indices):
-    """Predict a subset and return (predictions, raw targets) denormalized."""
-    sub = batch.subset(indices)
-    norm = normalizer.apply(sub)
-    pred = model.forward(norm)
-    pred = normalizer.invert_targets(pred)
-    return pred, sub.y
-
-
 def cmd_crossval(args, cfg):
-    t0 = time.perf_counter()
-    manifold = _load_checked(args.manifold, cfg)
-    samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
-    result = assemble(manifold, samples, d=args.d, convention=args.convention)
-    batch = result.batch
-    meta = meta_rows(result, samples)
+    result, samples = _extract(args, cfg)
+    batch, meta = result.batch, meta_rows(result, samples)
+    settings = {key: getattr(args, key) for key in _CACHE_KEYS}
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
-    folds = fold_split([samples[i] for i in result.kept], fold_aoas)
+    folds = fold_split(batch.x1[:, 1], fold_aoas)
 
     fold_mse, fold_n = {}, {}
     for k, (train_idx, test_idx) in enumerate(folds):
-        label = _label(fold_aoas[k])
+        label = format(fold_aoas[k], "g")
         fold_dir = os.path.join(args.out, f"fold_{label}")
-        fold_seed = args.seed + k
-        train_meta = [meta[i] for i in train_idx]
         model, normalizer, _, _, _ = _train_once(
-            batch.subset(train_idx), train_meta, args.model, cfg, fold_seed, fold_dir,
-            fold_note=f"fold={label}", convention=args.convention,
+            batch.subset(train_idx), args.model, cfg, args.seed + k, fold_dir, f"fold={label}",
+            settings,
         )
-        pred, targets = _evaluate(model, normalizer, batch, test_idx)
-        mse = loss_mse(pred, targets)
+        mse = _evaluate(fold_dir, model, normalizer, batch, meta, test_idx, fold=label)
         fold_mse[label] = mse
         fold_n[label] = int(test_idx.size)
-        _write_err_map(os.path.join(fold_dir, "err_map.csv"), meta, test_idx, pred, targets)
-        with open(os.path.join(fold_dir, "eval.json"), "w") as fh:
-            json.dump({"fold": label, "test_mse": mse, "n_test": int(test_idx.size)}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         print(f"crossval fold {label}: test MSE {mse:.6g} ({test_idx.size} samples)")
 
     report = EvalReport.from_folds(fold_mse, fold_n)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "test_mse", "n_test"])
-        for label in (_label(a) for a in fold_aoas):
+        for label in fold_mse:
             writer.writerow([label, format(fold_mse[label], ".17g"), fold_n[label]])
         writer.writerow(["average", format(report.average_mse, ".17g"), ""])
-    _write_run_manifest(
-        args.out,
-        "crossval",
-        vars(args),
-        args.seed,
-        [args.manifold, args.samples],
-        cfg,
-        time.perf_counter() - t0,
-    )
     print(f"crossval: average MSE {report.average_mse:.6g} -> {args.out}")
     return 0
 
 
 def cmd_eval(args, cfg):
-    t0 = time.perf_counter()
-    model, normalizer, _ = load_checkpoint(args.checkpoint)
-    if normalizer is None:
-        raise WingcpError(f"checkpoint {args.checkpoint} has no normalizer; cannot evaluate")
-    batch, meta, _ = load_feature_cache(args.features)
-    pred, targets = _evaluate(model, normalizer, batch, np.arange(batch.n))
-    mse = loss_mse(pred, targets)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval.json"), "w") as fh:
-        json.dump({"test_mse": mse, "n_test": int(batch.n)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_err_map(os.path.join(args.out, "err_map.csv"), meta, np.arange(batch.n), pred, targets)
-    _write_run_manifest(args.out, "eval", vars(args), args.seed, [], cfg, time.perf_counter() - t0)
+    model, normalizer, batch, meta = _load_for_inference(args)
+    mse = _evaluate(args.out, model, normalizer, batch, meta, np.arange(batch.n))
     print(f"eval: MSE {mse:.6g} over {batch.n} samples -> {args.out}")
     return 0
 
 
 def cmd_predict(args, cfg):
-    t0 = time.perf_counter()
-    model, normalizer, _ = load_checkpoint(args.checkpoint)
-    if normalizer is None:
-        raise WingcpError(f"checkpoint {args.checkpoint} has no normalizer; cannot predict")
-    batch, meta, _ = load_feature_cache(args.features)
-    norm = normalizer.apply(batch)
-    pred = normalizer.invert_targets(model.forward(norm))
-    os.makedirs(args.out, exist_ok=True)
+    model, normalizer, batch, _ = _load_for_inference(args)
+    pred = _predict(model, normalizer, batch)
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "prediction"])
         for i, p in enumerate(pred):
             writer.writerow([i, format(p, ".17g")])
-    _write_run_manifest(args.out, "predict", vars(args), args.seed, [], cfg, time.perf_counter() - t0)
     print(f"predict: {batch.n} predictions -> {args.out}")
     return 0
 
 
 def cmd_report(args, cfg):
-    t0 = time.perf_counter()
-    with open(os.path.join(args.run, "report.json")) as fh:
-        run = json.load(fh)
+    run = _read_report(args.run)
     # report.json stores folds key-sorted as strings; list them by numeric AoA
     fold_mse = {label: run["fold_mse"][label] for label in sorted(run["fold_mse"], key=float)}
     report = EvalReport.from_folds(fold_mse, run.get("n_samples"))
     baseline_mse = None
     if args.baseline:
-        with open(os.path.join(args.baseline, "report.json")) as fh:
-            baseline_mse = json.load(fh)["fold_mse"]
-        report.attach_baseline(baseline_mse)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        baseline_mse = _read_report(args.baseline)["fold_mse"]
+        try:
+            report.attach_baseline(baseline_mse)
+        except ValueError as exc:
+            raise WingcpError(f"baseline {args.baseline}: {exc}") from None
+    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["fold", "model_mse"]
@@ -478,7 +448,6 @@ def cmd_report(args, cfg):
             avg_row += ["", format(report.average_reduction, ".17g")]
         writer.writerow(avg_row)
         writer.writerow(["# note: average = unweighted mean of per-fold values"])
-    _write_run_manifest(args.out, "report", vars(args), args.seed, [], cfg, time.perf_counter() - t0)
     if report.average_reduction is not None:
         print(f"report: average reduction {report.average_reduction:.2f}% -> {args.out}")
     else:
@@ -566,18 +535,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; write its run_manifest.json unless it raised."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         cfg = parse_config(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg)
-    except WingcpError as exc:
+        status = _COMMANDS[args.command](args, cfg)
+    except (WingcpError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rc, counts = status if isinstance(status, tuple) else (status, None)
+    _write_run_manifest(args, cfg, time.perf_counter() - t0, counts)
+    return rc
 
 
 if __name__ == "__main__":

@@ -355,16 +355,12 @@ def fit_normalizer(
 # ---------------------------------------------------------------------------
 
 
-def _aoa_of(sample) -> float:
-    return sample.condition.aoa
+def fold_split(aoas, fold_aoas) -> list:
+    """Leave-one-AoA-out folds: fold k tests every row whose AoA is fold_aoas[k].
 
-
-def fold_split(samples, fold_aoas) -> list:
-    """Leave-one-AoA-out folds: fold k tests every sample at fold_aoas[k].
-
-    Training indices are the complement, including samples at AoAs that
-    never appear as a fold. Raises ConfigError for duplicate or absent
-    fold AoAs.
+    ``aoas[i]`` is the angle of attack of batch row i. Training indices
+    are the complement, including rows at AoAs that never appear as a
+    fold. Raises ConfigError for duplicate or absent fold AoAs.
     """
     fold_aoas = list(fold_aoas)
     if not fold_aoas:
@@ -373,13 +369,13 @@ def fold_split(samples, fold_aoas) -> list:
         for b in fold_aoas[i + 1 :]:
             if math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9):
                 raise ConfigError(f"duplicate fold AoA {a}")
-    aoas = np.array([_aoa_of(s) for s in samples])
+    aoas = np.asarray(aoas, dtype=float)
     folds = []
     for a in fold_aoas:
         test = np.flatnonzero(np.isclose(aoas, a, rtol=0.0, atol=1e-9))
         if test.size == 0:
             raise ConfigError(f"fold AoA {a} absent from data")
-        train = np.setdiff1d(np.arange(len(samples)), test)
+        train = np.setdiff1d(np.arange(aoas.size), test)
         folds.append((train, test))
     return folds
 

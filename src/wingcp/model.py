@@ -48,11 +48,17 @@ __all__ = [
 GROUP_IDS = (1, 2, 3, 4, 5)
 
 
-def _check_keys(cls, d: dict, what: str):
-    """Raise ConfigError naming the keys of ``d`` that are not fields of ``cls``."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s) {', '.join(unknown)}")
+def _check_keys(d, cls, what: str, optional=()):
+    """Raise ConfigError unless ``d`` is a dict with exactly the fields of ``cls``.
+
+    Keys in ``optional`` may also appear.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} is not an object")
+    names = {f.name for f in fields(cls)}
+    for problem, keys in (("unknown", set(d) - names - set(optional)), ("missing", names - set(d))):
+        if keys:
+            raise ConfigError(f"{problem} {what} key(s) {', '.join(sorted(keys))}")
 
 
 @dataclass
@@ -74,9 +80,9 @@ class NetSpec:
     @classmethod
     def from_dict(cls, d):
         """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
+        _check_keys(d, cls, "net spec", optional=("stride",))
         d = dict(d)
         stride = d.pop("stride", None)
-        _check_keys(cls, d, "net spec")
         spec = cls(**d)
         if stride is not None and not np.array_equal(stride, spec.kernel):
             raise ConfigError(f"conv stride {stride} differs from kernel {list(spec.kernel)}")
@@ -111,18 +117,16 @@ class ModelConfig:
         return len(self.active) * self.k_outputs
 
     def to_dict(self):
-        d = asdict(self)
-        d["nets"] = {str(z): asdict(spec) for z, spec in self.nets.items()}
-        d["context"] = asdict(self.context)
-        d["concat"] = asdict(self.concat)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        """Rebuild a config from :meth:`to_dict` output; ConfigError names an unknown key."""
+        """Rebuild a config from :meth:`to_dict` output; ConfigError names an unknown or missing key."""
+        _check_keys(d, cls, "model config")
         d = dict(d)
-        _check_keys(cls, d, "model config")
-        d["nets"] = {int(z): NetSpec.from_dict(spec) for z, spec in d.get("nets", {}).items()}
+        if not isinstance(d["nets"], dict):
+            raise ConfigError("model config nets is not an object")
+        d["nets"] = {int(z): NetSpec.from_dict(spec) for z, spec in d["nets"].items()}
         d["context"] = NetSpec.from_dict(d["context"])
         d["concat"] = NetSpec.from_dict(d["concat"])
         d["active"] = tuple(d["active"])
@@ -491,19 +495,26 @@ def train(
 # ---------------------------------------------------------------------------
 
 
+CHECKPOINT_FORMAT = "wingcp-checkpoint-v1"
+# model.json key -> the JSON type it must hold
+_MANIFEST_TYPES = {
+    "format": str, "config": dict, "layout": list, "normalizer": (dict, type(None)), "extra": dict,
+}
+
+
+def _layout(model):
+    return [{"name": name, "shape": list(p.shape)} for name, p in zip(model.param_names(), model.params)]
+
+
 def save_checkpoint(outdir, model, normalizer: NormalizationSpec | None = None, extra: dict | None = None):
     os.makedirs(outdir, exist_ok=True)
-    params = model.params
-    layout = [
-        {"name": name, "shape": list(p.shape)} for name, p in zip(model.param_names(), params)
-    ]
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in params)
+    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in model.params)
     with open(os.path.join(outdir, "weights.bin"), "wb") as fh:
         fh.write(blob)
     manifest = {
-        "format": "wingcp-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
-        "layout": layout,
+        "layout": _layout(model),
         "normalizer": normalizer.to_dict() if normalizer is not None else None,
         "extra": extra or {},
     }
@@ -513,24 +524,40 @@ def save_checkpoint(outdir, model, normalizer: NormalizationSpec | None = None, 
 
 
 def load_checkpoint(ckptdir):
-    """Rebuild (model, normalizer, manifest) from a checkpoint directory."""
+    """Rebuild (model, normalizer, manifest) from a checkpoint directory.
+
+    Raises ConfigError for another ``format`` tag, a missing manifest key,
+    a layout that differs in any name or shape from the model its config
+    builds, or a weight blob of the wrong size.
+    """
     with open(os.path.join(ckptdir, "model.json")) as fh:
         manifest = json.load(fh)
-    config = ModelConfig.from_dict(manifest["config"])
-    model = build_model(config)
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{ckptdir}: model.json is not an object")
+    for key, kind in _MANIFEST_TYPES.items():
+        if key not in manifest or not isinstance(manifest[key], kind):
+            raise ConfigError(f"{ckptdir}: model.json key {key} is missing or of the wrong type")
+    if manifest["format"] != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{ckptdir}: format {manifest['format']!r} is not {CHECKPOINT_FORMAT!r}")
+    try:
+        model = build_model(ModelConfig.from_dict(manifest["config"]))
+    except ConfigError as exc:
+        raise ConfigError(f"{ckptdir}: {exc}") from None
+    layout = _layout(model)
+    for i, (got, want) in enumerate(zip(manifest["layout"], layout)):
+        if got != want:
+            raise ConfigError(f"{ckptdir}: layout entry {i} is {got}, the model has {want}")
+    if len(manifest["layout"]) != len(layout):
+        n = len(manifest["layout"])
+        raise ConfigError(f"{ckptdir}: layout has {n} entries, the model {len(layout)}")
     with open(os.path.join(ckptdir, "weights.bin"), "rb") as fh:
         blob = fh.read()
-    flat = np.frombuffer(blob, dtype="<f8")
-    arrays, off = [], 0
-    for entry in manifest["layout"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arrays.append(flat[off : off + size].reshape(shape).astype(float))
-        off += size
-    if off != flat.size:
-        raise ConfigError(f"{ckptdir}: weight blob size mismatch ({flat.size} vs {off})")
-    model.set_params(arrays)
+    sizes = [p.size for p in model.params]
+    if len(blob) != 8 * sum(sizes):
+        raise ConfigError(f"{ckptdir}: weights.bin holds {len(blob)} bytes, the model {8 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    model.set_params([c.reshape(p.shape).astype(float) for c, p in zip(chunks, model.params)])
     normalizer = (
-        NormalizationSpec.from_dict(manifest["normalizer"]) if manifest.get("normalizer") else None
+        NormalizationSpec.from_dict(manifest["normalizer"]) if manifest["normalizer"] else None
     )
     return model, normalizer, manifest

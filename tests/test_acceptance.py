@@ -179,8 +179,7 @@ def test_directional_ablation():
     )
     out = assemble(res.manifold, res.samples, d=0.005)
     batch = out.batch
-    kept = [res.samples[i] for i in out.kept]
-    folds = fold_split(kept, [4.0, 8.0, 16.0])
+    folds = fold_split(batch.x1[:, 1], [4.0, 8.0, 16.0])
 
     def mean_fold_mse(model_name, seed):
         mses = []

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 
@@ -204,6 +205,9 @@ class TestTrainEvalPredictCli:
         assert len(rows) == 5  # epochs from config
         summary = json.loads((run / "train_summary.json").read_text())
         assert summary["model"] == "mtl" and np.isfinite(summary["final_train_mse"])
+        # the split is stratified on the cache's AoA column: one validation sample from
+        # each of the 8-sample groups at AoA 0, 6, 12 (one pooled group would give 4)
+        assert summary["n_val"] == 3
 
         ev = tmp_path / "eval"
         rc = main(["eval", "--checkpoint", str(run / "checkpoint"),
@@ -379,37 +383,174 @@ class TestFeatureCacheRejected:
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
 
-def test_checkpoint_with_unknown_net_spec_key_exits_one(features_dir, tmp_path, capsys):
-    conf = tmp_path / "short.conf"
-    conf.write_text("epochs = 2\n")
-    run = tmp_path / "run"
-    assert main(["train", "--features", str(features_dir), "--model", "mtl",
-                 "--seed", "1", "--out", str(run), "--config", str(conf)]) == 0
-    path = run / "checkpoint" / "model.json"
-    manifest = json.loads(path.read_text())
-    manifest["config"]["nets"]["2"]["dilation"] = [1, 1]
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    rc = main(["predict", "--checkpoint", str(run / "checkpoint"),
-               "--features", str(features_dir), "--out", str(tmp_path / "pred")])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "dilation" in err[0]
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """All 8 commands run once, in order, on the tiny data: command -> (argv, out dir)."""
+    root = tmp_path_factory.mktemp("every_command")
+    conf = root / "tiny.conf"
+    conf.write_text(TINY_CONF)
+    data, feat, run, cv = (str(root / name) for name in ("data", "features", "run", "cv"))
+    manifold, samples = f"{data}/manifold.csv", f"{data}/samples.csv"
+    args = {
+        "synth": ["--config", str(conf), "--seed", "3"],
+        "check-geometry": ["--manifold", manifold],
+        "extract": ["--manifold", manifold, "--samples", samples, "--d", "0.005"],
+        "train": ["--features", feat, "--model", "mtl", "--config", str(conf)],
+        "crossval": ["--manifold", manifold, "--samples", samples, "--model", "mtl",
+                     "--config", str(conf)],
+        "eval": ["--checkpoint", f"{run}/checkpoint", "--features", feat],
+        "predict": ["--checkpoint", f"{run}/checkpoint", "--features", feat],
+        "report": ["--run", cv],
+    }
+    outs = {"synth": data, "extract": feat, "train": run, "crossval": cv}
+    runs = {}
+    for command, rest in args.items():
+        out = outs.get(command, str(root / command))
+        argv = [command, *rest, "--out", out]
+        assert main(argv) == 0, command
+        runs[command] = (argv, out)
+    return runs
 
 
-def test_checkpoint_with_unknown_config_key_exits_one(features_dir, tmp_path, capsys):
-    conf = tmp_path / "short.conf"
-    conf.write_text("epochs = 2\n")
-    run = tmp_path / "run"
-    assert main(["train", "--features", str(features_dir), "--model", "mtl",
-                 "--seed", "1", "--out", str(run), "--config", str(conf)]) == 0
-    path = run / "checkpoint" / "model.json"
-    manifest = json.loads(path.read_text())
-    manifest["config"]["dropout"] = 0.1
-    path.write_text(json.dumps(manifest))
+RUN_MANIFEST_KEYS = {"command", "version", "seed", "args", "config", "inputs", "elapsed_seconds"}
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize(
+        "command",
+        ["synth", "check-geometry", "extract", "train", "crossval", "eval", "predict", "report"],
+    )
+    def test_written_by_every_command(self, every_command, command):
+        argv, out = every_command[command]
+        with open(f"{out}/run_manifest.json") as fh:
+            manifest = json.load(fh)
+        assert set(manifest) == RUN_MANIFEST_KEYS | ({"counts"} if command == "extract" else set())
+        assert manifest["command"] == command
+        inputs = [argv[argv.index(flag) + 1] for flag in ("--manifold", "--samples") if flag in argv]
+        digests = {}
+        for path in inputs:
+            with open(path, "rb") as fh:
+                digests[path] = hashlib.sha256(fh.read()).hexdigest()
+        assert manifest["inputs"] == digests
+
+
+def test_crossval_on_empty_sample_file_exits_one(synth_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("patch_id,u,v,Ma,AoA,Re,span,cp\n")
     capsys.readouterr()
-    rc = main(["predict", "--checkpoint", str(run / "checkpoint"),
-               "--features", str(features_dir), "--out", str(tmp_path / "pred")])
+    rc = main(["crossval", "--manifold", str(synth_dir / "manifold.csv"), "--samples", str(empty),
+               "--model", "mtl", "--out", str(tmp_path / "cv")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "dropout" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and "no samples to extract" in err[0]
+
+
+@pytest.fixture(scope="module")
+def other_caches(every_command):
+    """Caches of the tiny data at d = 0.01 and with the first-index convention."""
+    argv, features = every_command["extract"]
+    base = argv[: argv.index("--d")]
+    caches = {}
+    for name, extra in (("d0.01", ["--d", "0.01"]), ("first-index", ["--convention", "first-index"])):
+        caches[name] = f"{features}_{name}"
+        assert main([*base, *extra, "--out", caches[name]]) == 0
+    return caches
+
+
+def _model_json(change):
+    """A checkpoint edit: apply ``change`` to the parsed model.json."""
+    def edit(ckpt):
+        path = ckpt / "model.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+def _transpose_first_rectangular(manifest):
+    shapes = [e["shape"] for e in manifest["layout"]]
+    next(s for s in shapes if len(s) == 2 and s[0] != s[1]).reverse()
+
+
+# (id, command, cache: None = the one trained on, edit of the checkpoint, text the error names)
+BAD_CHECKPOINTS = [
+    ("unknown-net-spec-key", "predict", None,
+     _model_json(lambda m: m["config"]["nets"]["2"].update(dilation=[1, 1])), "dilation"),
+    ("unknown-config-key", "predict", None,
+     _model_json(lambda m: m["config"].update(dropout=0.1)), "dropout"),
+    ("no-config-context", "predict", None,
+     _model_json(lambda m: m["config"].pop("context")), "context"),
+    ("no-layout", "predict", None, _model_json(lambda m: m.pop("layout")), "layout"),
+    ("nets-as-list", "predict", None,
+     _model_json(lambda m: m["config"].update(nets=list(m["config"]["nets"].values()))), "nets"),
+    ("transposed-layout-shape", "predict", None, _model_json(_transpose_first_rectangular), "layout"),
+    ("renamed-layout-entry", "eval", None,
+     _model_json(lambda m: m["layout"][0].update(name="old.name")), "old.name"),
+    ("other-format", "predict", None, _model_json(lambda m: m.update(format="other-v9")), "other-v9"),
+    ("short-weight-blob", "predict", None,
+     lambda ckpt: (ckpt / "weights.bin").write_bytes((ckpt / "weights.bin").read_bytes()[:-3]),
+     "weights.bin"),
+    ("no-recorded-d", "predict", None, _model_json(lambda m: m["extra"].pop("d")), "d = None"),
+    ("cache-d", "predict", "d0.01", lambda ckpt: None, "d = 0.01"),
+    ("cache-convention", "eval", "first-index", lambda ckpt: None, "convention = 'first-index'"),
+]
+
+
+class TestCheckpointRejected:
+    @pytest.mark.parametrize(
+        "command,cache,edit,text", [pytest.param(*case[1:], id=case[0]) for case in BAD_CHECKPOINTS]
+    )
+    def test_exits_one_with_one_error_line(
+        self, every_command, other_caches, tmp_path, capsys, command, cache, edit, text
+    ):
+        _, run = every_command["train"]
+        _, features = every_command["extract"]
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(f"{run}/checkpoint", ckpt)
+        edit(ckpt)
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", str(ckpt), "--features", other_caches.get(cache, features),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and text in err[0]
+
+
+def _report_json(change):
+    """A crossval report.json edit: apply ``change`` to the parsed report."""
+    def edit(path):
+        report = json.loads(path.read_text())
+        change(report)
+        path.write_text(json.dumps(report))
+    return edit
+
+
+# (id, which run directory is edited, edit of its report.json, text the error names)
+BAD_REPORTS = [
+    ("baseline-with-other-folds", "baseline",
+     _report_json(lambda r: r["fold_mse"].pop("6")), "fold keys differ"),
+    ("baseline-fold-mse-zero", "baseline",
+     _report_json(lambda r: r["fold_mse"].update({"6": 0.0})), "positive"),
+    ("run-without-fold-mse", "run", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
+    ("baseline-without-fold-mse", "baseline", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
+]
+
+
+class TestReportRejected:
+    @pytest.mark.parametrize(
+        "which,edit,text", [pytest.param(*case[1:], id=case[0]) for case in BAD_REPORTS]
+    )
+    def test_exits_one_with_one_error_line(self, every_command, tmp_path, capsys, which, edit, text):
+        _, cv = every_command["crossval"]
+        dirs = {}
+        for name in ("run", "baseline"):
+            dirs[name] = tmp_path / name
+            dirs[name].mkdir()
+            shutil.copy(f"{cv}/report.json", dirs[name])
+        edit(dirs[which] / "report.json")
+        capsys.readouterr()
+        rc = main(["report", "--run", str(dirs["run"]), "--baseline", str(dirs["baseline"]),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and text in err[0]

@@ -246,26 +246,23 @@ class TestNormalizer:
 
 
 class TestFoldSplit:
-    def _samples(self, aoas):
-        return [make_sample("p", 0.5, 0.5, aoa=a) for a in aoas]
-
     def test_first_fold_holds_aoa7(self):
-        samples = self._samples([7, 7, 12, 12, 12])
-        folds = fold_split(samples, [7, 12])
+        aoas = np.array([7, 7, 12, 12, 12], dtype=float)
+        folds = fold_split(aoas, [7, 12])
         train, test = folds[0]
         assert sorted(test) == [0, 1]
         assert sorted(train) == [2, 3, 4]
 
     def test_complement_includes_unlisted_aoas(self):
-        samples = self._samples([0, 7, 21])
-        folds = fold_split(samples, [7])
+        aoas = np.array([0, 7, 21], dtype=float)
+        folds = fold_split(aoas, [7])
         train, test = folds[0]
         assert sorted(test) == [1]
         assert sorted(train) == [0, 2]
 
     def test_disjoint_and_cover(self):
-        samples = self._samples([7, 12, 16, 7, 12, 16, 0])
-        folds = fold_split(samples, [7, 12, 16])
+        aoas = np.array([7, 12, 16, 7, 12, 16, 0], dtype=float)
+        folds = fold_split(aoas, [7, 12, 16])
         seen = set()
         for train, test in folds:
             assert set(train) & set(test) == set()
@@ -274,11 +271,11 @@ class TestFoldSplit:
 
     def test_duplicate_fold_rejected(self):
         with pytest.raises(ConfigError):
-            fold_split(self._samples([7, 12]), [7, 7])
+            fold_split(np.array([7, 12], dtype=float), [7, 7])
 
     def test_absent_fold_rejected(self):
         with pytest.raises(ConfigError):
-            fold_split(self._samples([7, 12]), [16])
+            fold_split(np.array([7, 12], dtype=float), [16])
 
     def test_default_folds_constant(self):
         assert FOLD_AOAS_DEFAULT == (7.0, 12.0, 16.0, 18.0, 18.5, 19.0, 20.0)
