@@ -33,6 +33,7 @@ from .data import (
     fit_normalizer,
     fold_split,
     load_feature_cache,
+    load_meta,
     load_samples,
     meta_rows,
     save_feature_cache,
@@ -276,7 +277,7 @@ def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):
 
 
 def _load_for_inference(args):
-    """Checkpoint and feature cache of eval/predict: (model, normalizer, batch, meta).
+    """Checkpoint and feature cache of eval/predict: (model, normalizer, batch).
 
     Refuses a checkpoint without a normalizer, and one whose recorded
     ``d`` or ``convention`` is missing or differs from the cache's.
@@ -284,7 +285,7 @@ def _load_for_inference(args):
     model, normalizer, manifest = load_checkpoint(args.checkpoint)
     if normalizer is None:
         raise WingcpError(f"checkpoint {args.checkpoint} has no normalizer")
-    batch, meta, cache_manifest = load_feature_cache(args.features)
+    batch, cache_manifest = load_feature_cache(args.features)
     for key in _CACHE_KEYS:
         have, want = manifest["extra"].get(key), cache_manifest.get(key)
         if have is None or have != want:
@@ -292,16 +293,21 @@ def _load_for_inference(args):
                 f"checkpoint {args.checkpoint} has {key} = {have!r}, "
                 f"feature cache {args.features} has {key} = {want!r}"
             )
-    return model, normalizer, batch, meta
+    return model, normalizer, batch
 
 
 def _read_report(run_dir):
-    """A crossval run's report.json, refused unless it holds a fold_mse table."""
+    """A crossval run's report.json, refused unless it holds a fold_mse table keyed by AoA."""
     path = os.path.join(run_dir, "report.json")
     with open(path) as fh:
         run = json.load(fh)
     if not isinstance(run, dict) or not isinstance(run.get("fold_mse"), dict):
         raise WingcpError(f"{path}: no fold_mse table")
+    for label in run["fold_mse"]:
+        try:
+            float(label)
+        except ValueError:
+            raise WingcpError(f"{path}: fold label {label!r} is not an AoA") from None
     return run
 
 
@@ -347,7 +353,7 @@ def cmd_extract(args, cfg):
 
 
 def cmd_train(args, cfg):
-    batch, _, cache_manifest = load_feature_cache(args.features)
+    batch, cache_manifest = load_feature_cache(args.features)
     settings = {key: cache_manifest.get(key) for key in _CACHE_KEYS}
     _, _, result, train_idx, val_idx = _train_once(
         batch, args.model, cfg, args.seed, args.out, "full-dataset", settings
@@ -398,14 +404,15 @@ def cmd_crossval(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    model, normalizer, batch, meta = _load_for_inference(args)
+    model, normalizer, batch = _load_for_inference(args)
+    meta = load_meta(args.features, batch.n)
     mse = _evaluate(args.out, model, normalizer, batch, meta, np.arange(batch.n))
     print(f"eval: MSE {mse:.6g} over {batch.n} samples -> {args.out}")
     return 0
 
 
 def cmd_predict(args, cfg):
-    model, normalizer, batch, _ = _load_for_inference(args)
+    model, normalizer, batch = _load_for_inference(args)
     pred = _predict(model, normalizer, batch)
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

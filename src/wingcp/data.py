@@ -11,8 +11,12 @@ sample):
     x4  (2, 18, 2)   nine Christoffel arrays, upper index as channel
     x5  (9,)         nine scalar curvatures
 
-Slot order is identical across x2..x5, and the feature cache's
-per-point dump (features_points.csv) is read back out of these arrays.
+Slot order is identical across x2..x5. The feature cache stores each
+array as a .npy file (x1.npy .. x5.npy, y.npy), which the program reads
+back bit for bit; its text files are written for people and for eval:
+features_points.csv (one row per stencil point, taken from these
+arrays), meta.csv (each sample's source, read only by eval for its
+error map) and y.csv.
 Geometry is computed patch by patch over arrays: each distinct stencil
 centre is calibrated once and each distinct stencil point's chain runs
 once, whatever the number of samples that share them.
@@ -25,13 +29,12 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint
-from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError
+from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError, check_keys
 from .geometry import DEFAULT_CONVENTION, point_features
 from .stencil import AXIAL, NEIGHBOR_SLOTS, out_of_patch, stencil_points
 
@@ -57,6 +60,7 @@ __all__ = [
     "meta_rows",
     "save_feature_cache",
     "load_feature_cache",
+    "load_meta",
 ]
 
 # Test AoAs of the standard leave-one-AoA-out protocol; samples at other
@@ -320,14 +324,39 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """Rebuild from :meth:`to_dict` output.
+
+        ConfigError names a missing or unknown key, a group other than
+        x1..x5, bounds whose length is not the group's flattened size and
+        a value that is not a finite number.
+        """
+        check_keys(d, cls, "normalizer", optional=("constant_column_policy",))
+        bounds = {}
+        for name in ("mins", "maxs"):
+            if not isinstance(d[name], dict) or set(d[name]) != set(GROUP_SHAPES):
+                raise ConfigError(f"normalizer {name} must map each of {', '.join(GROUP_SHAPES)} to its bounds")
+            bounds[name] = {
+                k: _finite(d[name][k], f"normalizer {name}.{k}", (math.prod(shape),))
+                for k, shape in GROUP_SHAPES.items()
+            }
         return cls(
-            mins={k: np.asarray(v, dtype=float) for k, v in d["mins"].items()},
-            maxs={k: np.asarray(v, dtype=float) for k, v in d["maxs"].items()},
-            y_min=float(d["y_min"]),
-            y_max=float(d["y_max"]),
+            **bounds,
+            y_min=float(_finite(d["y_min"], "normalizer y_min", ())),
+            y_max=float(_finite(d["y_max"], "normalizer y_max", ())),
             normalize_targets=bool(d["normalize_targets"]),
             fitted_on=str(d["fitted_on"]),
         )
+
+
+def _finite(value, what: str, shape) -> np.ndarray:
+    """``value`` as a float array of ``shape``; ConfigError unless it is one, all finite."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        x = np.full(shape, np.nan)
+    if x.shape != shape or not np.isfinite(x).all():
+        raise ConfigError(f"{what} must be {math.prod(shape)} finite number(s)")
+    return x
 
 
 def fit_normalizer(
@@ -475,7 +504,8 @@ def save_samples(path, samples):
 
 
 # ---------------------------------------------------------------------------
-# Feature cache: one CSV per group + meta.csv + manifest.json
+# Feature cache: one .npy per batch array + manifest.json, and the text
+# files y.csv, meta.csv and features_points.csv
 # ---------------------------------------------------------------------------
 
 _META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
@@ -487,12 +517,6 @@ FEATURE_POINTS_HEADER = [
     "gam111", "gam112", "gam122", "gam211", "gam212", "gam222", "S", "stencil_slot",
 ]
 _UPPER = ([0, 0, 1], [0, 1, 1])  # (i, j) with i <= j, in column order
-
-
-def _group_columns(key) -> list:
-    shape = GROUP_SHAPES[key]
-    idx = np.indices(shape).reshape(len(shape), -1).T
-    return [key + "_" + "_".join(str(i) for i in row) for row in idx]
 
 
 def _point_values(batch: TensorBatch) -> np.ndarray:
@@ -507,8 +531,8 @@ def _point_values(batch: TensorBatch) -> np.ndarray:
 def meta_rows(result: AssembleResult, samples) -> list:
     """One ``meta.csv`` row per kept sample: text fields keyed by column name.
 
-    These are the rows ``load_feature_cache`` reads back; x, y, z are the
-    position of the stencil centre.
+    These are the rows ``load_meta`` reads back; x, y, z are the position
+    of the stencil centre.
     """
     rows = []
     for out_row, src_idx in enumerate(result.kept):
@@ -540,31 +564,14 @@ def _csv_field(text: str) -> str:
     return text
 
 
-_WRITE_BLOCK = 512  # rows formatted per write: no whole-file text is held
-
-
-def _write_rows(fh, rows: np.ndarray):
-    """Write 2-D float rows as CSV lines of 17-significant-digit numbers.
-
-    One %-format per row gives the text csv.writer gives for
-    ``format(value, ".17g")`` fields, with its CRLF line ends.
-    """
-    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    for lo in range(0, len(rows), _WRITE_BLOCK):
-        fh.write("".join([fmt % tuple(r) for r in rows[lo : lo + _WRITE_BLOCK].tolist()]))
-
-
 def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
-    """Write raw (un-normalized) feature CSVs, sample metadata and manifest."""
+    """Write the raw (un-normalized) batch arrays, their text forms, sample metadata and manifest."""
     os.makedirs(outdir, exist_ok=True)
     batch = result.batch
-    for key, x in batch.groups().items():
-        with open(os.path.join(outdir, f"{key}.csv"), "w", newline="") as fh:
-            csv.writer(fh).writerow(_group_columns(key))
-            _write_rows(fh, x.reshape(batch.n, -1))
+    for key, x in {**batch.groups(), "y": batch.y}.items():
+        np.save(os.path.join(outdir, f"{key}.npy"), x, allow_pickle=False)
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerow(["cp"])
-        _write_rows(fh, batch.y[:, None])
+        fh.write("".join(["cp\r\n"] + ["%.17g\r\n" % v for v in batch.y.tolist()]))
     with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, _META_HEADER)
         writer.writeheader()
@@ -585,39 +592,42 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
         fh.write("\n")
 
 
-def _load_table(path, n: int, width: int) -> np.ndarray:
-    """The (n, width) data rows of a numeric cache CSV; SampleParseError names the file."""
+def _load_array(path, shape) -> np.ndarray:
+    """A finite float64 array of ``shape`` from a .npy file; SampleParseError names the file."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a file without data rows is reported below
-            flat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
-    except ValueError as exc:
+        with open(path, "rb") as fh:
+            x = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
         raise SampleParseError(f"{path}: {exc}") from None
-    if flat.shape[0] != n:
-        raise SampleParseError(f"{path}: {flat.shape[0]} data rows, manifest.json lists {n} samples")
-    if flat.shape[1] != width:
-        raise SampleParseError(f"{path}: {flat.shape[1]} columns, expected {width}")
-    if not np.isfinite(flat).all():
+    if x.dtype != np.float64 or x.shape != shape:
+        raise SampleParseError(f"{path}: {x.dtype} {x.shape}, not float64 {shape} (n_samples of manifest.json)")
+    if not np.isfinite(x).all():
         raise SampleParseError(f"{path}: non-finite value")
-    return flat
+    return x
 
 
 def load_feature_cache(cachedir):
-    """Read a feature cache back into (TensorBatch, meta rows, manifest).
+    """Read a feature cache's arrays back into (TensorBatch, manifest).
 
-    Every file must hold ``n_samples`` (from ``manifest.json``) data rows of
-    the documented width, and every numeric value (in ``meta.csv``: u, v,
-    x, y, z, Ma, AoA, Re, cp and a non-empty span) must parse as a finite
-    number; SampleParseError names the first file that does not.
+    Each ``.npy`` file must hold a finite float64 array of shape
+    (n_samples, *group shape), n_samples from ``manifest.json``;
+    SampleParseError names the first file that does not. No CSV file is
+    opened: ``meta.csv`` is read by :func:`load_meta`.
     """
     with open(os.path.join(cachedir, "manifest.json")) as fh:
         manifest = json.load(fh)
     n = manifest.get("n_samples")
-    arrays = {}
-    for key, shape in GROUP_SHAPES.items():
-        flat = _load_table(os.path.join(cachedir, f"{key}.csv"), n, math.prod(shape))
-        arrays[key] = flat.reshape((n,) + shape)
-    y = _load_table(os.path.join(cachedir, "y.csv"), n, 1)
+    shapes = {**GROUP_SHAPES, "y": ()}
+    arrays = {k: _load_array(os.path.join(cachedir, f"{k}.npy"), (n, *shape)) for k, shape in shapes.items()}
+    return TensorBatch(**arrays), manifest
+
+
+def load_meta(cachedir, n: int) -> list:
+    """The ``n`` rows of a cache's ``meta.csv`` as text fields keyed by column name.
+
+    Every numeric value (u, v, x, y, z, Ma, AoA, Re, cp and a non-empty
+    span) must parse as a finite number; SampleParseError names the file.
+    """
     path = os.path.join(cachedir, "meta.csv")
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -634,4 +644,4 @@ def load_feature_cache(cachedir):
             raise SampleParseError(f"{path}:{lineno}: {exc}") from None
         if not all(math.isfinite(x) for x in values):
             raise SampleParseError(f"{path}:{lineno}: non-finite value")
-    return TensorBatch(y=y[:, 0], **arrays), meta, manifest
+    return meta

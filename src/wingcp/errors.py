@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check of parsed objects."""
+
+from dataclasses import fields
 
 
 class WingcpError(Exception):
@@ -54,3 +56,16 @@ class TrainingDiverged(WingcpError):
         self.train_curve = train_curve
         self.val_curve = val_curve
         super().__init__(message)
+
+
+def check_keys(d, cls, what: str, optional=()):
+    """Raise ConfigError unless ``d`` is a dict with exactly the fields of ``cls``.
+
+    Keys in ``optional`` may also appear.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} is not an object")
+    names = {f.name for f in fields(cls)}
+    for problem, keys in (("unknown", set(d) - names - set(optional)), ("missing", names - set(d))):
+        if keys:
+            raise ConfigError(f"{problem} {what} key(s) {', '.join(sorted(keys))}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .data import NormalizationSpec, TensorBatch
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, check_keys
 from .nn import Stack, conv_stack, dense_stack
 
 __all__ = [
@@ -48,19 +48,6 @@ __all__ = [
 GROUP_IDS = (1, 2, 3, 4, 5)
 
 
-def _check_keys(d, cls, what: str, optional=()):
-    """Raise ConfigError unless ``d`` is a dict with exactly the fields of ``cls``.
-
-    Keys in ``optional`` may also appear.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} is not an object")
-    names = {f.name for f in fields(cls)}
-    for problem, keys in (("unknown", set(d) - names - set(optional)), ("missing", names - set(d))):
-        if keys:
-            raise ConfigError(f"{problem} {what} key(s) {', '.join(sorted(keys))}")
-
-
 @dataclass
 class NetSpec:
     """Topology of one subnetwork: a dense stack or a conv stack."""
@@ -80,7 +67,7 @@ class NetSpec:
     @classmethod
     def from_dict(cls, d):
         """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
-        _check_keys(d, cls, "net spec", optional=("stride",))
+        check_keys(d, cls, "net spec", optional=("stride",))
         d = dict(d)
         stride = d.pop("stride", None)
         spec = cls(**d)
@@ -122,7 +109,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         """Rebuild a config from :meth:`to_dict` output; ConfigError names an unknown or missing key."""
-        _check_keys(d, cls, "model config")
+        check_keys(d, cls, "model config")
         d = dict(d)
         if not isinstance(d["nets"], dict):
             raise ConfigError("model config nets is not an object")
@@ -541,6 +528,7 @@ def load_checkpoint(ckptdir):
         raise ConfigError(f"{ckptdir}: format {manifest['format']!r} is not {CHECKPOINT_FORMAT!r}")
     try:
         model = build_model(ModelConfig.from_dict(manifest["config"]))
+        normalizer = NormalizationSpec.from_dict(manifest["normalizer"]) if manifest["normalizer"] else None
     except ConfigError as exc:
         raise ConfigError(f"{ckptdir}: {exc}") from None
     layout = _layout(model)
@@ -557,7 +545,4 @@ def load_checkpoint(ckptdir):
         raise ConfigError(f"{ckptdir}: weights.bin holds {len(blob)} bytes, the model {8 * sum(sizes)}")
     chunks = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
     model.set_params([c.reshape(p.shape).astype(float) for c, p in zip(chunks, model.params)])
-    normalizer = (
-        NormalizationSpec.from_dict(manifest["normalizer"]) if manifest["normalizer"] else None
-    )
     return model, normalizer, manifest

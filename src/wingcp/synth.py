@@ -65,6 +65,16 @@ class SynthConfig:
         for key in ("stations", "points_per_section"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("thickness", "twist", "span_length", "ma", "reynolds", "noise_sigma"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not all(math.isfinite(a) for a in self.aoa_set):
+            raise ConfigError(f"aoa_set must hold finite angles, got {list(self.aoa_set)}")
+        for key in ("ma", "reynolds"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def cp_formula(coeffs, aoa, u, w, scalar_curv, gamma_norm) -> float:

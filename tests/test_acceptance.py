@@ -286,11 +286,14 @@ def _run_pipeline(root):
 def test_end_to_end_determinism(tmp_path):
     a = _run_pipeline(str(tmp_path / "a"))
     b = _run_pipeline(str(tmp_path / "b"))
+    # every file of the feature cache, so a file that embeds a timestamp fails
+    features = sorted(name for name in os.listdir(os.path.join(a, "features")) if name != "run_manifest.json")
+    assert features == sorted(n for n in os.listdir(os.path.join(b, "features")) if n != "run_manifest.json")
+    assert "x3.npy" in features and "y.csv" in features
     compare = [
         "data/samples.csv",
         "data/manifold.csv",
-        "features/x3.csv",
-        "features/y.csv",
+        *(f"features/{name}" for name in features),
         "cv/report.json",
         "cv/report.csv",
         "cv/fold_5/eval.json",
@@ -300,8 +303,9 @@ def test_end_to_end_determinism(tmp_path):
         "report/report.csv",
     ]
     for rel in compare:
+        # the cache manifest records its sources' absolute paths, which name the run's directory
         with open(os.path.join(a, rel), "rb") as fh:
-            bytes_a = fh.read()
+            bytes_a = fh.read().replace(a.encode(), b"<run>")
         with open(os.path.join(b, rel), "rb") as fh:
-            bytes_b = fh.read()
+            bytes_b = fh.read().replace(b.encode(), b"<run>")
         assert bytes_a == bytes_b, f"{rel} differs between runs"

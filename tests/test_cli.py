@@ -1,6 +1,8 @@
+import builtins
 import csv
 import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
@@ -141,8 +143,10 @@ class TestExtractCli:
             "--d", "0.005", "--out", str(out),
         ])
         assert rc == 0
-        for name in ("x1.csv", "x2.csv", "x3.csv", "x4.csv", "x5.csv", "y.csv", "meta.csv", "manifest.json"):
+        for name in ("x1.npy", "x2.npy", "x3.npy", "x4.npy", "x5.npy", "y.npy", "y.csv", "meta.csv",
+                     "features_points.csv", "manifest.json"):
             assert (out / name).exists(), name
+        assert not list(out.glob("x*.csv"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["d"] == 0.005
         assert manifest["dataset_manifest"]["seed"] == 3
@@ -318,6 +322,16 @@ BAD_SYNTH_SETTINGS = [
     ("n_patches = 9", "n_patches"),
     ("stations = 0", "stations"),
     ("points_per_section = 0", "points_per_section"),
+    ("thickness = nan", "thickness"),
+    ("twist = inf", "twist"),
+    ("span_length = -inf", "span_length"),
+    ("ma = -0.5", "ma"),
+    ("ma = nan", "ma"),
+    ("reynolds = -1", "reynolds"),
+    ("reynolds = inf", "reynolds"),
+    ("aoa_set = 0, nan", "aoa_set"),
+    ("noise_sigma = -1", "noise_sigma"),
+    ("noise_sigma = nan", "noise_sigma"),
 ]
 
 
@@ -339,29 +353,52 @@ def _edit_rows(path, change):
         csv.writer(fh).writerows(change(rows))
 
 
-def _first_cell(value):
-    return lambda rows: [rows[0], [value] + rows[1][1:]] + rows[2:]
-
-
 def _meta_cell(column, value):
-    """Set ``column`` of the first data row of meta.csv."""
-    def change(rows):
+    """A cache edit: set ``column`` of the first data row of meta.csv."""
+    def set_cell(rows):
         row = list(rows[1])
         row[rows[0].index(column)] = value
         return [rows[0], row] + rows[2:]
+
+    def change(path):
+        _edit_rows(path, set_cell)
     return change
 
 
+def _npy(change):
+    """A cache edit: replace the array of a .npy file by ``change(array)``, saved with pickling allowed."""
+    def edit(path):
+        np.save(path, change(np.load(path)), allow_pickle=True)
+    return edit
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _first_nan(x):
+    x = x.copy()
+    x.flat[0] = np.nan
+    return x
+
+
+def _n_samples_plus_one(path):
+    manifest = json.loads(path.read_text())
+    manifest["n_samples"] += 1
+    path.write_text(json.dumps(manifest))
+
+
+# (file edited, edit); the error names the file. train reads the arrays, eval also meta.csv.
 BAD_FEATURE_CACHES = [
-    ("x3.csv", lambda rows: rows[:-1]),  # one data row short
-    ("x1.csv", lambda rows: rows + rows[-1:]),  # one data row too many
-    ("y.csv", lambda rows: rows[:-1]),
-    ("x5.csv", lambda rows: rows[:1]),  # header only
-    ("meta.csv", lambda rows: rows[:-1]),
-    ("meta.csv", lambda rows: [r[:-1] for r in rows]),  # no cp column
-    ("x2.csv", lambda rows: [r[:-1] for r in rows]),  # one column short of (1, 9, 3)
-    ("x4.csv", _first_cell("abc")),
-    ("x5.csv", _first_cell("nan")),
+    pytest.param("x4.npy", lambda path: path.unlink(), id="missing-x4.npy"),
+    pytest.param("x3.npy", _truncate, id="truncated-x3.npy"),
+    pytest.param("x2.npy", _npy(lambda x: x.reshape(len(x), 9, 3)), id="x2.npy-wrong-shape"),
+    pytest.param("x1.npy", _npy(lambda x: x.astype(np.float32)), id="x1.npy-float32"),
+    pytest.param("y.npy", _npy(lambda x: x.astype(object)), id="y.npy-object-dtype"),
+    pytest.param("x5.npy", _npy(_first_nan), id="x5.npy-nan"),
+    pytest.param("manifest.json", _n_samples_plus_one, id="manifest.json-n_samples-off"),
+    ("meta.csv", lambda path: _edit_rows(path, lambda rows: rows[:-1])),
+    ("meta.csv", lambda path: _edit_rows(path, lambda rows: [r[:-1] for r in rows])),  # no cp column
     ("meta.csv", _meta_cell("AoA", "abc")),
     ("meta.csv", _meta_cell("span", "inf")),
 ]
@@ -369,15 +406,20 @@ BAD_FEATURE_CACHES = [
 
 class TestFeatureCacheRejected:
     @pytest.mark.parametrize("name,change", BAD_FEATURE_CACHES)
-    def test_exits_one_with_one_error_line(self, features_dir, tmp_path, capsys, name, change):
+    def test_exits_one_with_one_error_line(self, every_command, tmp_path, capsys, name, change):
+        _, features = every_command["extract"]
+        _, run = every_command["train"]
         cache = tmp_path / "cache"
-        shutil.copytree(features_dir, cache)
-        _edit_rows(cache / name, change)
+        shutil.copytree(features, cache)
+        change(cache / name)
         conf = tmp_path / "short.conf"
         conf.write_text("epochs = 2\n")
         capsys.readouterr()
-        rc = main(["train", "--features", str(cache), "--model", "mtl",
-                   "--seed", "1", "--out", str(tmp_path / "run"), "--config", str(conf)])
+        if name == "meta.csv":
+            argv = ["eval", "--checkpoint", f"{run}/checkpoint", "--features", str(cache)]
+        else:
+            argv = ["train", "--features", str(cache), "--model", "mtl", "--config", str(conf)]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
@@ -432,6 +474,31 @@ class TestRunManifest:
             with open(path, "rb") as fh:
                 digests[path] = hashlib.sha256(fh.read()).hexdigest()
         assert manifest["inputs"] == digests
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval"])
+def test_cache_files_read(every_command, tmp_path, monkeypatch, command):
+    """train and predict read the .npy arrays and manifest.json only; eval also meta.csv."""
+    _, features = every_command["extract"]
+    train_argv, run = every_command["train"]
+    conf = train_argv[train_argv.index("--config") + 1]
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, features))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    rest = {
+        "train": ["--features", features, "--model", "mtl", "--config", conf],
+        "predict": ["--checkpoint", f"{run}/checkpoint", "--features", features],
+        "eval": ["--checkpoint", f"{run}/checkpoint", "--features", features],
+    }[command]
+    assert main([command, *rest, "--out", str(tmp_path / "out")]) == 0
+    read = {name for name in opened if not name.startswith("..")}
+    arrays = {"manifest.json", "x1.npy", "x2.npy", "x3.npy", "x4.npy", "x5.npy", "y.npy"}
+    assert read == (arrays | {"meta.csv"} if command == "eval" else arrays)
 
 
 def test_crossval_on_empty_sample_file_exits_one(synth_dir, tmp_path, capsys):
@@ -493,6 +560,9 @@ BAD_CHECKPOINTS = [
     ("no-recorded-d", "predict", None, _model_json(lambda m: m["extra"].pop("d")), "d = None"),
     ("cache-d", "predict", "d0.01", lambda ckpt: None, "d = 0.01"),
     ("cache-convention", "eval", "first-index", lambda ckpt: None, "convention = 'first-index'"),
+    ("normalizer-without-mins", "predict", None, _model_json(lambda m: m["normalizer"].pop("mins")), "mins"),
+    ("short-x3-mins", "eval", None, _model_json(lambda m: m["normalizer"]["mins"]["x3"].pop()), "mins.x3"),
+    ("text-y-min", "predict", None, _model_json(lambda m: m["normalizer"].update(y_min="abc")), "y_min"),
 ]
 
 
@@ -533,6 +603,8 @@ BAD_REPORTS = [
      _report_json(lambda r: r["fold_mse"].update({"6": 0.0})), "positive"),
     ("run-without-fold-mse", "run", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
     ("baseline-without-fold-mse", "baseline", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
+    ("run-with-text-fold-label", "run", _report_json(lambda r: r["fold_mse"].update(abc=0.5)),
+     "report.json: fold label 'abc'"),
 ]
 
 

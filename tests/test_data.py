@@ -1,9 +1,16 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint
 from wingcp.data import (
     FOLD_AOAS_DEFAULT,
+    GROUP_SHAPES,
+    AssembleResult,
     FlightCondition,
     RawSample,
     TensorBatch,
@@ -11,6 +18,7 @@ from wingcp.data import (
     fit_normalizer,
     fold_split,
     load_feature_cache,
+    load_meta,
     load_samples,
     save_feature_cache,
     save_samples,
@@ -306,6 +314,26 @@ class TestTrainValSplit:
         assert list(train) == [0] and len(val) == 0
 
 
+# every finite float64, -0.0, subnormals and the extremes among them
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, np.finfo(float).max, np.finfo(float).min]
+)
+
+
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(1, 3))
+    groups = {k: draw(arrays(np.float64, (n, *shape), elements=_FINITE)) for k, shape in GROUP_SHAPES.items()}
+    return TensorBatch(y=draw(arrays(np.float64, (n,), elements=_FINITE)), **groups)
+
+
+def _save_batch(cache, batch):
+    """``save_feature_cache`` of a batch with placeholder sample metadata."""
+    samples = [make_sample("p", 0.5, 0.5)] * batch.n
+    result = AssembleResult(batch, list(range(batch.n)), [], np.zeros((batch.n, 9, 2)), {})
+    save_feature_cache(cache, result, samples, {"d": 0.005})
+
+
 class TestFeatureCache:
     def test_round_trip(self, tmp_path, paraboloid_manifold):
         samples = [
@@ -315,11 +343,13 @@ class TestFeatureCache:
         result = assemble(paraboloid_manifold, samples, d=0.005)
         cache = tmp_path / "features"
         save_feature_cache(cache, result, samples, {"d": 0.005, "convention": "standard"})
-        batch, meta, manifest = load_feature_cache(cache)
+        batch, manifest = load_feature_cache(cache)
         orig = result.batch
         for key in ("x1", "x2", "x3", "x4", "x5"):
-            np.testing.assert_allclose(batch.groups()[key], orig.groups()[key], rtol=1e-15)
-        np.testing.assert_allclose(batch.y, orig.y, rtol=1e-15)
+            np.testing.assert_array_equal(batch.groups()[key], orig.groups()[key])
+        np.testing.assert_array_equal(batch.y, orig.y)
+        assert not list(cache.glob("x*.csv"))
+        meta = load_meta(cache, manifest["n_samples"])
         assert len(meta) == 2
         assert meta[1]["AoA"] == "12"
         assert manifest["d"] == 0.005
@@ -333,6 +363,30 @@ class TestFeatureCache:
         assert rows[0] == FEATURE_POINTS_HEADER and rows[0][-1] == "stencil_slot"
         assert len(rows) == 1 + 2 * 9  # header + 9 stencil points per sample
         assert [r[-1] for r in rows[1:10]] == [str(s) for s in range(9)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_finite_batches_round_trip_bitwise(self, data):
+        batch = data.draw(_batches())
+        with tempfile.TemporaryDirectory() as cache:
+            _save_batch(cache, batch)
+            back, _ = load_feature_cache(cache)
+        for key in ("x1", "x2", "x3", "x4", "x5", "y"):
+            got, want = getattr(back, key), getattr(batch, key)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), key
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_one_non_finite_entry_refused(self, data, bad):
+        batch = data.draw(_batches())
+        key = data.draw(st.sampled_from(["x1", "x2", "x3", "x4", "x5", "y"]))
+        x = getattr(batch, key)
+        x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+        with tempfile.TemporaryDirectory() as cache:
+            _save_batch(cache, batch)
+            with pytest.raises(SampleParseError, match=f"{key}.npy: non-finite"):
+                load_feature_cache(cache)
 
     def test_pointwise_view(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.4, 0.6)]
