@@ -207,6 +207,21 @@ def _close_pairs(pts: np.ndarray, r: float) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+def _on_grid(bu, bv, net):
+    """sum_ab net_ab bu_ia bv_jb at every node (i, j) of a sample grid, shape (I, J, 3).
+
+    Separable: one contraction over a, then one over b.
+    """
+    return bv @ np.tensordot(bu, net, axes=(1, 0))
+
+
+def _sigma_min(fu, fv):
+    """Smallest singular value of the 3x2 Jacobian [Fu Fv] at each leading index (see check_patch)."""
+    e, f, g = (fu * fu).sum(-1), (fu * fv).sum(-1), (fv * fv).sum(-1)
+    sig_max = np.sqrt(0.5 * (e + g) + np.hypot(0.5 * (e - g), f))
+    area = np.linalg.norm(np.cross(fu, fv), axis=-1)
+    return np.divide(area, sig_max, out=np.zeros_like(area), where=sig_max > 0)
+
 
 def check_patch(
     grid: ControlGrid,
@@ -222,6 +237,17 @@ def check_patch(
     self-intersection scan is a heuristic over the sample grid, not an
     exact algebraic test; it reports pairs in order of their sample
     indices (row-major over the u, v grid).
+
+    The grid is evaluated by separable contractions, and the smallest
+    singular value of the Jacobian J = [Fu Fv] in closed form from
+    E = Fu.Fu, F = Fu.Fv, G = Fv.Fv:
+
+        sigma_max^2 = (E + G)/2 + hypot((E - G)/2, F)
+        sigma_min   = |Fu x Fv| / sigma_max        (0 where sigma_max = 0)
+
+    since sigma_max * sigma_min is the area |Fu x Fv|. Its absolute error
+    is a few eps * sigma_max, the bound an SVD gives, and nothing cancels
+    near rank loss because the area comes from the cross product.
     """
     if samples_per_axis < 4:
         raise ValueError("samples_per_axis must be >= 4")
@@ -236,13 +262,11 @@ def check_patch(
     bu, bv = bernstein_row(m, ss), bernstein_row(n, ss)  # (N, m+1), (N, n+1)
     bu1, bv1 = bernstein_row(m - 1, ss), bernstein_row(n - 1, ss)
 
-    pts = np.einsum("ia,jb,abc->ijc", bu, bv, grid.points)
-    fu = m * np.einsum("ia,jb,abc->ijc", bu1, bv, np.diff(grid.points, axis=0))
-    fv = n * np.einsum("ia,jb,abc->ijc", bu, bv1, np.diff(grid.points, axis=1))
+    pts = _on_grid(bu, bv, grid.points)
+    fu = m * _on_grid(bu1, bv, np.diff(grid.points, axis=0))
+    fv = n * _on_grid(bu, bv1, np.diff(grid.points, axis=1))
 
-    jac = np.stack([fu, fv], axis=-1)  # (N, N, 3, 2)
-    sig = np.linalg.svd(jac.reshape(-1, 3, 2), compute_uv=False)
-    sig_min = sig[:, -1].reshape(samples_per_axis, samples_per_axis)
+    sig_min = _sigma_min(fu, fv)
     flat_idx = int(np.argmin(sig_min))
     iu, iv = np.unravel_index(flat_idx, sig_min.shape)
     margin = float(sig_min[iu, iv])

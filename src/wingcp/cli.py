@@ -162,8 +162,10 @@ def _given(cfg: dict, fn) -> dict:
 
 
 def _check_all(manifold, cfg):
-    """Validity-check every patch, at ``check_samples`` per axis if the config sets it."""
+    """Validity-check every patch, at ``check_samples`` (>= 4) per axis if the config sets it."""
     if "check_samples" in cfg:
+        if cfg["check_samples"] < 4:
+            raise ConfigError(f"check_samples must be >= 4, got {cfg['check_samples']}")
         return manifold.check_all(samples_per_axis=cfg["check_samples"])
     return manifold.check_all()
 

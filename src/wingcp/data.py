@@ -565,7 +565,13 @@ def _csv_field(text: str) -> str:
 
 
 def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
-    """Write the raw (un-normalized) batch arrays, their text forms, sample metadata and manifest."""
+    """Write the raw (un-normalized) batch arrays, their text forms, sample metadata and manifest.
+
+    The nine ``features_points.csv`` rows of a sample are formatted once
+    per distinct (patch id, row values) and written again as the same text
+    for every later sample at that location (e.g. the same point at
+    another AoA).
+    """
     os.makedirs(outdir, exist_ok=True)
     batch = result.batch
     for key, x in {**batch.groups(), "y": batch.y}.items():
@@ -580,9 +586,13 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
         csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
         fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"
         values = np.concatenate([result.uv, _point_values(batch)], axis=2)
+        text = {}  # (patch id, the sample's row values as bytes) -> its nine rows
         for i, rows in zip(result.kept, values):
-            pid = _csv_field(samples[i].location.patch_id)
-            fh.write("".join([fmt % (pid, *r, slot) for slot, r in enumerate(rows.tolist())]))
+            pid = samples[i].location.patch_id
+            key = (pid, rows.tobytes())
+            if key not in text:
+                text[key] = "".join([fmt % (_csv_field(pid), *r, slot) for slot, r in enumerate(rows.tolist())])
+            fh.write(text[key])
     manifest = dict(manifest)
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}
     manifest["n_samples"] = batch.n

@@ -39,7 +39,12 @@ class LeakyReLU:
 
     def forward(self, x):
         pos = x > 0.0
-        return np.where(pos, x, self.slope * x), pos
+        y = self.slope * x
+        if 0.0 <= self.slope <= 1.0:  # then max(x, slope*x) is the np.where form bit for bit
+            np.maximum(x, y, out=y)
+        else:
+            np.copyto(y, x, where=pos)
+        return y, pos
 
     def backward(self, dy, cache):
         pos = cache
@@ -62,7 +67,9 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x):
-        return x @ self.w + self.b, x
+        y = x @ self.w
+        y += self.b
+        return y, x
 
     def backward(self, dy, cache):
         x = cache

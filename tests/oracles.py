@@ -9,9 +9,13 @@ contracts whole arrays), stencils are calibrated one offset at a time
 and assembled one sample at a time (the package bisects all offsets of
 a patch at once and evaluates each distinct point once), convolutions
 loop over output positions (the package contracts a window view once),
-and gradients come from central finite differences of the scalar loss.
+gradients come from central finite differences of the scalar loss,
+patch margins from LAPACK's SVD (the package uses a closed form) and
+close pairs from all sample pairs, and features_points.csv is written
+row by row (the package formats each location's rows once).
 """
 
+import csv
 import math
 from fractions import Fraction
 
@@ -498,3 +502,69 @@ def brute_force_close_pairs(points3d, params2d, eps_space, delta_param):
                 if np.linalg.norm(par[i] - par[j]) > delta_param:
                     hits.append((i, j))
     return hits
+
+
+# ---------------------------------------------------------------------------
+# Patch validity: LAPACK SVD margins and an all-pairs contact scan
+# ---------------------------------------------------------------------------
+
+
+def svd_jacobians(grid, samples_per_axis):
+    """Positions (N, N, 3) and tangents Fu, Fv (N, N, 3) on the check grid, by full einsum contractions."""
+    m, n = grid.degrees
+    ss = np.linspace(0.0, 1.0, samples_per_axis)
+    rows = [np.array([[math.comb(k, a) * t**a * (1 - t) ** (k - a) for a in range(k + 1)] for t in ss])
+            for k in (m, n, m - 1, n - 1)]
+    bu, bv, bu1, bv1 = rows
+    pts = np.einsum("ia,jb,abc->ijc", bu, bv, grid.points)
+    fu = m * np.einsum("ia,jb,abc->ijc", bu1, bv, np.diff(grid.points, axis=0))
+    fv = n * np.einsum("ia,jb,abc->ijc", bu, bv1, np.diff(grid.points, axis=1))
+    return pts, fu, fv
+
+
+def svd_singular_values(fu, fv):
+    """(sigma_max, sigma_min) of each 3x2 Jacobian [Fu Fv] by LAPACK SVD."""
+    sig = np.linalg.svd(np.stack([fu, fv], axis=-1), compute_uv=False)
+    return sig[..., 0], sig[..., -1]
+
+
+def svd_check_patch(grid, samples_per_axis, rank_tol, eps_space, delta_param):
+    """check_patch's verdict from SVD margins and all sample pairs.
+
+    Returns (sigma_max, sigma_min, valid, hits), the singular values of
+    shape (N, N) over the row-major grid; ``hits`` lists the sample
+    index pairs (i, j), i < j in row-major order, within ``eps_space`` in
+    3D and farther than ``delta_param`` apart in parameter space.
+    """
+    pts, fu, fv = svd_jacobians(grid, samples_per_axis)
+    sig_max, sig_min = svd_singular_values(fu, fv)
+    ss = np.linspace(0.0, 1.0, samples_per_axis)
+    params = np.stack(np.meshgrid(ss, ss, indexing="ij"), axis=-1).reshape(-1, 2)
+    flat = pts.reshape(-1, 3)
+    hits = []
+    for i in range(len(flat)):  # one row of the distance matrix at a time
+        for j in i + 1 + np.flatnonzero(np.linalg.norm(flat[i + 1:] - flat[i], axis=1) <= eps_space):
+            if np.linalg.norm(params[j] - params[i]) > delta_param:
+                hits.append((i, int(j)))
+    return sig_max, sig_min, bool(sig_min.min() >= rank_tol and not hits), hits
+
+
+# ---------------------------------------------------------------------------
+# features_points.csv, one row at a time
+# ---------------------------------------------------------------------------
+
+
+def write_features_points_rows(path, header, result, samples):
+    """features_points.csv by csv.writer, one row per stencil slot, each value indexed out of the batch."""
+    b = result.batch
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r, src in enumerate(result.kept):
+            for s in range(9):
+                values = [*result.uv[r, s], *b.x2[r, 0, s]]
+                values += [b.x3[r, 0, 2 * s + i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
+                values += [b.x4[r, k, 2 * s + i, j] for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))]
+                values.append(b.x5[r, s])
+                text = [format(float(x), ".17g") for x in values]
+                writer.writerow([samples[src].location.patch_id, *text, s])

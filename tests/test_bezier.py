@@ -1,12 +1,27 @@
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import brute_force_close_pairs, eval_surface_dc
+from oracles import (
+    brute_force_close_pairs,
+    eval_surface_dc,
+    svd_check_patch,
+    svd_jacobians,
+    svd_singular_values,
+)
+from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 from wingcp.bezier import (
+    _MAX_REPORTED_PAIRS,
     ControlGrid,
     PiecewiseManifold,
     SurfacePoint,
+    _sigma_min,
     bernstein,
     check_patch,
     eval_patch,
@@ -16,6 +31,46 @@ from wingcp.bezier import (
 )
 from wingcp.errors import InvalidPatch, SampleParseError
 from wingcp.shapes import flat_grid, paraboloid_grid, surface_from_polynomials
+from wingcp.synth import SynthConfig, _build_patches
+
+# closed-form margin against LAPACK's, in units of the node's largest singular value
+SIGMA_TOL = 1e-13
+
+
+def _random_grids(seed, count=6):
+    rng = np.random.default_rng(seed)
+    shapes = rng.integers(2, 6, size=(count, 2))
+    return [ControlGrid(f"r{k}", rng.uniform(-1, 1, (a, b, 3))) for k, (a, b) in enumerate(shapes)]
+
+
+def _near_degenerate_grids():
+    """Grids whose tangents nearly vanish in one direction, are nearly parallel or nearly collapse on an edge."""
+    base = np.array(paraboloid_grid().points)
+    x, y, z = base[..., 0], base[..., 1], base[..., 2]
+    grids = []
+    for k, eps in enumerate((1e-4, 1e-8, 1e-12, 1e-15)):
+        # Fu = (1, 1, 2 eps u) and Fv = (1, 1, eps (1 + 2v)): nearly parallel, of equal length
+        grids.append(ControlGrid(f"sheared{k}", np.stack([x + y, x + y, eps * (y + z)], axis=-1)))
+        squeezed = base.copy()
+        squeezed[..., 1] *= eps  # the v direction shrinks to eps of its length
+        squeezed[..., 2] *= eps
+        grids.append(ControlGrid(f"squeezed{k}", squeezed))
+        collapsing = base.copy()
+        collapsing[:, 0, :] = collapsing[0, 0, :] + eps * (collapsing[:, 0, :] - collapsing[0, 0, :])
+        grids.append(ControlGrid(f"collapsing{k}", collapsing))
+    return grids
+
+
+DEFAULT_WING = _build_patches(SynthConfig())
+# x = (u+v-1)^2 folds the sheet onto itself across u+v = 1
+FOLDED = surface_from_polynomials(
+    np.array([[1.0, -2.0, 1.0], [-2.0, 2.0, 0.0], [1.0, 0.0, 0.0]]),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.zeros((1, 1)),
+    m=2,
+    n=2,
+    patch_id="fold",
+)
 
 
 class TestBernstein:
@@ -190,11 +245,7 @@ class TestCheckPatch:
         assert rep.margin_location[1] == 0.0
 
     def test_folded_grid_reports_intersection(self):
-        # x = (u+v-1)^2 folds the sheet onto itself across u+v = 1
-        cx = np.array([[1.0, -2.0, 1.0], [-2.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
-        cy = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cz = np.zeros((1, 1))
-        g = surface_from_polynomials(cx, cy, cz, m=2, n=2, patch_id="fold")
+        g = FOLDED
         rep = check_patch(g, samples_per_axis=11)
         assert not rep.valid
         assert rep.intersection_count > 0
@@ -223,6 +274,65 @@ class TestCheckPatch:
             dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
             i, j = np.nonzero(np.triu(dist <= r, k=1))  # row-major: lexicographic order
             np.testing.assert_array_equal(_close_pairs(pts, r), np.stack([i, j], axis=1).reshape(-1, 2))
+
+    @pytest.mark.parametrize(
+        "grids,samples",
+        [(DEFAULT_WING, 64), (_random_grids(31), 16), (_near_degenerate_grids(), 16)],
+        ids=["default-wing", "random", "near-degenerate"],
+    )
+    def test_closed_form_margin_matches_svd(self, grids, samples):
+        for grid in grids:
+            _, fu, fv = svd_jacobians(grid, samples)
+            sig_max, sig_min = svd_singular_values(fu, fv)
+            err = np.abs(_sigma_min(fu, fv) - sig_min)
+            assert np.all(err <= SIGMA_TOL * sig_max), grid.patch_id
+            rep = check_patch(grid, samples)
+            node = np.unravel_index(np.argmin(sig_min), sig_min.shape)
+            assert abs(rep.immersion_margin - sig_min[node]) <= SIGMA_TOL * sig_max.max(), grid.patch_id
+
+    @pytest.mark.parametrize(
+        "grids,samples",
+        [(DEFAULT_WING, 64), (_random_grids(32) + [FOLDED], 16), (_near_degenerate_grids(), 12)],
+        ids=["default-wing", "random-and-folded", "near-degenerate"],
+    )
+    def test_verdict_and_close_pairs_match_svd_oracle(self, grids, samples):
+        ss = np.linspace(0.0, 1.0, samples)
+        for grid in grids:
+            rep = check_patch(grid, samples)
+            sig_max, sig_min, valid, hits = svd_check_patch(
+                grid, samples, rep.rank_tol, rep.eps_space, rep.delta_param
+            )
+            assert rep.valid == valid, grid.patch_id
+            assert rep.intersection_count == len(hits), grid.patch_id
+            want = [[[ss[i // samples], ss[i % samples]], [ss[j // samples], ss[j % samples]]] for i, j in hits]
+            assert [[hit["a"], hit["b"]] for hit in rep.intersections] == want[:_MAX_REPORTED_PAIRS]
+            # the margin sits at a smallest node (nodes that tie up to rounding may swap)
+            iu, iv = np.searchsorted(ss, rep.margin_location)
+            assert sig_min[iu, iv] - sig_min.min() <= SIGMA_TOL * sig_max.max(), grid.patch_id
+
+    def test_default_wing_margin_locations_match_svd_oracle(self):
+        ss = np.linspace(0.0, 1.0, 64)
+        for grid in DEFAULT_WING:
+            sig_min = svd_singular_values(*svd_jacobians(grid, 64)[1:])[1]
+            iu, iv = np.unravel_index(np.argmin(sig_min), sig_min.shape)
+            assert check_patch(grid).margin_location == (ss[iu], ss[iv]), grid.patch_id
+
+    @pytest.mark.parametrize("collapse", ["row", "row-and-column", "point"])
+    def test_collapsed_edges_give_zero_margin_without_warning(self, collapse):
+        pts = np.array(paraboloid_grid().points)
+        if collapse == "point":
+            pts[...] = pts[0, 0]
+        else:
+            pts[:, 0, :] = pts[0, 0, :]  # Fu = 0 along v = 0
+            if collapse == "row-and-column":
+                pts[0, :, :] = pts[0, 0, :]  # and Fv = 0 along u = 0: J = 0 at (0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_patch(ControlGrid("deg", pts), samples_per_axis=16)
+        assert rep.immersion_margin == 0.0
+        assert rep.margin_location[1] == 0.0
+        if collapse != "point":
+            assert not rep.valid
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -288,7 +398,35 @@ class TestManifold:
         assert any(s.patch_a == "a" and s.edge_a == "v1" and s.edge_b == "v0" for s in seams)
 
 
+@st.composite
+def _grid_lists(draw):
+    ids = draw(st.lists(PATCH_IDS, min_size=1, max_size=3, unique=True))
+    shapes = [(draw(st.integers(2, 4)), draw(st.integers(2, 4)), 3) for _ in ids]
+    return [ControlGrid(pid, draw(arrays(np.float64, shape, elements=FINITE))) for pid, shape in zip(ids, shapes)]
+
+
 class TestGridFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(grids=_grid_lists())
+    def test_finite_grids_round_trip_bitwise(self, grids):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/grids.csv"
+            save_control_grids(path, grids)
+            back = load_control_grids(path)
+        assert [g.patch_id for g in back] == [g.patch_id for g in grids]
+        for orig, got in zip(grids, back):
+            assert got.points.shape == orig.points.shape and got.points.tobytes() == orig.points.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids=_grid_lists(), data=st.data())
+    def test_one_non_finite_coordinate_refused(self, grids, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/grids.csv"
+            save_control_grids(path, grids)
+            lineno = set_non_finite_field(path, data.draw, (3, 4, 5))
+            with pytest.raises(SampleParseError, match=rf":{lineno}: non-finite coordinate"):
+                load_control_grids(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         grids = [

@@ -346,6 +346,29 @@ class TestSynthSettingsRejected:
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
 
+BAD_CHECK_SAMPLES = ["check_samples = 3", "check_samples = 0", "check_samples = -1"]
+
+
+class TestCheckSamplesRejected:
+    @pytest.mark.parametrize("line", BAD_CHECK_SAMPLES)
+    @pytest.mark.parametrize("command", ["check-geometry", "extract", "crossval"])
+    def test_exits_one_with_one_error_line(self, every_command, tmp_path, capsys, command, line):
+        _, data = every_command["synth"]
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"epochs = 2\n{line}\n")
+        rest = {
+            "check-geometry": [],
+            "extract": ["--samples", f"{data}/samples.csv"],
+            "crossval": ["--samples", f"{data}/samples.csv", "--model", "mtl"],
+        }[command]
+        capsys.readouterr()
+        rc = main([command, "--manifold", f"{data}/manifold.csv", *rest,
+                   "--config", str(conf), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "check_samples" in err[0]
+
+
 def _edit_rows(path, change):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint
 from wingcp.data import (
+    FEATURE_POINTS_HEADER,
     FOLD_AOAS_DEFAULT,
     GROUP_SHAPES,
     AssembleResult,
@@ -25,7 +27,10 @@ from wingcp.data import (
     train_val_split,
 )
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
-from wingcp.shapes import flat_grid
+from wingcp.shapes import flat_grid, paraboloid_grid
+
+from oracles import write_features_points_rows
+from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 
 def make_sample(pid, u, v, aoa=7.0, cp=0.5, ma=0.175, re=1.35e6, span=None):
@@ -35,6 +40,27 @@ def make_sample(pid, u, v, aoa=7.0, cp=0.5, ma=0.175, re=1.35e6, span=None):
         cp=cp,
         span_station=span,
     )
+
+
+@st.composite
+def _sample_lists(draw):
+    unit = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return [
+        RawSample(
+            location=SurfacePoint(draw(PATCH_IDS), draw(unit), draw(unit)),
+            condition=FlightCondition(ma=draw(positive), aoa=draw(FINITE), re=draw(positive)),
+            cp=draw(FINITE),
+            span_station=draw(st.none() | FINITE),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _sample_bits(s):
+    values = (s.location.u, s.location.v, s.condition.ma, s.condition.aoa, s.condition.re, s.cp)
+    span = None if s.span_station is None else np.float64(s.span_station).tobytes()
+    return s.location.patch_id, np.array(values).tobytes(), span
 
 
 class TestLoadSamples:
@@ -84,6 +110,25 @@ class TestLoadSamples:
         save_samples(path, samples)
         back = load_samples(path)
         assert back == samples
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=_sample_lists())
+    def test_finite_samples_round_trip_bitwise(self, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/samples.csv"
+            save_samples(path, samples)
+            back = load_samples(path)
+        assert [_sample_bits(s) for s in back] == [_sample_bits(s) for s in samples]
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=_sample_lists(), data=st.data())
+    def test_one_non_finite_field_refused(self, samples, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/samples.csv"
+            save_samples(path, samples)
+            lineno = set_non_finite_field(path, data.draw, range(1, 8))
+            with pytest.raises(SampleParseError, match=rf":{lineno}: non-finite value"):
+                load_samples(path)
 
 
 class TestAssemble:
@@ -314,17 +359,11 @@ class TestTrainValSplit:
         assert list(train) == [0] and len(val) == 0
 
 
-# every finite float64, -0.0, subnormals and the extremes among them
-_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | st.sampled_from(
-    [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, np.finfo(float).max, np.finfo(float).min]
-)
-
-
 @st.composite
 def _batches(draw):
     n = draw(st.integers(1, 3))
-    groups = {k: draw(arrays(np.float64, (n, *shape), elements=_FINITE)) for k, shape in GROUP_SHAPES.items()}
-    return TensorBatch(y=draw(arrays(np.float64, (n,), elements=_FINITE)), **groups)
+    groups = {k: draw(arrays(np.float64, (n, *shape), elements=FINITE)) for k, shape in GROUP_SHAPES.items()}
+    return TensorBatch(y=draw(arrays(np.float64, (n,), elements=FINITE)), **groups)
 
 
 def _save_batch(cache, batch):
@@ -355,9 +394,6 @@ class TestFeatureCache:
         assert manifest["d"] == 0.005
         assert manifest["n_samples"] == 2
 
-        import csv
-        from wingcp.data import FEATURE_POINTS_HEADER
-
         with open(cache / "features_points.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == FEATURE_POINTS_HEADER and rows[0][-1] == "stencil_slot"
@@ -387,6 +423,45 @@ class TestFeatureCache:
             _save_batch(cache, batch)
             with pytest.raises(SampleParseError, match=f"{key}.npy: non-finite"):
                 load_feature_cache(cache)
+
+    def test_features_points_equal_row_by_row_writer(self, tmp_path):
+        """Repeated locations, a patch id that needs quoting and signed zeros give the oracle's bytes."""
+        rng = np.random.default_rng(41)
+        row = {k: rng.normal(size=(1, *shape)) for k, shape in GROUP_SHAPES.items()}
+        row["x2"][0, 0, 0, 0] = 0.0
+        signed = {k: x.copy() for k, x in row.items()}
+        signed["x2"][0, 0, 0, 0] = -0.0  # differs from ``row`` only in the sign of a zero
+        other = {k: rng.normal(size=(1, *shape)) for k, shape in GROUP_SHAPES.items()}
+        order = [row, row, row, signed, row, other, signed]
+        pids = ["p,1", "p,1", "q", "p,1", "p,1", 'say "x"', "p,1"]
+        batch = TensorBatch(y=rng.normal(size=len(order)), **{
+            k: np.concatenate([r[k] for r in order]) for k in GROUP_SHAPES
+        })
+        uv = np.repeat(rng.uniform(0, 1, (1, 9, 2)), len(order), axis=0)
+        uv[5] = rng.uniform(0, 1, (9, 2))
+        samples = [make_sample(pid, 0.5, 0.5, aoa=float(i)) for i, pid in enumerate(pids)]
+        result = AssembleResult(batch, list(range(len(order))), [], uv, {})
+        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        write_features_points_rows(tmp_path / "want.csv", FEATURE_POINTS_HEADER, result, samples)
+        got = (tmp_path / "cache" / "features_points.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b'"p,1",' in got and b'"say ""x""",' in got
+        assert got.count(b",-0,") == 2  # slot 0's x in the two signed rows
+
+    def test_features_points_of_assembled_repeats(self, tmp_path):
+        """Three locations at three AoAs each, on a patch whose id needs quoting."""
+        manifold = PiecewiseManifold([paraboloid_grid(patch_id="p,1")])
+        manifold.check_all(samples_per_axis=16)
+        samples = [
+            make_sample("p,1", u, v, aoa=aoa, cp=aoa / 10)
+            for aoa in (0.0, 6.0, 12.0)
+            for u, v in ((0.3, 0.4), (0.6, 0.5), (0.5, 0.0))
+        ]
+        result = assemble(manifold, samples, d=0.005)
+        assert len(result.kept) == 9
+        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        write_features_points_rows(tmp_path / "want.csv", FEATURE_POINTS_HEADER, result, samples)
+        assert (tmp_path / "cache" / "features_points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_pointwise_view(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.4, 0.6)]

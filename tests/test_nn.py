@@ -141,8 +141,28 @@ class TestDense:
                 flat[i] = orig
                 assert (lp - lm) / (2 * h) == pytest.approx(gflat[i], rel=1e-5, abs=1e-8)
 
+    def test_forward_is_matmul_plus_bias_bitwise(self):
+        rng = np.random.default_rng(11)
+        layer = Dense.create(rng, 7, 5)
+        layer.b = rng.normal(size=5)
+        x = rng.normal(size=(9, 7))
+        assert layer.forward(x)[0].tobytes() == (x @ layer.w + layer.b).tobytes()
+
+
+# signed zeros, subnormals, the largest finite values and a nan
+SPECIAL_INPUTS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -1.0, np.nan])
+
 
 class TestLeakyReLU:
+    @pytest.mark.parametrize("slope", [0.01, 0.0, 1.0, 0.5, 2.0, -0.5, np.inf, np.nan])
+    def test_forward_equals_where_bitwise(self, slope):
+        x = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(12).normal(size=200)])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and nan * x
+            out, pos = LeakyReLU(slope).forward(x)
+            want = np.where(x > 0.0, x, slope * x)
+        assert out.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(pos, x > 0.0)
+
     def test_forward_values(self):
         layer = LeakyReLU(0.01)
         out, _ = layer.forward(np.array([-2.0, 0.0, 3.0]))
