@@ -510,6 +510,7 @@ def save_samples(path, samples):
 
 _META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
 _META_NUMERIC = ("u", "v", "x", "y", "z", "Ma", "AoA", "Re", "cp")  # span may also be empty
+_META_LINE = "%d,%s,%.17g,%.17g,%.17g,%s,%.17g\r\n"  # row, location fields, Ma, AoA, Re, span, cp
 
 # features_points.csv: one row per stencil point, nine rows per sample
 FEATURE_POINTS_HEADER = [
@@ -528,33 +529,35 @@ def _point_values(batch: TensorBatch) -> np.ndarray:
     return np.concatenate([batch.x2.reshape(n, 9, 3), g, gamma, batch.x5[:, :, None]], axis=2)
 
 
+def _meta_lines(result: AssembleResult, samples) -> list:
+    """The data lines of ``meta.csv``, one per kept sample, as csv.writer writes them.
+
+    The location fields (patch id, u, v and the stencil centre's x, y, z)
+    are formatted once per distinct location, keyed on the patch id and
+    the five values' bytes so that -0.0 and 0.0 stay apart.
+    """
+    uv = [(samples[i].location.u, samples[i].location.v) for i in result.kept]
+    values = np.concatenate([np.array(uv, dtype=float).reshape(-1, 2), result.batch.x2[:, 0, 4, :]], axis=1)
+    location = {}  # (patch id, the five values as bytes) -> their text
+    lines = []
+    for out_row, (i, row) in enumerate(zip(result.kept, values)):
+        s = samples[i]
+        key = (s.location.patch_id, row.tobytes())
+        if key not in location:
+            location[key] = ",".join([_csv_field(key[0])] + [format(c, ".17g") for c in row.tolist()])
+        span = "" if s.span_station is None else format(s.span_station, ".17g")
+        c = s.condition
+        lines.append(_META_LINE % (out_row, location[key], c.ma, c.aoa, c.re, span, s.cp))
+    return lines
+
+
 def meta_rows(result: AssembleResult, samples) -> list:
     """One ``meta.csv`` row per kept sample: text fields keyed by column name.
 
     These are the rows ``load_meta`` reads back; x, y, z are the position
     of the stencil centre.
     """
-    rows = []
-    for out_row, src_idx in enumerate(result.kept):
-        s = samples[src_idx]
-        x, y, z = (format(c, ".17g") for c in result.batch.x2[out_row, 0, 4, :])
-        rows.append(
-            {
-                "row": str(out_row),
-                "patch_id": s.location.patch_id,
-                "u": format(s.location.u, ".17g"),
-                "v": format(s.location.v, ".17g"),
-                "x": x,
-                "y": y,
-                "z": z,
-                "Ma": format(s.condition.ma, ".17g"),
-                "AoA": format(s.condition.aoa, ".17g"),
-                "Re": format(s.condition.re, ".17g"),
-                "span": "" if s.span_station is None else format(s.span_station, ".17g"),
-                "cp": format(s.cp, ".17g"),
-            }
-        )
-    return rows
+    return [dict(zip(_META_HEADER, r)) for r in csv.reader(_meta_lines(result, samples))]
 
 
 def _csv_field(text: str) -> str:
@@ -579,9 +582,7 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
         fh.write("".join(["cp\r\n"] + ["%.17g\r\n" % v for v in batch.y.tolist()]))
     with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, _META_HEADER)
-        writer.writeheader()
-        writer.writerows(meta_rows(result, samples))
+        fh.write("".join([",".join(_META_HEADER) + "\r\n"] + _meta_lines(result, samples)))
     with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
         csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
         fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"

@@ -18,6 +18,7 @@ another number of threads).
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, asdict
 
@@ -38,6 +39,7 @@ __all__ = [
     "FusionModel",
     "ConcatModel",
     "loss_mse",
+    "FlatParams",
     "AdamState",
     "adam_step",
     "train",
@@ -248,15 +250,15 @@ class FusionModel:
         )
         return out, xi
 
-    def _forward_full(self, batch):
+    def _forward_full(self, batch, keep=False):
+        """yhat, f_all, c and, if ``keep``, the caches backward needs (None otherwise)."""
         inputs, xi = self._inputs(batch)
         f_parts, caches = [], {}
         for z in self.config.active:
-            y, cache = self.nets[z].forward(inputs[z])
+            y, caches[z] = self.nets[z].forward(inputs[z], keep)
             f_parts.append(y)
-            caches[z] = cache
         f_all = np.concatenate(f_parts, axis=1)  # (B, A*K)
-        c, ctx_cache = self.context.forward(xi)
+        c, ctx_cache = self.context.forward(xi, keep)
         yhat = np.sum(f_all * c, axis=1)
         return yhat, f_all, c, caches, ctx_cache
 
@@ -265,7 +267,7 @@ class FusionModel:
         return (yhat, c) if return_weights else yhat
 
     def loss_and_grads(self, batch: TensorBatch):
-        yhat, f_all, c, caches, ctx_cache = self._forward_full(batch)
+        yhat, f_all, c, caches, ctx_cache = self._forward_full(batch, keep=True)
         resid = yhat - batch.y
         loss = float(np.mean(resid**2))
         dyhat = (2.0 / batch.n) * resid
@@ -274,10 +276,8 @@ class FusionModel:
         grads = []
         k = self.config.k_outputs
         for pos, z in enumerate(self.config.active):
-            _, g = self.nets[z].backward(df[:, pos * k : (pos + 1) * k], caches[z])
-            grads.extend(g)
-        _, g = self.context.backward(dc, ctx_cache)
-        grads.extend(g)
+            grads.extend(self.nets[z].backward(df[:, pos * k : (pos + 1) * k], caches[z]))
+        grads.extend(self.context.backward(dc, ctx_cache))
         return loss, grads, yhat
 
 
@@ -311,7 +311,7 @@ class ConcatModel:
         )
 
     def forward(self, batch: TensorBatch, return_weights: bool = False):
-        out, _ = self.stack.forward(self._inputs(batch))
+        out, _ = self.stack.forward(self._inputs(batch), keep=False)
         yhat = out[:, 0]
         return (yhat, None) if return_weights else yhat
 
@@ -321,7 +321,7 @@ class ConcatModel:
         resid = yhat - batch.y
         loss = float(np.mean(resid**2))
         dout = ((2.0 / batch.n) * resid)[:, None]
-        _, grads = self.stack.backward(dout, caches)
+        grads = self.stack.backward(dout, caches)
         return loss, grads, yhat
 
 
@@ -364,29 +364,88 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
+def _split(flat, shapes) -> list:
+    """Consecutive views of a flat buffer, one per shape."""
+    out, i = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[i : i + n].reshape(shape))
+        i += n
+    return out
+
+
+class FlatParams(list):
+    """Copies of parameter arrays as consecutive views of one flat float64 buffer, ``flat``."""
+
+    def __init__(self, arrays):
+        self.flat = np.concatenate([np.ravel(a) for a in arrays])
+        super().__init__(_split(self.flat, [a.shape for a in arrays]))
+
+
+ADAM_CHUNK = 1 << 14  # elements per pass of the update, the size of its scratch buffer
+
+
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's moments m and v over all parameters, each one flat buffer.
+
+    ``g`` takes the flat gradient and then serves as scratch, with ``s``
+    (one chunk of ADAM_CHUNK elements) beside it. ``shapes`` are the
+    parameter shapes, in order.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    s: np.ndarray
+    shapes: list
 
     @classmethod
     def init(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        n = sum(p.size for p in params)
+        shapes = [p.shape for p in params]
+        return cls(m=np.zeros(n), v=np.zeros(n), g=np.empty(n), s=np.empty(min(n, ADAM_CHUNK)), shapes=shapes)
 
 
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
-    """One Adam update with bias correction, in place. t starts at 1."""
+    """One Adam update with bias correction, in place. t starts at 1.
+
+    The update runs over the flat buffers, one chunk at a time, with
+    in-place ufuncs, and allocates no array when ``params`` is a
+    :class:`FlatParams`; other arrays are copied in and out. Each element
+    goes through the operations of the per-array form in the same order,
+    so the bits are the same: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+    and p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+    """
     if t < 1:
         raise ValueError("Adam step count t must be >= 1")
     b1, b2 = cfg.beta1, cfg.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {p.shape}) at step {t}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    np.concatenate([np.ravel(x) for x in grads], out=state.g)
+    if not (np.isfinite(state.g.min()) and np.isfinite(state.g.max())):  # a nan or an infinity
+        ends = np.cumsum([math.prod(shape) for shape in state.shapes])
+        i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(state.g))[0], side="right"))
+        raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {state.shapes[i]}) at step {t}")
+    flat = params.flat if isinstance(params, FlatParams) else np.concatenate([np.ravel(p) for p in params])
+    for lo in range(0, flat.size, ADAM_CHUNK):
+        p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (flat, state.g, state.m, state.v))
+        s = state.s[: g.size]
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
+        v *= b2
+        v += s
+        g *= 1.0 - b1
+        m *= b1
+        m += g
+        np.divide(m, 1.0 - b1**t, out=g)
+        np.divide(v, 1.0 - b2**t, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.epsilon
+        g *= cfg.learning_rate
+        g /= s
+        p -= g
+    if not isinstance(params, FlatParams):
+        for p, new in zip(params, _split(flat, state.shapes)):
+            p[...] = new
     return state
 
 
@@ -422,7 +481,8 @@ def train(
     """
     if cfg is None:
         cfg = TrainConfig()
-    params = model.params
+    params = FlatParams(model.params)
+    model.set_params(params)
     state = AdamState.init(params)
     rng = np.random.default_rng([cfg.seed, 3])
     n = train_batch.n
@@ -431,7 +491,7 @@ def train(
     probe_batch = train_batch.subset(probes) if log_weights else None
 
     train_curve, val_curve, weight_frames = [], [], []
-    last_good = [p.copy() for p in params]
+    last_good = FlatParams(params)
     t = 0
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -467,7 +527,7 @@ def train(
         if log_weights:
             _, c = model.forward(probe_batch, return_weights=True)
             weight_frames.append(c.copy())
-        last_good = [p.copy() for p in params]
+        np.copyto(last_good.flat, params.flat)
 
     return TrainResult(
         train_curve=np.array(train_curve),

@@ -1,15 +1,30 @@
 """Minimal deterministic neural-network engine on float64 numpy.
 
 Layers expose a functional interface: ``forward(x) -> (y, cache)`` and
-``backward(dy, cache) -> (dx, grads)`` where ``grads`` aligns with the
-layer's ``params`` list. No layer mutates shared state during a pass,
-so a parameter snapshot can serve inference from many threads.
+``backward(dy, cache, need_dx=True) -> (dx, grads)`` where ``grads``
+aligns with the layer's ``params`` list and ``dx`` is None when
+``need_dx`` is false. No layer mutates shared state during a pass, so a
+parameter snapshot can serve inference from many threads.
 
 Conv2d follows NCHW layout with stride equal to the kernel and "valid"
 output sizing (floor(dim / k)): a remainder row or column that does not
 fill a window is dropped. A spatial dim smaller than the kernel is
 zero-padded (bottom/right) up to kernel size so the stack stays
 applicable to 2x2 inputs.
+
+Operand layouts are fixed, because they decide the bits. OpenBLAS rounds
+a product differently depending on whether an operand is C- or
+F-contiguous, so every Conv2d product gets exactly the array (values,
+shape, strides) that ``np.tensordot`` would hand to ``np.dot``: the
+window matrix is a reshape view of the input wherever that reshape is a
+view, and a C-contiguous copy otherwise. The window copies themselves are
+``kh * kw`` block copies rather than one 6-D transposed copy, and a
+block that lies wholly in the zero padding is never gathered or
+scattered.
+
+Layers only read their parameter arrays. During ``wingcp.model.train``
+those arrays are views of one flat float64 buffer, which the Adam step
+updates in place.
 """
 
 import numpy as np
@@ -46,9 +61,9 @@ class LeakyReLU:
             np.copyto(y, x, where=pos)
         return y, pos
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         pos = cache
-        return np.where(pos, dy, self.slope * dy), []
+        return (np.where(pos, dy, self.slope * dy) if need_dx else None), []
 
 
 class Dense:
@@ -71,19 +86,19 @@ class Dense:
         y += self.b
         return y, x
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         x = cache
         dw = x.T @ dy
         db = dy.sum(axis=0)
-        return dy @ self.w.T, [dw, db]
+        return (dy @ self.w.T if need_dx else None), [dw, db]
 
 
 class Conv2d:
     """Non-overlapping 2D convolution (stride = kernel), a patchify.
 
     Kernels (out_ch, in_ch, kh, kw), x (B, C, H, W). Each output cell is
-    one (kh, kw) window, so forward and backward are single contractions
-    over the (C, kh, kw) axes of a window view of the input.
+    one (kh, kw) window, so forward and backward are single matrix
+    products with the (C*kh*kw, B*ho*wo) window matrix of the input.
     """
 
     def __init__(self, k, b):
@@ -100,13 +115,19 @@ class Conv2d:
     def params(self):
         return [self.k, self.b]
 
-    def _pad(self, x):
+    def _padded(self, x, zeros=False):
+        """An empty (or zero) array laid out like ``x`` zero-padded (bottom/right) to the kernel.
+
+        Without padding that is x's own layout. With padding it is
+        np.pad's: Fortran order for an input that is F- and not
+        C-contiguous, C order otherwise.
+        """
         kh, kw = self.k.shape[2], self.k.shape[3]
-        ph = max(0, kh - x.shape[2])
-        pw = max(0, kw - x.shape[3])
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
-        return x
+        b, c, h, w = x.shape
+        if h >= kh and w >= kw:
+            return np.zeros_like(x) if zeros else np.empty_like(x)
+        new = np.zeros if zeros else np.empty
+        return new((b, c, max(h, kh), max(w, kw)), order="F" if x.flags.fnc else "C")
 
     def _windows(self, xp):
         """View (B, C, ho, kh, wo, kw) of the whole windows of a padded input."""
@@ -115,26 +136,69 @@ class Conv2d:
         ho, wo = h // kh, w // kw
         return xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
 
+    def _block(self, i, j, ho, wo):
+        """Index of the input cells at kernel offset (i, j) of every window, (B, C, ho, wo)."""
+        kh, kw = self.k.shape[2], self.k.shape[3]
+        return np.s_[:, :, i : ho * kh : kh, j : wo * kw : kw]
+
     @staticmethod
     def output_shape(in_shape, out_ch, kernel):
         c, h, w = in_shape
         return (out_ch, max(h, kernel[0]) // kernel[0], max(w, kernel[1]) // kernel[1])
 
     def forward(self, x):
-        xp = self._pad(x)
-        out = np.tensordot(self.k, self._windows(xp), axes=([1, 2, 3], [1, 3, 5]))
-        out = np.moveaxis(out, 0, 1) + self.b[None, :, None, None]
-        return out, (xp, x.shape)
+        o, c, kh, kw = self.k.shape
+        b, _, h, w = x.shape
+        ho, wo = max(h, kh) // kh, max(w, kw) // kw
+        # tensordot's window matrix: a view of the (padded) input where the reshape allows one,
+        # else a C-contiguous copy, gathered block by block with zero blocks for the padding
+        xp = x if h >= kh and w >= kw else self._padded(x)
+        cols = _view(self._windows(xp).transpose(1, 3, 5, 0, 2, 4), (c * kh * kw, b * ho * wo))
+        if cols is None:
+            xp = None
+            cols = np.empty((c, kh, kw, b, ho, wo))
+            for i in range(kh):
+                for j in range(kw):
+                    if i < h and j < w:
+                        cols[:, i, j] = x[self._block(i, j, ho, wo)].transpose(1, 0, 2, 3)
+                    else:
+                        cols[:, i, j] = 0.0
+            cols = cols.reshape(c * kh * kw, b * ho * wo)
+        elif xp is not x:  # cols views the padded input: fill it
+            xp.fill(0.0)
+            xp[:, :, :h, :w] = x
+        out = np.dot(self.k.reshape(o, -1), cols).reshape(o, b, ho, wo)
+        return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None], (x, xp, cols)
 
-    def backward(self, dy, cache):
-        xp, x_shape = cache
-        dk = np.tensordot(dy, self._windows(xp), axes=([0, 2, 3], [0, 2, 4]))
-        dxp = np.zeros_like(xp)
-        dwin = np.tensordot(dy, self.k, axes=([1], [0]))  # (B, ho, wo, C, kh, kw)
-        self._windows(dxp)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
+    def backward(self, dy, cache, need_dx=True):
+        x, xp, cols = cache
+        o, c, kh, kw = self.k.shape
+        b, _, h, w = x.shape
+        _, _, ho, wo = dy.shape
+        ckk, n = cols.shape
+        # dk's operand is the window matrix transposed: tensordot's view, or a C-contiguous copy
+        cols_t = None if xp is None else _view(self._windows(xp).transpose(0, 2, 4, 1, 3, 5), (n, ckk))
+        if cols_t is None:
+            cols_t = cols.T.copy()
+        dk = np.dot(dy.transpose(1, 0, 2, 3).reshape(o, n), cols_t).reshape(self.k.shape)
         db = dy.sum(axis=(0, 2, 3))
-        dx = dxp[:, :, : x_shape[2], : x_shape[3]]
-        return dx, [dk, db]
+        if not need_dx:
+            return None, [dk, db]
+        dwin = np.dot(dy.transpose(0, 2, 3, 1).reshape(n, o), self.k.reshape(o, ckk))
+        dwin = dwin.reshape(b, ho, wo, c, kh, kw)
+        dxp = self._padded(x, zeros=ho * kh < h or wo * kw < w)  # zero where no window reaches
+        for i in range(min(kh, h)):
+            for j in range(min(kw, w)):
+                dxp[self._block(i, j, ho, wo)] = dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        return dxp[:, :, :h, :w], [dk, db]
+
+
+def _view(a, shape):
+    """``a.reshape(shape)`` if that reshape is a view of ``a``, else None."""
+    try:
+        return a.reshape(shape, copy=False)
+    except ValueError:
+        return None
 
 
 class Flatten:
@@ -144,8 +208,8 @@ class Flatten:
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache):
-        return dy.reshape(cache), []
+    def backward(self, dy, cache, need_dx=True):
+        return (dy.reshape(cache) if need_dx else None), []
 
 
 class Stack:
@@ -173,19 +237,22 @@ class Stack:
         if i != len(arrays):
             raise ValueError("parameter count mismatch")
 
-    def forward(self, x):
-        caches = []
+    def forward(self, x, keep=True):
+        """Output and, if ``keep``, each layer's cache for backward (None otherwise)."""
+        caches = [] if keep else None
         for layer in self.layers:
             x, cache = layer.forward(x)
-            caches.append(cache)
+            if keep:
+                caches.append(cache)
         return x, caches
 
     def backward(self, dy, caches):
+        """Parameter gradients in ``params`` order; the stack's input gradient is not formed."""
         grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dy, g = layer.backward(dy, cache)
+        for i in range(len(self.layers) - 1, -1, -1):
+            dy, g = self.layers[i].backward(dy, caches[i], need_dx=i > 0)
             grads[:0] = g
-        return dy, grads
+        return grads
 
 
 def dense_stack(rng, in_dim, widths, out_dim, slope=0.01) -> Stack:

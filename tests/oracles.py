@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from wingcp.bezier import SurfacePoint
-from wingcp.errors import DegenerateMetric, StencilOutOfPatch
+from wingcp.errors import DegenerateMetric, StencilOutOfPatch, TrainingDiverged
 from wingcp.model import loss_mse
 
 # ---------------------------------------------------------------------------
@@ -568,3 +568,86 @@ def write_features_points_rows(path, header, result, samples):
                 values.append(b.x5[r, s])
                 text = [format(float(x), ".17g") for x in values]
                 writer.writerow([samples[src].location.patch_id, *text, s])
+
+
+META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
+
+
+def loop_meta_rows(result, samples):
+    """meta.csv rows as dicts of text, every field formatted for every sample."""
+    rows = []
+    for out_row, src in enumerate(result.kept):
+        s = samples[src]
+        x, y, z = (format(c, ".17g") for c in result.batch.x2[out_row, 0, 4, :])
+        values = (s.location.u, s.location.v)
+        rows.append({
+            "row": str(out_row),
+            "patch_id": s.location.patch_id,
+            "u": format(values[0], ".17g"),
+            "v": format(values[1], ".17g"),
+            "x": x,
+            "y": y,
+            "z": z,
+            "Ma": format(s.condition.ma, ".17g"),
+            "AoA": format(s.condition.aoa, ".17g"),
+            "Re": format(s.condition.re, ".17g"),
+            "span": "" if s.span_station is None else format(s.span_station, ".17g"),
+            "cp": format(s.cp, ".17g"),
+        })
+    return rows
+
+
+def write_meta_rows(path, result, samples):
+    """meta.csv by csv.DictWriter, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, META_HEADER)
+        writer.writeheader()
+        for row in loop_meta_rows(result, samples):
+            writer.writerow(row)
+
+
+# ---------------------------------------------------------------------------
+# Training-step oracles: the tensordot Conv2d and the per-array Adam step.
+# The product operands of wingcp.nn.Conv2d must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _tensordot_windows(xp, kh, kw):
+    b, c, h, w = xp.shape
+    ho, wo = h // kh, w // kw
+    return xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
+
+
+def tensordot_conv2d_forward(k, b, x):
+    """(out, cache) of the patchify conv as one ``np.tensordot`` over a window view."""
+    kh, kw = k.shape[2], k.shape[3]
+    ph, pw = max(0, kh - x.shape[2]), max(0, kw - x.shape[3])
+    xp = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw))) if ph or pw else x
+    out = np.tensordot(k, _tensordot_windows(xp, kh, kw), axes=([1, 2, 3], [1, 3, 5]))
+    out = np.moveaxis(out, 0, 1) + b[None, :, None, None]
+    return out, (xp, x.shape)
+
+
+def tensordot_conv2d_backward(k, cache, dy):
+    """(dx, dk, db) of tensordot_conv2d_forward: one tensordot for dk, one for the windows."""
+    xp, x_shape = cache
+    kh, kw = k.shape[2], k.shape[3]
+    dk = np.tensordot(dy, _tensordot_windows(xp, kh, kw), axes=([0, 2, 3], [0, 2, 4]))
+    dxp = np.zeros_like(xp)
+    dwin = np.tensordot(dy, k, axes=([1], [0]))  # (B, ho, wo, C, kh, kw)
+    _tensordot_windows(dxp, kh, kw)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
+    db = dy.sum(axis=(0, 2, 3))
+    return dxp[:, :, : x_shape[2], : x_shape[3]], dk, db
+
+
+def loop_adam_step(params, grads, m, v, t, cfg):
+    """One Adam update per array, in place on ``params``; m and v are lists replaced item by item."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {p.shape}) at step {t}")
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * g * g
+        m_hat = m[i] / (1.0 - b1**t)
+        v_hat = v[i] / (1.0 - b2**t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)

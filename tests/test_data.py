@@ -22,6 +22,7 @@ from wingcp.data import (
     load_feature_cache,
     load_meta,
     load_samples,
+    meta_rows,
     save_feature_cache,
     save_samples,
     train_val_split,
@@ -29,7 +30,7 @@ from wingcp.data import (
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
 from wingcp.shapes import flat_grid, paraboloid_grid
 
-from oracles import write_features_points_rows
+from oracles import loop_meta_rows, write_features_points_rows, write_meta_rows
 from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 
@@ -462,6 +463,49 @@ class TestFeatureCache:
         save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
         write_features_points_rows(tmp_path / "want.csv", FEATURE_POINTS_HEADER, result, samples)
         assert (tmp_path / "cache" / "features_points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_meta_equals_row_by_row_writer(self, tmp_path):
+        """Repeated locations, patch ids that need quoting and signed zeros give the DictWriter's bytes."""
+        rng = np.random.default_rng(43)
+        row = {k: rng.normal(size=(1, *shape)) for k, shape in GROUP_SHAPES.items()}
+        row["x2"][0, 0, 4, 1] = 0.0
+        signed = {k: x.copy() for k, x in row.items()}
+        signed["x2"][0, 0, 4, 1] = -0.0  # the centre's y differs from ``row`` only in its sign
+        order = [row, row, signed, row, row, row, signed]
+        batch = TensorBatch(y=rng.normal(size=len(order)), **{
+            k: np.concatenate([r[k] for r in order]) for k in GROUP_SHAPES
+        })
+        specials = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 7, 2.0 / 3.0, 1e-300]
+        samples = [
+            make_sample("p,1", 0.5, 0.25, aoa=specials[i], ma=abs(specials[-1 - i]) or 0.2, re=1.35e6 + i,
+                        cp=specials[(i + 2) % 7], span=None if i % 2 else specials[(i + 3) % 7])
+            for i in range(len(order))
+        ]
+        samples[1] = make_sample('say "x"', 0.5, 0.25)  # same values, another patch
+        samples[4] = make_sample("p,1", -0.0, 0.25)  # -0.0 and 0.0 stay apart in u too
+        samples[5] = make_sample("p,1", 0.0, 0.25)
+        result = AssembleResult(batch, list(range(len(order))), [], np.zeros((len(order), 9, 2)), {})
+        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        write_meta_rows(tmp_path / "want.csv", result, samples)
+        got = (tmp_path / "cache" / "meta.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b'"p,1",' in got and b'"say ""x""",' in got
+        assert meta_rows(result, samples) == loop_meta_rows(result, samples)
+        assert load_meta(tmp_path / "cache", len(order)) == loop_meta_rows(result, samples)
+
+    def test_meta_of_assembled_repeats(self, tmp_path):
+        manifold = PiecewiseManifold([paraboloid_grid(patch_id="p,1")])
+        manifold.check_all(samples_per_axis=16)
+        samples = [
+            make_sample("p,1", u, v, aoa=aoa, cp=aoa / 10, span=None if aoa else 3.5)
+            for aoa in (0.0, 6.0, 12.0)
+            for u, v in ((0.3, 0.4), (0.6, 0.5), (0.5, 0.0))
+        ]
+        result = assemble(manifold, samples, d=0.005)
+        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        write_meta_rows(tmp_path / "want.csv", result, samples)
+        assert (tmp_path / "cache" / "meta.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert meta_rows(result, samples) == loop_meta_rows(result, samples)
 
     def test_pointwise_view(self, paraboloid_manifold):
         samples = [make_sample("paraboloid", 0.4, 0.6)]

@@ -1,12 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import fd_model_gradients, rel_err
+import wingcp.model
+from oracles import (
+    fd_model_gradients,
+    loop_adam_step,
+    rel_err,
+    tensordot_conv2d_backward,
+    tensordot_conv2d_forward,
+)
 
 from wingcp.data import TensorBatch
 from wingcp.errors import ConfigError, TrainingDiverged
 from wingcp.model import (
     AdamState,
+    FlatParams,
     ModelConfig,
     NetSpec,
     TrainConfig,
@@ -18,7 +28,7 @@ from wingcp.model import (
     save_checkpoint,
     train,
 )
-from wingcp.nn import Dense
+from wingcp.nn import Conv2d, Dense
 
 
 def random_batch(rng, n):
@@ -225,6 +235,49 @@ class TestAdam:
             adam_step([w], [np.array([1.0])], AdamState.init([w]), t=0, cfg=TrainConfig())
 
 
+class TestFlatAdam:
+    """The flat in-place Adam step against the per-array update, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["mlp", "rgfil", "mtl"])
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_300_steps_equal_loop_oracle(self, name, flat):
+        cfg = TrainConfig()
+        model = build_model(preset(name, seed=3))
+        params = FlatParams(model.params) if flat else [p.copy() for p in model.params]
+        ref = [p.copy() for p in model.params]
+        m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        state = AdamState.init(params)
+        rng = np.random.default_rng(len(name))
+        for t in range(1, 301):
+            scale = 10.0 ** rng.uniform(-8, 2)  # tiny to large steps, so sqrt(v_hat) meets epsilon
+            grads = [rng.normal(scale=scale, size=p.shape) for p in ref]
+            grads[t % len(grads)][...] = 0.0
+            adam_step(params, grads, state, t, cfg)
+            loop_adam_step(ref, grads, m, v, t, cfg)
+        for got, want in zip(params, ref):
+            assert got.tobytes() == want.tobytes()
+        assert state.m.tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
+
+    def test_flat_params_are_views_of_one_buffer(self):
+        model = build_model(preset("rgfil"))
+        params = FlatParams(model.params)
+        assert params.flat.size == sum(p.size for p in model.params)
+        for got, want in zip(params, model.params):
+            assert np.shares_memory(got, params.flat)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_nonfinite_gradient_names_the_parameter(self, k):
+        params = FlatParams(build_model(preset("mtl")).params)
+        grads = [np.ones_like(p) for p in params]
+        grads[k].flat[-1] = np.nan if k != 9 else -np.inf
+        before = params.flat.copy()
+        with pytest.raises(TrainingDiverged, match=re.escape(f"parameter {k} (shape {params[k].shape}) at step 4")):
+            adam_step(params, grads, AdamState.init(params), 4, TrainConfig())
+        assert params.flat.tobytes() == before.tobytes()
+
+
 class TestTrainConfigRanges:
     @pytest.mark.parametrize(
         "bad",
@@ -309,6 +362,70 @@ class TestTrain:
         assert excinfo.value.last_good is not None
         for p, q in zip(model.params, init):
             np.testing.assert_array_equal(p, q)
+
+
+    def test_divergence_names_the_model_parameter(self, monkeypatch):
+        """A nan in parameter 2's gradient is reported as that parameter, not the flat buffer."""
+        model = build_model(preset("mtl", seed=3))
+        assert model.params[2].shape == (16, 16)
+        init = [p.copy() for p in model.params]
+        loss_and_grads = model.loss_and_grads
+        calls = []
+
+        def poisoned(batch):
+            loss, grads, yhat = loss_and_grads(batch)
+            calls.append(1)
+            if len(calls) == 3:
+                grads[2][1, 1] = np.nan
+            return loss, grads, yhat
+
+        monkeypatch.setattr(model, "loss_and_grads", poisoned)
+        batch = random_batch(np.random.default_rng(18), 8)
+        with pytest.raises(TrainingDiverged, match=re.escape("parameter 2 (shape (16, 16)) at step 3 (epoch 2)")):
+            train(model, batch, cfg=TrainConfig(epochs=3, batch_size=4, seed=0))
+        epoch_1 = build_model(preset("mtl", seed=3))
+        train(epoch_1, batch, cfg=TrainConfig(epochs=1, batch_size=4, seed=0))
+        for restored, want in zip(model.params, epoch_1.params):
+            assert restored.tobytes() == want.tobytes()
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(model.params, init))
+
+
+class TestTrainOracles:
+    """train against a train driven by the tensordot Conv2d and the per-array Adam step."""
+
+    @pytest.mark.parametrize("name", ["rgfil", "mdf", "mtl", "mlp"])
+    def test_same_curves_and_parameters(self, name, monkeypatch):
+        rng = np.random.default_rng(23)
+        batch, val = random_batch(rng, 30), random_batch(rng, 7)
+        cfg = TrainConfig(epochs=3, batch_size=12, seed=4)
+
+        def run():
+            model = build_model(preset(name, seed=5))
+            result = train(model, batch, val, cfg)
+            return result, model.params
+
+        got, got_params = run()
+        moments = {}
+
+        def oracle_adam(params, grads, state, t, cfg):
+            if t == 1:
+                moments["m"] = [np.zeros_like(p) for p in params]
+                moments["v"] = [np.zeros_like(p) for p in params]
+            loop_adam_step(list(params), grads, moments["m"], moments["v"], t, cfg)
+
+        def oracle_backward(self, dy, cache, need_dx=True):
+            dx, dk, db = tensordot_conv2d_backward(self.k, cache, dy)
+            return dx, [dk, db]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Conv2d, "forward", lambda self, x: tensordot_conv2d_forward(self.k, self.b, x))
+            mp.setattr(Conv2d, "backward", oracle_backward)
+            mp.setattr(wingcp.model, "adam_step", oracle_adam)
+            want, want_params = run()
+        assert got.train_curve.tobytes() == want.train_curve.tobytes()
+        assert got.val_curve.tobytes() == want.val_curve.tobytes()
+        for a, b in zip(got_params, want_params):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPresets:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import loop_conv2d_backward, loop_conv2d_forward, rel_err
+from oracles import (
+    loop_conv2d_backward,
+    loop_conv2d_forward,
+    rel_err,
+    tensordot_conv2d_backward,
+    tensordot_conv2d_forward,
+)
 
 from wingcp.model import input_shapes, preset
 from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
@@ -25,6 +31,13 @@ PRESET_CONV_LAYERS = [
 # presets have one output column; this has three, and a remainder row and column
 WIDE_CONV_LAYER = ((3, 5, 7), 2)
 LOOP_REL_TOL = 1e-13
+# one sample, a mini-batch remainder, the default validation split, train batch and whole cache
+BATCH_SIZES = (1, 32, 108, 470, 972)
+
+
+def channel_major(a):
+    """``a`` (B, C, H, W) held in (C, B, H, W) memory, the layout a conv output hands the next layer."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
 class TestConv2d:
@@ -116,6 +129,49 @@ class TestConvLoopReference:
                     shape = Conv2d.output_shape(shape, out_ch, spec.kernel)
 
 
+class TestConvTensordotBits:
+    """Conv2d against the tensordot form bit for bit.
+
+    OpenBLAS rounds a product differently for a C- or an F-contiguous
+    operand, so equal bits here mean every product got the operand
+    layout np.tensordot gives it; equal output and dx strides keep the
+    next layer's operands the same too.
+    """
+
+    @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
+    def test_bitwise_equal(self, in_shape, out_ch, batch, layout):
+        rng = np.random.default_rng([batch, *in_shape, out_ch])
+        conv = Conv2d.create(rng, in_shape[0], out_ch)
+        conv.b = rng.normal(size=out_ch)
+        x = rng.normal(size=(batch,) + in_shape)
+        dy = rng.normal(size=(batch,) + Conv2d.output_shape(in_shape, out_ch, (2, 2)))
+        if layout == "channel-major":
+            x, dy = channel_major(x), channel_major(dy)
+        out, cache = conv.forward(x)
+        dx, (dk, db) = conv.backward(dy, cache)
+        ref_out, ref_cache = tensordot_conv2d_forward(conv.k, conv.b, x)
+        ref_dx, ref_dk, ref_db = tensordot_conv2d_backward(conv.k, ref_cache, dy)
+        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert out.strides == ref_out.strides
+        assert dx.strides == ref_dx.strides
+
+    @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
+    def test_without_input_gradient(self, in_shape, out_ch):
+        rng = np.random.default_rng(sum(in_shape) + out_ch)
+        conv = Conv2d.create(rng, in_shape[0], out_ch)
+        x = rng.normal(size=(5,) + in_shape)
+        out, cache = conv.forward(x)
+        dy = rng.normal(size=out.shape)
+        _, (dk, db) = conv.backward(dy, cache)
+        none, (dk2, db2) = conv.backward(dy, cache, need_dx=False)
+        assert none is None
+        assert dk2.tobytes() == dk.tobytes() and db2.tobytes() == db.tobytes()
+
+
 class TestDense:
     def test_forward_affine(self):
         layer = Dense(np.array([[2.0], [1.0]]), np.array([0.5]))
@@ -202,6 +258,31 @@ class TestStacks:
         params = [p.copy() for p in stack.params]
         stack.set_params([p * 2 for p in params])
         np.testing.assert_array_equal(stack.params[0], params[0] * 2)
+
+    def test_backward_returns_parameter_gradients(self):
+        """Stack.backward gives each layer's own parameter gradients, bit for bit, in params order."""
+        rng = np.random.default_rng(9)
+        stack = conv_stack(rng, in_shape=(2, 18, 2), channels=(4, 8), out_dim=3)
+        out, caches = stack.forward(rng.normal(size=(6, 2, 18, 2)))
+        dy = rng.normal(size=out.shape)
+        grads = stack.backward(dy, caches)
+        want = []
+        for layer, cache in zip(reversed(stack.layers), reversed(caches)):
+            dy, g = layer.backward(dy, cache)
+            want[:0] = g
+        assert len(grads) == len(want) == len(stack.params)
+        for got, ref, p in zip(grads, want, stack.params):
+            assert got.shape == p.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_forward_without_caches(self):
+        rng = np.random.default_rng(10)
+        stack = conv_stack(rng, in_shape=(1, 9, 3), channels=(4, 8), out_dim=2)
+        x = rng.normal(size=(4, 1, 9, 3))
+        out, caches = stack.forward(x)
+        bare, none = stack.forward(x, keep=False)
+        assert none is None and len(caches) == len(stack.layers)
+        assert bare.tobytes() == out.tobytes()
 
     def test_flatten_round_trip(self):
         flat = Flatten()
