@@ -337,12 +337,11 @@ class PiecewiseManifold:
     per patch so callers can serialize them.
     """
 
-    def __init__(self, grids, adjacency=None):
+    def __init__(self, grids):
         ids = [g.patch_id for g in grids]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate patch ids in manifold")
         self._grids = {g.patch_id: g for g in grids}
-        self.adjacency = list(adjacency) if adjacency is not None else None
         self.reports: dict[str, ValidityReport] = {}
         self._exempt: set[str] = set()
 
@@ -369,10 +368,6 @@ class PiecewiseManifold:
         """Skip the validity gate for one patch (caller takes responsibility)."""
         self.grid(patch_id)
         self._exempt.add(patch_id)
-
-    def exempt_all(self):
-        for pid in self._grids:
-            self._exempt.add(pid)
 
     def is_ready(self, patch_id) -> bool:
         if patch_id in self._exempt:
@@ -404,7 +399,6 @@ class PiecewiseManifold:
                         bb = _boundary_points(self.grid(pb), eb)
                         if ba.shape == bb.shape and np.max(np.abs(ba - bb)) <= tol:
                             seams.append(Seam(pa, ea, pb, eb))
-        self.adjacency = seams
         return seams
 
 

@@ -257,9 +257,9 @@ def assemble(
 class NormalizationSpec:
     """Componentwise max-min normalization fitted on training data.
 
-    Columns with zero span ("constant columns") normalize to 0.0 and
-    invert back to the stored minimum. ``fitted_on`` is a provenance tag
-    serialized alongside any trained model.
+    Columns with zero span ("constant columns") normalize to 0.0.
+    ``fitted_on`` is a provenance tag serialized alongside any trained
+    model.
     """
 
     mins: dict
@@ -277,11 +277,6 @@ class NormalizationSpec:
         out[..., nz] = (x[..., nz] - lo[nz]) / span[nz]
         return out
 
-    def _invert_group(self, x, key):
-        lo, hi = self.mins[key], self.maxs[key]
-        span = hi - lo
-        return x * span + lo
-
     def apply(self, batch: TensorBatch) -> TensorBatch:
         groups = batch.groups()
         out = {}
@@ -293,17 +288,6 @@ class NormalizationSpec:
         if self.normalize_targets:
             span = self.y_max - self.y_min
             y = (y - self.y_min) / span if span != 0.0 else np.zeros_like(y)
-        return TensorBatch(y=y, **out)
-
-    def invert(self, batch: TensorBatch) -> TensorBatch:
-        groups = batch.groups()
-        out = {}
-        for key, x in groups.items():
-            flat = x.reshape(batch.n, -1)
-            out[key] = self._invert_group(flat, key).reshape(x.shape)
-        y = batch.y
-        if self.normalize_targets:
-            y = self.invert_targets(y)
         return TensorBatch(y=y, **out)
 
     def invert_targets(self, y: np.ndarray) -> np.ndarray:

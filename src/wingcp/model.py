@@ -100,6 +100,8 @@ class ModelConfig:
             raise ConfigError(f"active groups must be a nonempty subset of {GROUP_IDS}")
         if self.k_outputs < 1:
             raise ConfigError("k_outputs must be >= 1")
+        if not isinstance(self.leaky_slope, (int, float)) or not 0.0 <= self.leaky_slope <= 1.0:
+            raise ConfigError(f"leaky_slope must be a finite number in [0, 1], got {self.leaky_slope!r}")
 
     @property
     def context_width(self):

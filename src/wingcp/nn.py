@@ -12,15 +12,13 @@ fill a window is dropped. A spatial dim smaller than the kernel is
 zero-padded (bottom/right) up to kernel size so the stack stays
 applicable to 2x2 inputs.
 
-Operand layouts are fixed, because they decide the bits. OpenBLAS rounds
-a product differently depending on whether an operand is C- or
-F-contiguous, so every Conv2d product gets exactly the array (values,
-shape, strides) that ``np.tensordot`` would hand to ``np.dot``: the
-window matrix is a reshape view of the input wherever that reshape is a
-view, and a C-contiguous copy otherwise. The window copies themselves are
-``kh * kw`` block copies rather than one 6-D transposed copy, and a
-block that lies wholly in the zero padding is never gathered or
-scattered.
+Conv2d has one operand layout, whatever the input's memory layout: a
+C-contiguous (C*kh*kw, B*ho*wo) window matrix filled by ``kh * kw``
+block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
+which dk, db and the window gradients are all taken. OpenBLAS rounds a
+product differently for a C- or an F-contiguous operand, so fixing the
+layouts makes a conv call's bits depend only on its input values and the
+BLAS thread count.
 
 Layers only read their parameter arrays. During ``wingcp.model.train``
 those arrays are views of one flat float64 buffer, which the Adam step
@@ -53,12 +51,10 @@ class LeakyReLU:
         self.params = []
 
     def forward(self, x):
+        # max(x, slope*x) is LeakyReLU for 0 <= slope <= 1, the range ModelConfig admits
         pos = x > 0.0
         y = self.slope * x
-        if 0.0 <= self.slope <= 1.0:  # then max(x, slope*x) is the np.where form bit for bit
-            np.maximum(x, y, out=y)
-        else:
-            np.copyto(y, x, where=pos)
+        np.maximum(x, y, out=y)
         return y, pos
 
     def backward(self, dy, cache, need_dx=True):
@@ -115,32 +111,6 @@ class Conv2d:
     def params(self):
         return [self.k, self.b]
 
-    def _padded(self, x, zeros=False):
-        """An empty (or zero) array laid out like ``x`` zero-padded (bottom/right) to the kernel.
-
-        Without padding that is x's own layout. With padding it is
-        np.pad's: Fortran order for an input that is F- and not
-        C-contiguous, C order otherwise.
-        """
-        kh, kw = self.k.shape[2], self.k.shape[3]
-        b, c, h, w = x.shape
-        if h >= kh and w >= kw:
-            return np.zeros_like(x) if zeros else np.empty_like(x)
-        new = np.zeros if zeros else np.empty
-        return new((b, c, max(h, kh), max(w, kw)), order="F" if x.flags.fnc else "C")
-
-    def _windows(self, xp):
-        """View (B, C, ho, kh, wo, kw) of the whole windows of a padded input."""
-        kh, kw = self.k.shape[2], self.k.shape[3]
-        b, c, h, w = xp.shape
-        ho, wo = h // kh, w // kw
-        return xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
-
-    def _block(self, i, j, ho, wo):
-        """Index of the input cells at kernel offset (i, j) of every window, (B, C, ho, wo)."""
-        kh, kw = self.k.shape[2], self.k.shape[3]
-        return np.s_[:, :, i : ho * kh : kh, j : wo * kw : kw]
-
     @staticmethod
     def output_shape(in_shape, out_ch, kernel):
         c, h, w = in_shape
@@ -150,55 +120,31 @@ class Conv2d:
         o, c, kh, kw = self.k.shape
         b, _, h, w = x.shape
         ho, wo = max(h, kh) // kh, max(w, kw) // kw
-        # tensordot's window matrix: a view of the (padded) input where the reshape allows one,
-        # else a C-contiguous copy, gathered block by block with zero blocks for the padding
-        xp = x if h >= kh and w >= kw else self._padded(x)
-        cols = _view(self._windows(xp).transpose(1, 3, 5, 0, 2, 4), (c * kh * kw, b * ho * wo))
-        if cols is None:
-            xp = None
-            cols = np.empty((c, kh, kw, b, ho, wo))
-            for i in range(kh):
-                for j in range(kw):
-                    if i < h and j < w:
-                        cols[:, i, j] = x[self._block(i, j, ho, wo)].transpose(1, 0, 2, 3)
-                    else:
-                        cols[:, i, j] = 0.0
-            cols = cols.reshape(c * kh * kw, b * ho * wo)
-        elif xp is not x:  # cols views the padded input: fill it
-            xp.fill(0.0)
-            xp[:, :, :h, :w] = x
-        out = np.dot(self.k.reshape(o, -1), cols).reshape(o, b, ho, wo)
-        return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None], (x, xp, cols)
-
-    def backward(self, dy, cache, need_dx=True):
-        x, xp, cols = cache
-        o, c, kh, kw = self.k.shape
-        b, _, h, w = x.shape
-        _, _, ho, wo = dy.shape
-        ckk, n = cols.shape
-        # dk's operand is the window matrix transposed: tensordot's view, or a C-contiguous copy
-        cols_t = None if xp is None else _view(self._windows(xp).transpose(0, 2, 4, 1, 3, 5), (n, ckk))
-        if cols_t is None:
-            cols_t = cols.T.copy()
-        dk = np.dot(dy.transpose(1, 0, 2, 3).reshape(o, n), cols_t).reshape(self.k.shape)
-        db = dy.sum(axis=(0, 2, 3))
-        if not need_dx:
-            return None, [dk, db]
-        dwin = np.dot(dy.transpose(0, 2, 3, 1).reshape(n, o), self.k.reshape(o, ckk))
-        dwin = dwin.reshape(b, ho, wo, c, kh, kw)
-        dxp = self._padded(x, zeros=ho * kh < h or wo * kw < w)  # zero where no window reaches
+        # kernel offset (i, j) of every window is one strided block; blocks in the padding stay 0
+        cols = np.zeros((c, kh, kw, b, ho, wo))
         for i in range(min(kh, h)):
             for j in range(min(kw, w)):
-                dxp[self._block(i, j, ho, wo)] = dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return dxp[:, :, :h, :w], [dk, db]
+                cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw].transpose(1, 0, 2, 3)
+        cols = cols.reshape(c * kh * kw, b * ho * wo)
+        out = (self.k.reshape(o, -1) @ cols).reshape(o, b, ho, wo)
+        return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None], (x.shape, cols)
 
-
-def _view(a, shape):
-    """``a.reshape(shape)`` if that reshape is a view of ``a``, else None."""
-    try:
-        return a.reshape(shape, copy=False)
-    except ValueError:
-        return None
+    def backward(self, dy, cache, need_dx=True):
+        x_shape, cols = cache
+        o, c, kh, kw = self.k.shape
+        b, _, h, w = x_shape
+        _, _, ho, wo = dy.shape
+        dy_t = np.ascontiguousarray(dy.transpose(1, 0, 2, 3).reshape(o, -1))
+        dk = (dy_t @ cols.T).reshape(self.k.shape)
+        db = dy_t.sum(axis=1)
+        if not need_dx:
+            return None, [dk, db]
+        dwin = (dy_t.T @ self.k.reshape(o, -1)).reshape(b, ho, wo, c, kh, kw)
+        dx = np.zeros(x_shape)  # zero where no window reaches
+        for i in range(min(kh, h)):
+            for j in range(min(kw, w)):
+                dx[:, :, i : ho * kh : kh, j : wo * kw : kw] = dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        return dx, [dk, db]
 
 
 class Flatten:

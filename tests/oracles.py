@@ -8,11 +8,12 @@ or from scalar index loops over the tensor components (the package
 contracts whole arrays), stencils are calibrated one offset at a time
 and assembled one sample at a time (the package bisects all offsets of
 a patch at once and evaluates each distinct point once), convolutions
-loop over output positions (the package contracts a window view once),
-gradients come from central finite differences of the scalar loss,
-patch margins from LAPACK's SVD (the package uses a closed form) and
-close pairs from all sample pairs, and features_points.csv is written
-row by row (the package formats each location's rows once).
+loop over output positions (the package does one matrix product over a
+window matrix), Adam updates one array at a time (the package updates
+one flat buffer), gradients come from central finite differences of the
+scalar loss, patch margins from LAPACK's SVD (the package uses a closed
+form) and close pairs from all sample pairs, and features_points.csv is
+written row by row (the package formats each location's rows once).
 """
 
 import csv
@@ -428,21 +429,27 @@ def _loop_conv_pad(x, kh, kw):
 
 
 def loop_conv2d_forward(k, b, x):
-    """Stride = kernel convolution, one window contraction per output position."""
+    """Stride = kernel convolution, one window contraction per output position.
+
+    Sums are taken in long double, so that at a thousand rows the
+    oracle's own rounding stays far below the package's.
+    """
+    k, b, x = (np.asarray(a, dtype=np.longdouble) for a in (k, b, x))
     kh, kw = k.shape[2], k.shape[3]
     xp = _loop_conv_pad(x, kh, kw)
     ho = (xp.shape[2] - kh) // kh + 1
     wo = (xp.shape[3] - kw) // kw + 1
-    out = np.empty((x.shape[0], k.shape[0], ho, wo))
+    out = np.empty((x.shape[0], k.shape[0], ho, wo), dtype=np.longdouble)
     for i in range(ho):
         for j in range(wo):
             window = xp[:, :, i * kh : (i + 1) * kh, j * kw : (j + 1) * kw]
             out[:, :, i, j] = np.einsum("bcpq,ocpq->bo", window, k)
-    return out + b[None, :, None, None]
+    return (out + b[None, :, None, None]).astype(float)
 
 
 def loop_conv2d_backward(k, x, dy):
-    """(dx, dk, db) of loop_conv2d_forward, accumulated window by window."""
+    """(dx, dk, db) of loop_conv2d_forward, accumulated window by window in long double."""
+    k, x, dy = (np.asarray(a, dtype=np.longdouble) for a in (k, x, dy))
     kh, kw = k.shape[2], k.shape[3]
     xp = _loop_conv_pad(x, kh, kw)
     dk = np.zeros_like(k)
@@ -453,7 +460,8 @@ def loop_conv2d_backward(k, x, dy):
             g = dy[:, :, i, j]
             dk += np.einsum("bo,bcpq->ocpq", g, xp[:, :, rows, cols])
             dxp[:, :, rows, cols] += np.einsum("bo,ocpq->bcpq", g, k)
-    return dxp[:, :, : x.shape[2], : x.shape[3]], dk, dy.sum(axis=(0, 2, 3))
+    dx = dxp[:, :, : x.shape[2], : x.shape[3]]
+    return dx.astype(float), dk.astype(float), dy.sum(axis=(0, 2, 3)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -607,37 +615,8 @@ def write_meta_rows(path, result, samples):
 
 
 # ---------------------------------------------------------------------------
-# Training-step oracles: the tensordot Conv2d and the per-array Adam step.
-# The product operands of wingcp.nn.Conv2d must match these bit for bit.
+# Training-step oracle: the per-array Adam step (the package updates one flat buffer).
 # ---------------------------------------------------------------------------
-
-
-def _tensordot_windows(xp, kh, kw):
-    b, c, h, w = xp.shape
-    ho, wo = h // kh, w // kw
-    return xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
-
-
-def tensordot_conv2d_forward(k, b, x):
-    """(out, cache) of the patchify conv as one ``np.tensordot`` over a window view."""
-    kh, kw = k.shape[2], k.shape[3]
-    ph, pw = max(0, kh - x.shape[2]), max(0, kw - x.shape[3])
-    xp = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw))) if ph or pw else x
-    out = np.tensordot(k, _tensordot_windows(xp, kh, kw), axes=([1, 2, 3], [1, 3, 5]))
-    out = np.moveaxis(out, 0, 1) + b[None, :, None, None]
-    return out, (xp, x.shape)
-
-
-def tensordot_conv2d_backward(k, cache, dy):
-    """(dx, dk, db) of tensordot_conv2d_forward: one tensordot for dk, one for the windows."""
-    xp, x_shape = cache
-    kh, kw = k.shape[2], k.shape[3]
-    dk = np.tensordot(dy, _tensordot_windows(xp, kh, kw), axes=([0, 2, 3], [0, 2, 4]))
-    dxp = np.zeros_like(xp)
-    dwin = np.tensordot(dy, k, axes=([1], [0]))  # (B, ho, wo, C, kh, kw)
-    _tensordot_windows(dxp, kh, kw)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
-    db = dy.sum(axis=(0, 2, 3))
-    return dxp[:, :, : x_shape[2], : x_shape[3]], dk, db
 
 
 def loop_adam_step(params, grads, m, v, t, cfg):

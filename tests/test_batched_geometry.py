@@ -118,7 +118,8 @@ class TestAssembleAgainstPerSampleLoop:
             pts[..., 2] += rng.uniform(-0.3, 0.3, (5, 4))
             grids.append(ControlGrid(f"g{k}", pts))
         manifold = PiecewiseManifold(grids)
-        manifold.exempt_all()
+        for pid in manifold.patch_ids:
+            manifold.exempt(pid)
         samples = [
             _sample(f"g{k}", float(u), float(v))
             for k in range(3)
@@ -133,7 +134,8 @@ class TestAssembleAgainstPerSampleLoop:
         deg = np.array(flat_grid(3, 3, patch_id="deg").points)
         deg[:, 0, :] = deg[0, 0, :]  # the u tangent vanishes along v = 0
         manifold = PiecewiseManifold([flat_grid(patch_id="flat"), tiny, ControlGrid("deg", deg)])
-        manifold.exempt_all()
+        for pid in manifold.patch_ids:
+            manifold.exempt(pid)
         locations = [
             ("flat", 0.5, 0.5), ("tiny", 0.5, 0.5), ("deg", 0.5, 0.004), ("flat", 0.0, 1.0),
             ("deg", 0.5, 0.5), ("deg", 0.3, 0.0), ("tiny", 0.5, 0.5), ("deg", 0.0, 0.002),

@@ -159,7 +159,8 @@ class TestExtractCli:
         ]) == 0
         counts = json.loads((out / "run_manifest.json").read_text())["counts"]
         manifold = load_manifold(synth_dir / "manifold.csv")
-        manifold.exempt_all()
+        for pid in manifold.patch_ids:
+            manifold.exempt(pid)
         samples = load_samples(synth_dir / "samples.csv")
         stencils = [build_stencil(manifold, s.location, 0.005) for s in samples]
         assert counts == {
@@ -301,6 +302,9 @@ BAD_TRAINING_SETTINGS = [
     ("val_fraction = 1", "val_fraction"),
     ("val_fraction = -0.1", "val_fraction"),
     ("probe_points = -3", "probe_points"),
+    ("leaky_slope = 2", "leaky_slope"),
+    ("leaky_slope = -0.5", "leaky_slope"),
+    ("leaky_slope = nan", "leaky_slope"),
 ]
 
 
@@ -586,6 +590,8 @@ BAD_CHECKPOINTS = [
     ("normalizer-without-mins", "predict", None, _model_json(lambda m: m["normalizer"].pop("mins")), "mins"),
     ("short-x3-mins", "eval", None, _model_json(lambda m: m["normalizer"]["mins"]["x3"].pop()), "mins.x3"),
     ("text-y-min", "predict", None, _model_json(lambda m: m["normalizer"].update(y_min="abc")), "y_min"),
+    ("leaky-slope-two", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=2.0)),
+     "leaky_slope"),
 ]
 
 

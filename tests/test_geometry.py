@@ -278,7 +278,7 @@ class TestGraphSurfaceOracle:
             coeffs = random_poly_coeffs(rng)
             grid = graph_surface_grid(coeffs, 4, 4)
             manifold = PiecewiseManifold([grid])
-            manifold.exempt_all()
+            manifold.exempt(grid.patch_id)
             for u, v in rng.uniform(0.05, 0.95, (20, 2)):
                 f = feature_bundle(manifold, SurfacePoint("graph", u, v))
                 g_o, gamma_o, s_o = graph_surface_features(coeffs, u, v)
@@ -290,7 +290,7 @@ class TestGraphSurfaceOracle:
 class TestInvariance:
     def _features_at(self, grid, pts, convention="standard"):
         manifold = PiecewiseManifold([grid])
-        manifold.exempt_all()
+        manifold.exempt(grid.patch_id)
         return [feature_bundle(manifold, SurfacePoint(grid.patch_id, u, v), convention) for u, v in pts]
 
     def test_rigid_motion_invariance(self):
@@ -356,7 +356,7 @@ class TestFeatureBundle:
         pts = np.array(flat_grid(2, 2).points)
         pts[:, 0, :] = pts[0, 0, :]
         manifold = PiecewiseManifold([ControlGrid("deg", pts)])
-        manifold.exempt_all()
+        manifold.exempt("deg")
         with pytest.raises(DegenerateMetric) as excinfo:
             feature_bundle(manifold, SurfacePoint("deg", 0.5, 0.0))
         assert excinfo.value.point == SurfacePoint("deg", 0.5, 0.0)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 import wingcp.model
-from oracles import (
-    fd_model_gradients,
-    loop_adam_step,
-    rel_err,
-    tensordot_conv2d_backward,
-    tensordot_conv2d_forward,
-)
+from oracles import fd_model_gradients, loop_adam_step, rel_err
 
 from wingcp.data import TensorBatch
 from wingcp.errors import ConfigError, TrainingDiverged
@@ -28,7 +22,7 @@ from wingcp.model import (
     save_checkpoint,
     train,
 )
-from wingcp.nn import Conv2d, Dense
+from wingcp.nn import Dense
 
 
 def random_batch(rng, n):
@@ -391,7 +385,7 @@ class TestTrain:
 
 
 class TestTrainOracles:
-    """train against a train driven by the tensordot Conv2d and the per-array Adam step."""
+    """train against a train driven by the per-array Adam step."""
 
     @pytest.mark.parametrize("name", ["rgfil", "mdf", "mtl", "mlp"])
     def test_same_curves_and_parameters(self, name, monkeypatch):
@@ -413,13 +407,7 @@ class TestTrainOracles:
                 moments["v"] = [np.zeros_like(p) for p in params]
             loop_adam_step(list(params), grads, moments["m"], moments["v"], t, cfg)
 
-        def oracle_backward(self, dy, cache, need_dx=True):
-            dx, dk, db = tensordot_conv2d_backward(self.k, cache, dy)
-            return dx, [dk, db]
-
         with monkeypatch.context() as mp:
-            mp.setattr(Conv2d, "forward", lambda self, x: tensordot_conv2d_forward(self.k, self.b, x))
-            mp.setattr(Conv2d, "backward", oracle_backward)
             mp.setattr(wingcp.model, "adam_step", oracle_adam)
             want, want_params = run()
         assert got.train_curve.tobytes() == want.train_curve.tobytes()

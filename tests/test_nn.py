@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (
-    loop_conv2d_backward,
-    loop_conv2d_forward,
-    rel_err,
-    tensordot_conv2d_backward,
-    tensordot_conv2d_forward,
-)
+from oracles import loop_conv2d_backward, loop_conv2d_forward, rel_err
 
 from wingcp.model import input_shapes, preset
 from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
@@ -98,23 +92,36 @@ class TestConv2d:
                 assert fd == pytest.approx(gflat[i], rel=1e-5, abs=1e-7)
 
 
+def conv_case(in_shape, out_ch, batch):
+    """A Conv2d with random bias, a C-order input and a C-order output gradient for it."""
+    rng = np.random.default_rng([batch, *in_shape, out_ch])
+    conv = Conv2d.create(rng, in_shape[0], out_ch)
+    conv.b = rng.normal(size=out_ch)
+    x = rng.normal(size=(batch,) + in_shape)
+    dy = rng.normal(size=(batch,) + Conv2d.output_shape(in_shape, out_ch, conv.k.shape[2:]))
+    return conv, x, dy
+
+
+def conv_pass(conv, x, dy):
+    out, cache = conv.forward(x)
+    dx, (dk, db) = conv.backward(dy, cache)
+    return out, dx, dk, db
+
+
 class TestConvLoopReference:
     """The patchify Conv2d against the per-position loops of tests/oracles.py."""
 
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_matches_loops(self, in_shape, out_ch):
-        rng = np.random.default_rng(sum(in_shape) + out_ch)
-        conv = Conv2d.create(rng, in_shape[0], out_ch)
-        conv.b = rng.normal(size=out_ch)
-        x = rng.normal(size=(7,) + in_shape)
-        out, cache = conv.forward(x)
-        dy = rng.normal(size=out.shape)
-        dx, (dk, db) = conv.backward(dy, cache)
-        ref_out = loop_conv2d_forward(conv.k, conv.b, x)
-        ref_dx, ref_dk, ref_db = loop_conv2d_backward(conv.k, x, dy)
-        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
-            assert got.shape == ref.shape
-            assert np.max(rel_err(got, ref, floor=1.0)) <= LOOP_REL_TOL
+        """Every batch size, with the input and output gradient in C order and channel-major."""
+        for batch in BATCH_SIZES:
+            conv, x, dy = conv_case(in_shape, out_ch, batch)
+            ref_out = loop_conv2d_forward(conv.k, conv.b, x)
+            ref_dx, ref_dk, ref_db = loop_conv2d_backward(conv.k, x, dy)
+            for layout, xs, dys in (("c-order", x, dy), ("channel-major", channel_major(x), channel_major(dy))):
+                for g, ref in zip(conv_pass(conv, xs, dys), (ref_out, ref_dx, ref_dk, ref_db)):
+                    assert g.shape == ref.shape, (batch, layout)
+                    assert np.max(rel_err(g, ref, floor=1.0)) <= LOOP_REL_TOL, (batch, layout)
 
     def test_covers_every_preset_layer(self):
         for name in ("rgfil", "mdf", "mtl", "mlp"):
@@ -129,43 +136,22 @@ class TestConvLoopReference:
                     shape = Conv2d.output_shape(shape, out_ch, spec.kernel)
 
 
-class TestConvTensordotBits:
-    """Conv2d against the tensordot form bit for bit.
+class TestConvLayout:
+    """A conv call's bits depend on the values it gets, not on their memory layout."""
 
-    OpenBLAS rounds a product differently for a C- or an F-contiguous
-    operand, so equal bits here mean every product got the operand
-    layout np.tensordot gives it; equal output and dx strides keep the
-    next layer's operands the same too.
-    """
-
-    @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
-    def test_bitwise_equal(self, in_shape, out_ch, batch, layout):
-        rng = np.random.default_rng([batch, *in_shape, out_ch])
-        conv = Conv2d.create(rng, in_shape[0], out_ch)
-        conv.b = rng.normal(size=out_ch)
-        x = rng.normal(size=(batch,) + in_shape)
-        dy = rng.normal(size=(batch,) + Conv2d.output_shape(in_shape, out_ch, (2, 2)))
-        if layout == "channel-major":
-            x, dy = channel_major(x), channel_major(dy)
-        out, cache = conv.forward(x)
-        dx, (dk, db) = conv.backward(dy, cache)
-        ref_out, ref_cache = tensordot_conv2d_forward(conv.k, conv.b, x)
-        ref_dx, ref_dk, ref_db = tensordot_conv2d_backward(conv.k, ref_cache, dy)
-        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
-            assert got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-        assert out.strides == ref_out.strides
-        assert dx.strides == ref_dx.strides
+    def test_layout_independent(self, in_shape, out_ch, batch):
+        conv, x, dy = conv_case(in_shape, out_ch, batch)
+        got = conv_pass(conv, channel_major(x), channel_major(dy))
+        for g, want in zip(got, conv_pass(conv, x, dy)):
+            assert g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_without_input_gradient(self, in_shape, out_ch):
-        rng = np.random.default_rng(sum(in_shape) + out_ch)
-        conv = Conv2d.create(rng, in_shape[0], out_ch)
-        x = rng.normal(size=(5,) + in_shape)
-        out, cache = conv.forward(x)
-        dy = rng.normal(size=out.shape)
+        conv, x, dy = conv_case(in_shape, out_ch, 5)
+        _, cache = conv.forward(x)
         _, (dk, db) = conv.backward(dy, cache)
         none, (dk2, db2) = conv.backward(dy, cache, need_dx=False)
         assert none is None
@@ -210,12 +196,11 @@ SPECIAL_INPUTS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -
 
 
 class TestLeakyReLU:
-    @pytest.mark.parametrize("slope", [0.01, 0.0, 1.0, 0.5, 2.0, -0.5, np.inf, np.nan])
+    @pytest.mark.parametrize("slope", [0.01, 0.0, 1.0, 0.5])  # ModelConfig admits [0, 1]
     def test_forward_equals_where_bitwise(self, slope):
         x = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(12).normal(size=200)])
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and nan * x
-            out, pos = LeakyReLU(slope).forward(x)
-            want = np.where(x > 0.0, x, slope * x)
+        out, pos = LeakyReLU(slope).forward(x)
+        want = np.where(x > 0.0, x, slope * x)
         assert out.tobytes() == want.tobytes()
         np.testing.assert_array_equal(pos, x > 0.0)
 
