@@ -9,7 +9,8 @@ contracts whole arrays), stencils are calibrated one offset at a time
 and assembled one sample at a time (the package bisects all offsets of
 a patch at once and evaluates each distinct point once), convolutions
 loop over output positions (the package does one matrix product over a
-window matrix), Adam updates one array at a time (the package updates
+window matrix) or are one np.tensordot over a C-contiguous window tensor
+(the package fills its window matrix by block copies), Adam updates one array at a time (the package updates
 one flat buffer), gradients come from central finite differences of the
 scalar loss, patch margins from LAPACK's SVD (the package uses a closed
 form) and close pairs from all sample pairs, and features_points.csv is
@@ -612,6 +613,45 @@ def write_meta_rows(path, result, samples):
         writer.writeheader()
         for row in loop_meta_rows(result, samples):
             writer.writerow(row)
+
+
+# ---------------------------------------------------------------------------
+# Conv2d's one operand layout, stated with np.tensordot. The windows come
+# from a reshaped view of the padded input (the package fills its window
+# matrix by block copies); the products get the same operands as the
+# package's, so the bits must match.
+# ---------------------------------------------------------------------------
+
+
+def _window_tensor(x, kh, kw):
+    """C-contiguous (C, kh, kw, B, ho, wo) windows of x, zero-padded up to the kernel."""
+    ph, pw = max(0, kh - x.shape[2]), max(0, kw - x.shape[3])
+    xp = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
+    b, c, h, w = xp.shape
+    ho, wo = h // kh, w // kw
+    win = xp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)
+    return np.ascontiguousarray(win.transpose(1, 3, 5, 0, 2, 4))
+
+
+def tensordot_conv2d_forward(k, b, x):
+    """(out, cache) of the patchify conv as one ``np.tensordot`` over the window tensor."""
+    win = _window_tensor(x, k.shape[2], k.shape[3])
+    out = np.tensordot(k, win, axes=([1, 2, 3], [0, 1, 2]))  # (O, B, ho, wo)
+    return np.moveaxis(out, 0, 1) + b[None, :, None, None], (win, x.shape)
+
+
+def tensordot_conv2d_backward(k, cache, dy):
+    """(dx, dk, db) of tensordot_conv2d_forward from one C-contiguous (O, B, ho, wo) gradient."""
+    win, x_shape = cache
+    o, c, kh, kw = k.shape
+    dy_t = np.ascontiguousarray(np.moveaxis(dy, 1, 0))
+    dk = np.tensordot(dy_t, win, axes=([1, 2, 3], [3, 4, 5]))
+    db = dy_t.reshape(o, -1).sum(axis=1)
+    dwin = np.tensordot(dy_t, k, axes=([0], [0]))  # (B, ho, wo, C, kh, kw)
+    b, ho, wo = dwin.shape[:3]
+    dxp = np.zeros((b, c, max(x_shape[2], kh), max(x_shape[3], kw)))
+    dxp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
+    return np.ascontiguousarray(dxp[:, :, : x_shape[2], : x_shape[3]]), dk, db
 
 
 # ---------------------------------------------------------------------------

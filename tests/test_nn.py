@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import loop_conv2d_backward, loop_conv2d_forward, rel_err
+from oracles import (
+    loop_conv2d_backward,
+    loop_conv2d_forward,
+    rel_err,
+    tensordot_conv2d_backward,
+    tensordot_conv2d_forward,
+)
 
 from wingcp.model import input_shapes, preset
 from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
@@ -147,6 +153,33 @@ class TestConvLayout:
         for g, want in zip(got, conv_pass(conv, x, dy)):
             assert g.shape == want.shape
             assert g.tobytes() == want.tobytes()
+
+
+
+class TestConvTensordotBits:
+    """Conv2d against np.tensordot over a C-contiguous window tensor, bit for bit.
+
+    OpenBLAS rounds a product differently for a C- or an F-contiguous
+    operand, so equal bits here mean every product got the one operand
+    layout of the oracle, whatever the input's layout; equal output and
+    dx strides keep the next layer's operands the same too.
+    """
+
+    @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
+    def test_bitwise_equal(self, in_shape, out_ch, batch, layout):
+        conv, x, dy = conv_case(in_shape, out_ch, batch)
+        if layout == "channel-major":
+            x, dy = channel_major(x), channel_major(dy)
+        out, dx, dk, db = conv_pass(conv, x, dy)
+        ref_out, ref_cache = tensordot_conv2d_forward(conv.k, conv.b, x)
+        ref_dx, ref_dk, ref_db = tensordot_conv2d_backward(conv.k, ref_cache, dy)
+        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert out.strides == ref_out.strides
+        assert dx.strides == ref_dx.strides
 
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_without_input_gradient(self, in_shape, out_ch):
