@@ -18,7 +18,9 @@ block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
 which dk, db and the window gradients are all taken. OpenBLAS rounds a
 product differently for a C- or an F-contiguous operand, so fixing the
 layouts makes a conv call's bits depend only on its input values and the
-BLAS thread count.
+BLAS thread count. Dense products with a narrow output run on the calling
+thread only (see ``_matmul``), so their time does not hang on a second
+free CPU.
 
 Layers only read their parameter arrays. During ``wingcp.model.train``
 those arrays are views of one flat float64 buffer, which the Adam step
@@ -62,6 +64,33 @@ class LeakyReLU:
         return (np.where(pos, dy, self.slope * dy) if need_dx else None), []
 
 
+# OpenBLAS hands a product of m*k*n >= 2 * 4 * 65536 multiply-adds to a second thread
+_BLAS_SPLIT = 2 * 4 * 65536
+_NARROW = 32
+
+
+def _matmul(a, b):
+    """``a @ b``, kept on the calling thread when the output is narrow.
+
+    OpenBLAS splits a product over threads from ``_BLAS_SPLIT``
+    multiply-adds on. For an output at most ``_NARROW`` columns wide a
+    second thread saves little (5-25 us of 30-90 us at 470-1080 x 147 x 16),
+    and the call must wait for a second free CPU: with one of two CPUs
+    busy, rgfil training spent 7x longer in its dense products. Such a
+    product is taken in row blocks below ``_BLAS_SPLIT``, whatever the
+    thread count.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    rows = max(1, (_BLAS_SPLIT - 1) // max(k * n, 1))
+    if n > _NARROW or m <= rows:
+        return a @ b
+    out = np.empty((m, n))
+    for i in range(0, m, rows):
+        np.matmul(a[i : i + rows], b, out=out[i : i + rows])
+    return out
+
+
 class Dense:
     """Affine map y = x @ W + b for x of shape (B, in_dim)."""
 
@@ -78,15 +107,15 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x):
-        y = x @ self.w
+        y = _matmul(x, self.w)
         y += self.b
         return y, x
 
     def backward(self, dy, cache, need_dx=True):
         x = cache
-        dw = x.T @ dy
+        dw = _matmul(x.T, dy)
         db = dy.sum(axis=0)
-        return (dy @ self.w.T if need_dx else None), [dw, db]
+        return (_matmul(dy, self.w.T) if need_dx else None), [dw, db]
 
 
 class Conv2d:

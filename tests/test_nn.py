@@ -10,6 +10,7 @@ from oracles import (
 )
 
 from wingcp.model import input_shapes, preset
+from wingcp import nn
 from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
 
 # (input shape (C, H, W), out-channels) of every conv layer of the presets;
@@ -222,6 +223,46 @@ class TestDense:
         layer.b = rng.normal(size=5)
         x = rng.normal(size=(9, 7))
         assert layer.forward(x)[0].tobytes() == (x @ layer.w + layer.b).tobytes()
+
+
+class TestMatmul:
+    """Narrow products run in blocks that OpenBLAS keeps on one thread; wide ones are ``a @ b``."""
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        blocks, real = [], np.matmul
+
+        def spy(a, b, out=None):
+            blocks.append(a.shape + (b.shape[1],))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(nn.np, "matmul", spy)
+        return blocks
+
+    # rgfil's context layer forward at train, eval and predict batches, its weight
+    # gradient x.T @ dy, and a one-column output
+    @pytest.mark.parametrize("m,k,n,a_transposed", [
+        (470, 147, 16, False), (1080, 147, 16, False), (147, 470, 16, True), (4000, 300, 1, False),
+    ])
+    def test_narrow_in_blocks_below_split(self, monkeypatch, m, k, n, a_transposed):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(k, m)).T if a_transposed else rng.normal(size=(m, k))
+        b = rng.normal(size=(k, n))
+        blocks = self.spy_blocks(monkeypatch)
+        got = nn._matmul(a, b)
+        assert len(blocks) > 1
+        assert all(r * kb * nb < nn._BLAS_SPLIT and (kb, nb) == (k, n) for r, kb, nb in blocks)
+        assert sum(r for r, _, _ in blocks) == m
+        exact = a.astype(np.longdouble) @ b.astype(np.longdouble)
+        assert np.max(rel_err(got, exact, floor=1.0)) <= LOOP_REL_TOL
+
+    @pytest.mark.parametrize("m,k,n", [(216, 128, 128), (30, 147, 33), (20, 147, 16)])
+    def test_wide_or_small_is_matmul(self, monkeypatch, m, k, n):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        blocks = self.spy_blocks(monkeypatch)
+        assert nn._matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert blocks == []
 
 
 # signed zeros, subnormals, the largest finite values and a nan
