@@ -64,7 +64,7 @@ class LeakyReLU:
         return (np.where(pos, dy, self.slope * dy) if need_dx else None), []
 
 
-# OpenBLAS hands a product of m*k*n >= 2 * 4 * 65536 multiply-adds to a second thread
+# 2 threads x OpenBLAS's GEMM_MULTITHREAD_THRESHOLD (4) x 65536 multiply-adds
 _BLAS_SPLIT = 2 * 4 * 65536
 _NARROW = 32
 
