@@ -8,7 +8,6 @@ from .bezier import (
     PiecewiseManifold,
     SurfacePoint,
     ValidityReport,
-    bernstein,
     check_patch,
     eval_patch,
     jet,
@@ -42,7 +41,6 @@ from .geometry import (
     christoffel,
     contract,
     feature_bundle,
-    inverse_metric,
     metric,
     riemann_tensor,
 )

@@ -27,7 +27,6 @@ __all__ = [
     "ValidityReport",
     "Seam",
     "PiecewiseManifold",
-    "bernstein",
     "bernstein_row",
     "eval_patch",
     "jet",
@@ -83,15 +82,6 @@ class SurfacePoint:
     def __post_init__(self):
         if not (0.0 <= self.u <= 1.0 and 0.0 <= self.v <= 1.0):
             raise ValueError(f"parameters outside [0,1]: u={self.u}, v={self.v}")
-
-
-def bernstein(a: int, m: int, t: float) -> float:
-    """Bernstein basis value B_{a,m}(t) = C(m,a) t^a (1-t)^(m-a)."""
-    if not 0 <= a <= m:
-        raise ValueError(f"basis index a={a} outside 0..{m}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"parameter t={t} outside [0,1]")
-    return math.comb(m, a) * t**a * (1.0 - t) ** (m - a)
 
 
 def bernstein_row(m: int, t) -> np.ndarray:

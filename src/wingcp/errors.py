@@ -69,3 +69,9 @@ def check_keys(d, cls, what: str, optional=()):
     for problem, keys in (("unknown", set(d) - names - set(optional)), ("missing", names - set(d))):
         if keys:
             raise ConfigError(f"{problem} {what} key(s) {', '.join(sorted(keys))}")
+
+
+def check_int(value, name: str, low: int):
+    """Raise ConfigError unless ``value`` is an int (a bool is not) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

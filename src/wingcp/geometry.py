@@ -1,39 +1,49 @@
-"""Riemannian metric, connection and curvature from surface jets.
+"""Riemannian metric, connection and curvature from order-2 surface jets.
 
 With coordinates x1 = u, x2 = v and the immersion F(u, v), the induced
-metric and its derivatives are inner products of the jet:
+metric and its first derivatives are inner products of the jet:
 
-    g_ij        = <d_i F, d_j F>
-    d_l g_ij    = <d_l d_i F, d_j F> + <d_i F, d_l d_j F>
-    d_m d_l g_ij = <d_m d_l d_i F, d_j F> + <d_l d_i F, d_m d_j F>
-                 + <d_m d_i F, d_l d_j F> + <d_i F, d_m d_l d_j F>
+    g_ij     = <d_i F, d_j F>
+    d_l g_ij = <d_l d_i F, d_j F> + <d_i F, d_l d_j F>
 
 Christoffel symbols follow from the metric,
 
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_li - d_l g_ij)
 
-and their coordinate derivatives are obtained analytically with
-d(g^-1) = -g^-1 (dg) g^-1, so no finite differences enter the chain.
-The curvature coefficients are
+The curvature coefficients come from the Gauss equation, with the unit
+normal N and the second fundamental form h (do Carmo, Differential
+Geometry of Curves and Surfaces, section 4-3):
 
-    R^s_ijk = (Gamma^l_ik Gamma^s_jl - Gamma^l_jk Gamma^s_il)
-              + d_j Gamma^s_ik - d_i Gamma^s_jk
+    N = (d_u F x d_v F) / sqrt(det g),   h_ij = <d_i d_j F, N>
+    R^s_ijk = g^sl (h_lj h_ik - h_li h_jk)
 
-stored in index order [s][i][j][k] (antisymmetric in i, j). Two Ricci
-contractions are supported; in two dimensions they differ by sign only:
+For a surface in R^3 these equal the intrinsic coefficients
+Gamma^l_ik Gamma^s_jl - Gamma^l_jk Gamma^s_il + d_j Gamma^s_ik
+- d_i Gamma^s_jk (Theorema Egregium), so the chain needs second
+derivatives of F only: no third derivatives and no derivative of Gamma.
+The test suite keeps the intrinsic formula as its reference. The
+coefficients are stored in index order [s][i][j][k] (antisymmetric in
+i, j). Two Ricci contractions are supported; in two dimensions they
+differ by sign only:
 
     "standard"     R_ij = sum_k R^k_ikj   (spheres get positive scalar curvature)
     "first-index"  R_ij = sum_k R^k_kij   (the opposite sign)
+
+Scalar curvature is S = g^ij R_ij = +2K ("standard") or -2K
+("first-index"), K the Gauss curvature. Only S reaches the model, but
+``riemann_tensor`` and ``contract`` stay separate steps: the tensor
+and the Ricci tensor are part of ``RiemannianFeatures``, the
+convention is a contraction of the tensor, and the pipeline
+benchmark times each step of the chain by its name.
 
 Each formula above is evaluated as one array contraction (einsum) over
 index-ordered arrays of the jet partials, with leading axes ``...`` for
 any number of points: one point and N points run the same code.
 "first-index" is computed as the exact negation of "standard".
-
-Scalar curvature is S = g^ij R_ij in either case. ``point_features``
-runs the chain for N points of one patch at once, evaluating the metric
-once and flagging degenerate points in a mask; ``feature_bundle`` is its
-one-point call, which raises DegenerateMetric instead.
+``point_features`` runs the chain for N points of one patch at once,
+evaluating the jet and the metric once and flagging degenerate points
+in a mask; ``feature_bundle`` is its one-point call, which raises
+DegenerateMetric instead.
 """
 
 from dataclasses import dataclass
@@ -48,7 +58,6 @@ __all__ = [
     "DEFAULT_CONVENTION",
     "RiemannianFeatures",
     "metric",
-    "inverse_metric",
     "christoffel",
     "riemann_tensor",
     "contract",
@@ -86,7 +95,7 @@ class RiemannianFeatures:
 
 
 # _U_COUNT[s][i1, ..., is] = number of u-indices among (i1, ..., is)
-_U_COUNT = {s: s - np.indices((2,) * s).sum(axis=0) for s in (1, 2, 3)}
+_U_COUNT = {s: s - np.indices((2,) * s).sum(axis=0) for s in (1, 2)}
 
 
 def _partials(jet_: np.ndarray, s: int) -> np.ndarray:
@@ -110,15 +119,6 @@ def metric(jet_: np.ndarray):
     return a + a.swapaxes(-1, -2), da + da.swapaxes(-1, -2)
 
 
-def _metric_hessian(jet_: np.ndarray) -> np.ndarray:
-    """Second metric derivatives d_m d_l g_ij, shape (..., 2, 2, 2, 2) [m][l][i][j]."""
-    if jet_.shape[-2] < 4:
-        raise ValueError("second metric derivatives need an order-3 jet")
-    f1, f2, f3 = _partials(jet_, 1), _partials(jet_, 2), _partials(jet_, 3)
-    a = np.einsum("...mlic,...jc->...mlij", f3, f1) + np.einsum("...lic,...mjc->...mlij", f2, f2)
-    return a + a.swapaxes(-1, -2)
-
-
 def _inverse(g: np.ndarray):
     """(g^-1, det g, degenerate mask) over leading axes; degenerate entries divide by 1."""
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -128,45 +128,33 @@ def _inverse(g: np.ndarray):
     return adj.reshape(g.shape) / np.where(degenerate, 1.0, det)[..., None, None], det, degenerate
 
 
-def inverse_metric(g: np.ndarray, point: SurfacePoint | None = None) -> np.ndarray:
-    """Closed-form 2x2 inverse; raises DegenerateMetric when a det is too small."""
-    g_inv, det, degenerate = _inverse(np.asarray(g, dtype=float))
-    if degenerate.any():
-        raise DegenerateMetric(det[degenerate].flat[0], point)
-    return g_inv
-
-
-def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """d_i g_jl + d_j g_li - d_l g_ij as [...][i][j][l], from dg[...][l][i][j]."""
-    return dg + np.einsum("...jli->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-
-
-def christoffel(jet_: np.ndarray, g_inv: np.ndarray, dg: np.ndarray):
-    """Christoffel symbols and their coordinate derivatives.
+def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols gamma[...][k][i][j], symmetric in (i, j) as stored.
 
     ``g_inv`` and ``dg`` are the inverse metric and the metric derivatives
-    at the jet's points (see :func:`metric`), so a chain evaluates the
-    metric once. Returns (gamma, dgamma): gamma[...][k][i][j] and
-    dgamma[...][x][k][i][j], both symmetric in (i, j) as stored. Requires
-    an order-3 jet because dgamma consumes third derivatives of F.
+    at the points (see :func:`metric`), so a chain evaluates the metric once.
     """
-    dg_inv = -np.einsum("...ka,...xab,...bl->...xkl", g_inv, dg, g_inv)
-    c, dc = _first_kind(dg), _first_kind(_metric_hessian(jet_))
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, c)
-    dgamma = 0.5 * (
-        np.einsum("...xkl,...ijl->...xkij", dg_inv, c) + np.einsum("...kl,...xijl->...xkij", g_inv, dc)
-    )
-    return gamma, dgamma
+    # c[...][i][j][l] = d_i g_jl + d_j g_li - d_l g_ij, from dg[...][l][i][j]
+    c = dg + np.einsum("...jli->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, c)
 
 
-def riemann_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """Curvature coefficients R^s_ijk from Christoffel data.
+def riemann_tensor(jet_: np.ndarray, g_inv: np.ndarray, det: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Curvature coefficients R^s_ijk by the Gauss equation, from an order>=2 jet.
 
-    R^s_ijk = a^s_ijk - a^s_jik  with  a^s_ijk = Gamma^l_ik Gamma^s_jl + d_j Gamma^s_ik,
+    ``g_inv``, ``det`` and ``degenerate`` are the inverse metric, det g and
+    the degenerate mask at the jet's points, as :func:`point_features`
+    computes them. With the unit normal N and the second fundamental form h,
 
-    so the result is antisymmetric in (i, j) exactly as stored.
+    R^s_ijk = a^s_ijk - a^s_jik  with  a^s_ijk = g^sl h_lj h_ik,
+
+    so the result is antisymmetric in (i, j) exactly as stored. Degenerate
+    points divide by 1 in place of sqrt(det g); their values mean nothing.
     """
-    a = np.einsum("...lik,...sjl->...sijk", gamma, gamma) + np.einsum("...jsik->...sijk", dgamma)
+    f1, f2 = _partials(jet_, 1), _partials(jet_, 2)
+    normal = np.cross(f1[..., 0, :], f1[..., 1, :]) / np.sqrt(np.where(degenerate, 1.0, det))[..., None]
+    h = np.einsum("...ijc,...c->...ij", f2, normal)
+    a = np.einsum("...sl,...lj,...ik->...sijk", g_inv, h, h)
     return a - a.swapaxes(-3, -2)
 
 
@@ -189,15 +177,15 @@ def contract(riemann: np.ndarray, g_inv: np.ndarray, convention: str = DEFAULT_C
 def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION) -> RiemannianFeatures:
     """Jet -> metric -> connection -> curvature at the points (u, v) of one patch.
 
-    u and v broadcast; their shape leads every returned field. The metric
-    is evaluated once and shared with the connection. A degenerate metric
-    is flagged in ``degenerate``, not raised.
+    u and v broadcast; their shape leads every returned field. One
+    order-2 jet and one metric evaluation are shared by the connection
+    and the curvature. A degenerate metric is flagged in ``degenerate``,
+    not raised.
     """
-    jet_ = jet(grid, u, v, order=3)
+    jet_ = jet(grid, u, v, order=2)
     g, dg = metric(jet_)
     g_inv, det, degenerate = _inverse(g)
-    gamma, dgamma = christoffel(jet_, g_inv, dg)
-    riem = riemann_tensor(gamma, dgamma)
+    riem = riemann_tensor(jet_, g_inv, det, degenerate)
     ricci, scalar = contract(riem, g_inv, convention)
     return RiemannianFeatures(
         position=jet_[..., 0, 0, :],
@@ -205,7 +193,7 @@ def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION
         g_inv=g_inv,
         det_g=det,
         degenerate=degenerate,
-        gamma=gamma,
+        gamma=christoffel(g_inv, dg),
         riemann=riem,
         ricci=ricci,
         scalar=scalar,

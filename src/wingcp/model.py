@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .data import NormalizationSpec, TensorBatch
-from .errors import ConfigError, TrainingDiverged, check_keys
+from .errors import ConfigError, TrainingDiverged, check_int, check_keys
 from .nn import Stack, conv_stack, dense_stack
 
 __all__ = [
@@ -68,14 +68,9 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Rebuild a spec; a ``stride`` (listed by older checkpoints) must equal the kernel."""
-        check_keys(d, cls, "net spec", optional=("stride",))
-        d = dict(d)
-        stride = d.pop("stride", None)
-        spec = cls(**d)
-        if stride is not None and not np.array_equal(stride, spec.kernel):
-            raise ConfigError(f"conv stride {stride} differs from kernel {list(spec.kernel)}")
-        return spec
+        """Rebuild a spec; ConfigError names an unknown or missing key."""
+        check_keys(d, cls, "net spec")
+        return cls(**d)
 
 
 @dataclass
@@ -98,8 +93,8 @@ class ModelConfig:
             raise ConfigError(f"unknown neighbor mode {self.neighbor_mode!r}")
         if not self.active or any(z not in GROUP_IDS for z in self.active):
             raise ConfigError(f"active groups must be a nonempty subset of {GROUP_IDS}")
-        if self.k_outputs < 1:
-            raise ConfigError("k_outputs must be >= 1")
+        check_int(self.k_outputs, "k_outputs", 1)
+        check_int(self.seed, "seed", 0)
         if not isinstance(self.leaky_slope, (int, float)) or not 0.0 <= self.leaky_slope <= 1.0:
             raise ConfigError(f"leaky_slope must be a finite number in [0, 1], got {self.leaky_slope!r}")
 
@@ -358,6 +353,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int(self.seed, "seed", 0)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -366,22 +362,13 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
-def _split(flat, shapes) -> list:
-    """Consecutive views of a flat buffer, one per shape."""
-    out, i = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(flat[i : i + n].reshape(shape))
-        i += n
-    return out
-
-
 class FlatParams(list):
     """Copies of parameter arrays as consecutive views of one flat float64 buffer, ``flat``."""
 
     def __init__(self, arrays):
         self.flat = np.concatenate([np.ravel(a) for a in arrays])
-        super().__init__(_split(self.flat, [a.shape for a in arrays]))
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        super().__init__(part.reshape(a.shape) for part, a in zip(np.split(self.flat, ends), arrays))
 
 
 ADAM_CHUNK = 1 << 14  # elements per pass of the update, the size of its scratch buffer
@@ -412,12 +399,11 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     """One Adam update with bias correction, in place. t starts at 1.
 
-    The update runs over the flat buffers, one chunk at a time, with
-    in-place ufuncs, and allocates no array when ``params`` is a
-    :class:`FlatParams`; other arrays are copied in and out. Each element
-    goes through the operations of the per-array form in the same order,
-    so the bits are the same: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-    and p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+    ``params`` is a :class:`FlatParams`. The update runs over the flat
+    buffers, one chunk at a time, with in-place ufuncs, and allocates no
+    array. Each element goes through the operations of the per-array
+    form in the same order, so the bits are the same: m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and p -= (lr*m_hat) / (sqrt(v_hat) + eps).
     """
     if t < 1:
         raise ValueError("Adam step count t must be >= 1")
@@ -427,7 +413,7 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
         ends = np.cumsum([math.prod(shape) for shape in state.shapes])
         i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(state.g))[0], side="right"))
         raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {state.shapes[i]}) at step {t}")
-    flat = params.flat if isinstance(params, FlatParams) else np.concatenate([np.ravel(p) for p in params])
+    flat = params.flat
     for lo in range(0, flat.size, ADAM_CHUNK):
         p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (flat, state.g, state.m, state.v))
         s = state.s[: g.size]
@@ -445,9 +431,6 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
         g *= cfg.learning_rate
         g /= s
         p -= g
-    if not isinstance(params, FlatParams):
-        for p, new in zip(params, _split(flat, state.shapes)):
-            p[...] = new
     return state
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint, save_control_grids
 from .data import RawSample, FlightCondition, save_samples
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .geometry import feature_bundle
 from .shapes import poly_substitute_affine_v, surface_from_polynomials
 
@@ -60,6 +60,7 @@ class SynthConfig:
     coefficients: dict = field(default_factory=lambda: dict(DEFAULT_COEFFS))
 
     def __post_init__(self):
+        check_int(self.seed, "seed", 0)
         if not 3 <= self.n_patches <= 6:
             raise ConfigError(f"n_patches must be in 3..6, got {self.n_patches}")
         for key in ("stations", "points_per_section"):

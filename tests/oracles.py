@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths under test: surface
 evaluation uses de Casteljau recursion (the package uses Bernstein-row
 contraction), polynomial derivatives are taken on monomial coefficients
-directly, curvature comes from the closed-form graph-surface formulas
-or from scalar index loops over the tensor components (the package
-contracts whole arrays), stencils are calibrated one offset at a time
+directly, curvature comes from the closed-form graph-surface formulas,
+from scalar index loops over the intrinsic formula with third
+derivatives (the package contracts whole arrays and uses the Gauss
+equation with second derivatives only) or from the Gauss equation in
+50-digit mpmath arithmetic, stencils are calibrated one offset at a time
 and assembled one sample at a time (the package bisects all offsets of
 a patch at once and evaluates each distinct point once), convolutions
 loop over output positions (the package does one matrix product over a
@@ -296,6 +298,64 @@ def loop_contract(riem, g_inv, convention):
                 ricci[i, j] += riem[k, i, k, j] if convention == "standard" else riem[k, k, i, j]
     scalar = sum(g_inv[i, j] * ricci[i, j] for i in range(2) for j in range(2))
     return ricci, float(scalar)
+
+
+# ---------------------------------------------------------------------------
+# Gauss equation in 50-digit arithmetic, and the curvature scale
+# ---------------------------------------------------------------------------
+
+
+def _mp_partial(ctrl_mp, u, v, p, q):
+    """d^(p+q)F/du^p dv^q: de Casteljau on the p-th/q-th forward differences of the net."""
+    m, n = len(ctrl_mp) - 1, len(ctrl_mp[0]) - 1
+    if p > m or q > n:
+        return [mpf(0)] * 3
+    net = ctrl_mp
+    for _ in range(p):
+        net = [[[b - a for a, b in zip(x, y)] for x, y in zip(r0, r1)] for r0, r1 in zip(net[:-1], net[1:])]
+    for _ in range(q):
+        net = [[[b - a for a, b in zip(x, y)] for x, y in zip(row[:-1], row[1:])] for row in net]
+    return [math.perm(m, p) * math.perm(n, q) * c for c in _eval_surface_mp(net, u, v)]
+
+
+def mp_gauss_curvature(ctrl, u, v, dps=50):
+    """(R[s][i][j][k], S, scale) at one point, by the Gauss equation in dps-digit arithmetic.
+
+    R^s_ijk = g^sl (h_lj h_ik - h_li h_jk) with h_ij = <d_i d_j F, N> and
+    N = (F_u x F_v) / sqrt(det g); S = 2K = 2 (h_11 h_22 - h_12^2) / det g,
+    the standard convention. ``scale`` is the curvature scale
+    (|h_11| + |h_12| + |h_22|)^2 / det g. Only the results are rounded to float.
+    """
+    with mp.workdps(dps):
+        net = [[[mpf(float(c)) for c in pt] for pt in row] for row in np.asarray(ctrl, dtype=float)]
+        uu, vv = mpf(float(u)), mpf(float(v))
+        f1 = [_mp_partial(net, uu, vv, 1, 0), _mp_partial(net, uu, vv, 0, 1)]
+        f2 = [[_mp_partial(net, uu, vv, 2 - i - j, i + j) for j in range(2)] for i in range(2)]
+        dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+        g = [[dot(f1[i], f1[j]) for j in range(2)] for i in range(2)]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        a, b = f1
+        cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+        normal = [c / mp.sqrt(det) for c in cross]
+        h = [[dot(f2[i][j], normal) for j in range(2)] for i in range(2)]
+        g_inv = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
+        riem = np.empty((2, 2, 2, 2))
+        for s, i, j, k in np.ndindex(2, 2, 2, 2):
+            terms = (g_inv[s][l] * (h[l][j] * h[i][k] - h[l][i] * h[j][k]) for l in range(2))
+            riem[s, i, j, k] = float(sum(terms))
+        scalar = 2 * (h[0][0] * h[1][1] - h[0][1] * h[1][0]) / det
+        scale = (abs(h[0][0]) + abs(h[0][1]) + abs(h[1][1])) ** 2 / det
+        return riem, float(scalar), float(scale)
+
+
+def curvature_scale(jet_):
+    """(|L| + |M| + |N|)^2 / det g at one point, from the unit normal and the jet's partials."""
+    fu, fv = _loop_dF(jet_, 0), _loop_dF(jet_, 1)
+    normal = np.cross(fu, fv)
+    normal = normal / np.linalg.norm(normal)
+    second = [float(_loop_dF(jet_, *ij) @ normal) for ij in ((0, 0), (0, 1), (1, 1))]
+    det = float(fu @ fu) * float(fv @ fv) - float(fu @ fv) ** 2
+    return sum(abs(x) for x in second) ** 2 / det
 
 
 # ---------------------------------------------------------------------------

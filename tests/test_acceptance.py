@@ -22,6 +22,7 @@ from wingcp.data import assemble, fit_normalizer, fold_split
 from wingcp.geometry import feature_bundle
 from wingcp.model import (
     AdamState,
+    FlatParams,
     TrainConfig,
     adam_step,
     build_model,
@@ -131,12 +132,12 @@ def test_gradient_check():
 @criterion("Adam unit check (hand-derived first step to 1e-12)")
 def test_adam_unit_check():
     cfg = TrainConfig()
-    w = np.array([0.0])
-    adam_step([w], [np.array([1.0])], AdamState.init([w]), t=1, cfg=cfg)
+    w = FlatParams([np.array([0.0])])
+    adam_step(w, [np.array([1.0])], AdamState.init(w), t=1, cfg=cfg)
     m_hat = ((1 - cfg.beta1) * 1.0) / (1 - cfg.beta1**1)
     v_hat = ((1 - cfg.beta2) * 1.0) / (1 - cfg.beta2**1)
     expected = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    assert abs(w[0] - expected) <= 1e-12
+    assert abs(w[0][0] - expected) <= 1e-12
 
 
 @criterion("published per-fold MSE reduction arithmetic (eta within 0.05 pp)")

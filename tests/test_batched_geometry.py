@@ -151,19 +151,25 @@ class TestAssembleAgainstPerSampleLoop:
 
 
 def test_one_metric_call_per_batched_chain(wing, monkeypatch):
-    calls = []
-    original = geometry.metric
+    """One metric call and one jet call, of order 2, per chain."""
+    calls, orders = [], []
+    metric, jet = geometry.metric, geometry.jet
 
     def counting(jet_):
         calls.append(jet_.shape)
-        return original(jet_)
+        return metric(jet_)
+
+    def recording(grid, u, v, order=3):
+        orders.append(order)
+        return jet(grid, u, v, order)
 
     monkeypatch.setattr(geometry, "metric", counting)
+    monkeypatch.setattr(geometry, "jet", recording)
     grid = wing.manifold.grid(wing.manifold.patch_ids[0])
     f = geometry.point_features(grid, np.linspace(0.1, 0.9, 50), np.full(50, 0.5))
-    assert len(calls) == 1 and f.scalar.shape == (50,)
+    assert len(calls) == 1 and f.scalar.shape == (50,) and orders == [2]
     geometry.feature_bundle(wing.manifold, wing.samples[0].location)
-    assert len(calls) == 2
+    assert len(calls) == 2 and orders == [2, 2]
 
 
 @pytest.mark.parametrize("text", ["p", "a,b", 'q"r', "two\nlines", "cr\rhere", "", " spaced "])

@@ -22,7 +22,7 @@ from wingcp.bezier import (
     PiecewiseManifold,
     SurfacePoint,
     _sigma_min,
-    bernstein,
+    bernstein_row,
     check_patch,
     eval_patch,
     jet,
@@ -75,32 +75,31 @@ FOLDED = surface_from_polynomials(
 
 class TestBernstein:
     def test_endpoint_interpolation(self):
-        assert bernstein(0, 2, 0.0) == 1.0
-        assert bernstein(2, 2, 1.0) == 1.0
+        assert bernstein_row(2, 0.0)[0] == 1.0
+        assert bernstein_row(2, 1.0)[2] == 1.0
 
     def test_direct_formula_value(self):
         # C(2,1) * 0.5 * 0.5 by hand
-        assert bernstein(1, 2, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert bernstein_row(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_partition_of_unity_single(self):
-        assert sum(bernstein(a, 3, 0.37) for a in range(4)) == pytest.approx(1.0, abs=1e-12)
+        assert sum(bernstein_row(3, 0.37)) == pytest.approx(1.0, abs=1e-12)
 
     def test_partition_of_unity_sweep(self):
         for m in (1, 2, 3, 5):
-            for t in np.linspace(0.0, 1.0, 100):
-                total = sum(bernstein(a, m, t) for a in range(m + 1))
-                assert abs(total - 1.0) < 1e-12
+            totals = bernstein_row(m, np.linspace(0.0, 1.0, 100)).sum(axis=-1)
+            assert np.max(np.abs(totals - 1.0)) < 1e-12
 
     def test_values_in_unit_interval(self):
-        for t in np.linspace(0.0, 1.0, 21):
-            for a in range(5):
-                assert 0.0 <= bernstein(a, 4, t) <= 1.0
+        row = bernstein_row(4, np.linspace(0.0, 1.0, 21))
+        assert np.all((0.0 <= row) & (row <= 1.0))
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            bernstein(3, 2, 0.5)
-        with pytest.raises(ValueError):
-            bernstein(-1, 2, 0.5)
+        """A degree-m row holds exactly the indices 0..m, for one parameter or many."""
+        assert bernstein_row(2, 0.5).shape == (3,)
+        assert bernstein_row(2, np.linspace(0.0, 1.0, 5)).shape == (5, 3)
+        with pytest.raises(IndexError):
+            bernstein_row(2, 0.5)[3]
 
 
 class TestEvalPatch:

@@ -321,6 +321,18 @@ class TestTrainingSettingsRejected:
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exits_one(request, tmp_path, capsys, command):
+    extra = []
+    if command == "train":
+        extra = ["--features", str(request.getfixturevalue("features_dir")), "--model", "mtl"]
+    capsys.readouterr()
+    rc = main([command, *extra, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+
+
 BAD_SYNTH_SETTINGS = [
     ("n_patches = 2", "n_patches"),
     ("n_patches = 9", "n_patches"),
@@ -566,6 +578,13 @@ def _transpose_first_rectangular(manifest):
     next(s for s in shapes if len(s) == 2 and s[0] != s[1]).reverse()
 
 
+def _list_strides(manifest):
+    """List a stride equal to the kernel in every net spec, as older checkpoints did."""
+    config = manifest["config"]
+    for spec in (config["context"], config["concat"], *config["nets"].values()):
+        spec["stride"] = list(spec["kernel"])
+
+
 # (id, command, cache: None = the one trained on, edit of the checkpoint, text the error names)
 BAD_CHECKPOINTS = [
     ("unknown-net-spec-key", "predict", None,
@@ -592,6 +611,12 @@ BAD_CHECKPOINTS = [
     ("text-y-min", "predict", None, _model_json(lambda m: m["normalizer"].update(y_min="abc")), "y_min"),
     ("leaky-slope-two", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=2.0)),
      "leaky_slope"),
+    ("text-k-outputs", "predict", None, _model_json(lambda m: m["config"].update(k_outputs="abc")),
+     "k_outputs"),
+    ("zero-k-outputs", "eval", None, _model_json(lambda m: m["config"].update(k_outputs=0)), "k_outputs"),
+    ("text-seed", "predict", None, _model_json(lambda m: m["config"].update(seed="x")), "seed"),
+    ("negative-seed", "predict", None, _model_json(lambda m: m["config"].update(seed=-1)), "seed"),
+    ("stride-listed", "predict", None, _model_json(_list_strides), "stride"),
 ]
 
 

@@ -2,15 +2,20 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    curvature_scale,
     graph_surface_features,
     loop_christoffel,
     loop_contract,
     loop_metric,
-    loop_metric_hessian,
+    loop_point_features,
     loop_riemann_tensor,
+    mp_gauss_curvature,
     rel_err,
+    scalar_jet,
 )
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
@@ -18,12 +23,12 @@ from wingcp.data import FlightCondition, RawSample, assemble, save_feature_cache
 from wingcp.errors import DegenerateMetric, InvalidPatch
 from wingcp.geometry import (
     CONVENTIONS,
-    _metric_hessian,
+    _inverse,
     christoffel,
     contract,
     feature_bundle,
-    inverse_metric,
     metric,
+    point_features,
     riemann_tensor,
 )
 from wingcp.shapes import flat_grid, graph_surface_grid, paraboloid_grid
@@ -50,7 +55,14 @@ def random_general_grid(rng, m=4, n=3, jitter=0.05):
 def christoffel_at(j):
     """Christoffel symbols from a jet alone: the metric, its inverse, then the connection."""
     g, dg = metric(j)
-    return christoffel(j, inverse_metric(g), dg)
+    return christoffel(_inverse(g)[0], dg)
+
+
+def riemann_at(j):
+    """(curvature coefficients, inverse metric) from a jet alone."""
+    g, _ = metric(j)
+    inverse = _inverse(g)
+    return riemann_tensor(j, *inverse), inverse[0]
 
 
 class TestMetric:
@@ -83,79 +95,79 @@ class TestMetric:
 
 
 class TestInverseMetric:
+    """The closed-form 2x2 inverse behind every chain (``_inverse``)."""
+
     def test_identity(self):
-        np.testing.assert_allclose(inverse_metric(np.eye(2)), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(_inverse(np.eye(2))[0], np.eye(2), atol=1e-15)
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            inverse_metric(np.array([[2.0, 0.0], [0.0, 1.0]])),
+            _inverse(np.array([[2.0, 0.0], [0.0, 1.0]]))[0],
             [[0.5, 0.0], [0.0, 1.0]],
             atol=1e-15,
         )
 
     def test_rank_one_degenerate(self):
-        with pytest.raises(DegenerateMetric):
-            inverse_metric(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        """A singular metric is flagged, not raised, and divides by 1 without a warning."""
+        g_inv, det, degenerate = _inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert degenerate and det == 0.0
+        np.testing.assert_array_equal(g_inv, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.uniform(-1, 1, (2, 2))
-            g = a @ a.T + 0.5 * np.eye(2)
-            np.testing.assert_allclose(g @ inverse_metric(g), np.eye(2), atol=1e-10)
+        a = rng.uniform(-1, 1, (20, 2, 2))
+        g = a @ a.swapaxes(-1, -2) + 0.5 * np.eye(2)
+        g_inv, _, degenerate = _inverse(g)
+        assert not degenerate.any()
+        np.testing.assert_allclose(g @ g_inv, np.broadcast_to(np.eye(2), g.shape), atol=1e-10)
 
 
 class TestChristoffel:
     def test_flat_all_zero(self):
-        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.4, 0.6))
-        np.testing.assert_allclose(gamma, 0.0, atol=1e-14)
-        np.testing.assert_allclose(dgamma, 0.0, atol=1e-14)
+        np.testing.assert_allclose(christoffel_at(jet(flat_grid(2, 2), 0.4, 0.6)), 0.0, atol=1e-14)
 
     def test_paraboloid_value(self):
         # graph-surface oracle: Gamma^1_11 = f_uu f_u / (1 + |grad f|^2) = 2*1/2
-        gamma, _ = christoffel_at(jet(paraboloid_grid(), 0.5, 0.0))
+        gamma = christoffel_at(jet(paraboloid_grid(), 0.5, 0.0))
         assert gamma[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_paraboloid_origin_zero(self):
-        gamma, _ = christoffel_at(jet(paraboloid_grid(), 0.0, 0.0))
-        np.testing.assert_allclose(gamma, 0.0, atol=1e-13)
+        np.testing.assert_allclose(christoffel_at(jet(paraboloid_grid(), 0.0, 0.0)), 0.0, atol=1e-13)
 
     def test_lower_index_symmetry_exact(self):
         rng = np.random.default_rng(5)
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         for u, v in rng.uniform(0.1, 0.9, (5, 2)):
-            gamma, dgamma = christoffel_at(jet(grid, u, v))
+            gamma = christoffel_at(jet(grid, u, v))
             for k in range(2):
                 assert gamma[k, 0, 1] == gamma[k, 1, 0]
-                for x in range(2):
-                    assert dgamma[x, k, 0, 1] == dgamma[x, k, 1, 0]
 
     def test_derivatives_match_finite_differences(self):
-        # central FD of christoffel over (u, v) with step 1e-4
+        """The oracle's analytic d Gamma (order-3 jet) against central FD of the package's Gamma, step 1e-4."""
         rng = np.random.default_rng(6)
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         h = 1e-4
         for u, v in rng.uniform(0.1, 0.9, (4, 2)):
-            _, dgamma = christoffel_at(jet(grid, u, v))
-            gp_u, _ = christoffel_at(jet(grid, u + h, v))
-            gm_u, _ = christoffel_at(jet(grid, u - h, v))
-            gp_v, _ = christoffel_at(jet(grid, u, v + h))
-            gm_v, _ = christoffel_at(jet(grid, u, v - h))
+            _, dgamma = loop_christoffel(jet(grid, u, v, order=3))
+            gp_u = christoffel_at(jet(grid, u + h, v))
+            gm_u = christoffel_at(jet(grid, u - h, v))
+            gp_v = christoffel_at(jet(grid, u, v + h))
+            gm_v = christoffel_at(jet(grid, u, v - h))
             fd = np.stack([(gp_u - gm_u) / (2 * h), (gp_v - gm_v) / (2 * h)])
             assert np.max(rel_err(dgamma, fd, floor=1.0)) < 1e-4
 
 
 class TestRiemann:
     def test_flat_zero(self):
-        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.2, 0.9))
-        np.testing.assert_allclose(riemann_tensor(gamma, dgamma), 0.0, atol=1e-14)
+        """An affine patch has d_i d_j F = 0 exactly, so every coefficient is exactly 0."""
+        riem, _ = riemann_at(jet(flat_grid(2, 2), 0.2, 0.9))
+        assert not riem.any()
 
     def test_antisymmetry_in_ij(self):
         rng = np.random.default_rng(7)
         grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
         for u, v in rng.uniform(0.1, 0.9, (5, 2)):
-            gamma, dgamma = christoffel_at(jet(grid, u, v))
-            riem = riemann_tensor(gamma, dgamma)
+            riem, _ = riemann_at(jet(grid, u, v))
             np.testing.assert_allclose(riem + riem.transpose(0, 2, 1, 3), 0.0, atol=1e-10)
             # in particular R^s_iik = 0
             for s in range(2):
@@ -165,39 +177,26 @@ class TestRiemann:
 
     def test_paraboloid_origin_component(self):
         # |R_1212| = K det(g) = 4 at the origin where g = I
-        gamma, dgamma = christoffel_at(jet(paraboloid_grid(), 0.0, 0.0))
-        riem = riemann_tensor(gamma, dgamma)
+        riem, _ = riemann_at(jet(paraboloid_grid(), 0.0, 0.0))
         assert abs(riem[1, 0, 1, 0]) == pytest.approx(4.0, abs=1e-11)
 
 
 class TestContract:
     def test_flat_zero(self):
-        gamma, dgamma = christoffel_at(jet(flat_grid(2, 2), 0.5, 0.5))
-        g, _ = metric(jet(flat_grid(2, 2), 0.5, 0.5))
-        ricci, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
+        ricci, scalar = contract(*riemann_at(jet(flat_grid(2, 2), 0.5, 0.5)))
         np.testing.assert_allclose(ricci, 0.0, atol=1e-13)
         assert abs(scalar) < 1e-13
 
     def test_paraboloid_origin(self):
-        j = jet(paraboloid_grid(), 0.0, 0.0)
-        gamma, dgamma = christoffel_at(j)
-        g, _ = metric(j)
-        _, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
+        _, scalar = contract(*riemann_at(jet(paraboloid_grid(), 0.0, 0.0)))
         assert scalar == pytest.approx(8.0, abs=1e-10)
 
     def test_paraboloid_half(self):
-        j = jet(paraboloid_grid(), 0.5, 0.5)
-        gamma, dgamma = christoffel_at(j)
-        g, _ = metric(j)
-        _, scalar = contract(riemann_tensor(gamma, dgamma), inverse_metric(g))
+        _, scalar = contract(*riemann_at(jet(paraboloid_grid(), 0.5, 0.5)))
         assert scalar == pytest.approx(8.0 / 9.0, rel=1e-10)
 
     def test_conventions_differ_by_sign(self):
-        j = jet(paraboloid_grid(), 0.3, 0.6)
-        gamma, dgamma = christoffel_at(j)
-        g, _ = metric(j)
-        riem = riemann_tensor(gamma, dgamma)
-        g_inv = inverse_metric(g)
+        riem, g_inv = riemann_at(jet(paraboloid_grid(), 0.3, 0.6))
         ricci_std, s_std = contract(riem, g_inv, "standard")
         ricci_lit, s_lit = contract(riem, g_inv, "first-index")
         np.testing.assert_allclose(ricci_lit, -ricci_std, atol=1e-12)
@@ -210,6 +209,16 @@ class TestContract:
 
 # fixed before measuring: elementwise relative error, floor 1.0
 LOOP_REL_TOL = 1e-13
+# fixed before measuring, in units of the curvature scale (|L| + |M| + |N|)^2 / det g;
+# R^s_ijk = K (delta^s_j g_ik - delta^s_i g_jk) grows with the metric, so R's errors
+# are taken in units of the scale times tr g
+CURVATURE_LOOP_TOL = 1e-13
+CURVATURE_MP_TOL = 1e-12
+
+
+def _curvature_errors(riem, scalar, g, riem_ref, scalar_ref, scale):
+    """(R error, S error) in units of the curvature scale."""
+    return np.max(np.abs(riem - riem_ref)) / (scale * np.trace(g)), abs(scalar - scalar_ref) / scale
 
 
 def _general_patch_jets():
@@ -220,54 +229,94 @@ def _general_patch_jets():
             yield jet(grid, u, v)
 
 
-def _synthetic_wing_jets():
+def _synthetic_wing_points():
     wing = generate_synthetic(SynthConfig())
     for point in dict.fromkeys(s.location for s in wing.samples):
-        yield jet(wing.manifold.grid(point.patch_id), point.u, point.v)
+        yield wing.manifold.grid(point.patch_id).points, point
+
+
+def _graph_surface_points():
+    rng = np.random.default_rng(42)
+    for _ in range(10):
+        grid = graph_surface_grid(random_poly_coeffs(rng), 4, 4)
+        for u, v in rng.uniform(0.05, 0.95, (20, 2)):
+            yield grid.points, SurfacePoint("graph", u, v)
 
 
 class TestLoopReference:
-    """The array chain against the scalar index loops of tests/oracles.py."""
+    """The array chain against the scalar index loops of tests/oracles.py.
 
-    def _check(self, jets):
+    g, dg, Gamma and the contraction are the same formulas in both and
+    agree elementwise. The curvature is the Gauss equation here and the
+    intrinsic formula, with third derivatives, in the loops; the two
+    agree in units of the curvature scale.
+    """
+
+    def test_general_patches(self):
         n = 0
-        for j in jets:
+        for j in _general_patch_jets():
             g, dg = metric(j)
             g_ref, dg_ref = loop_metric(j)
-            gamma, dgamma = christoffel(j, inverse_metric(g), dg)
-            gamma_ref, dgamma_ref = loop_christoffel(j)
-            riem = riemann_tensor(gamma, dgamma)
-            riem_ref = loop_riemann_tensor(gamma_ref, dgamma_ref)
-            pairs = [
-                (g, g_ref),
-                (dg, dg_ref),
-                (_metric_hessian(j), loop_metric_hessian(j)),
-                (gamma, gamma_ref),
-                (dgamma, dgamma_ref),
-                (riem, riem_ref),
-            ]
-            g_inv = inverse_metric(g)
+            riem, g_inv = riemann_at(j)
+            pairs = [(g, g_ref), (dg, dg_ref), (christoffel(g_inv, dg), loop_christoffel(j)[0])]
             for convention in CONVENTIONS:
                 ricci, scalar = contract(riem, g_inv, convention)
-                ricci_ref, scalar_ref = loop_contract(riem_ref, g_inv, convention)
+                ricci_ref, scalar_ref = loop_contract(riem, g_inv, convention)
                 pairs += [(ricci, ricci_ref), (scalar, scalar_ref)]
             for got, ref in pairs:
                 assert np.max(rel_err(got, ref, floor=1.0)) <= LOOP_REL_TOL
             n += 1
         assert n > 0
 
-    def test_general_patches(self):
-        self._check(_general_patch_jets())
+    @staticmethod
+    def _check_curvature(points):
+        """S against loop_point_features and R against the loop chain."""
+        n = 0
+        for ctrl, p in points:
+            f = point_features(ControlGrid(p.patch_id, ctrl), p.u, p.v)
+            j = scalar_jet(ctrl, p.u, p.v)
+            _, _, _, scalar_ref = loop_point_features(ctrl, p, "standard")
+            riem_ref = loop_riemann_tensor(*loop_christoffel(j))
+            errs = _curvature_errors(f.riemann, f.scalar, f.g, riem_ref, scalar_ref, curvature_scale(j))
+            assert max(errs) <= CURVATURE_LOOP_TOL
+            n += 1
+        assert n > 0
 
     def test_default_synthetic_wing(self):
-        self._check(_synthetic_wing_jets())
+        self._check_curvature(_synthetic_wing_points())
+
+    def test_graph_surfaces(self):
+        self._check_curvature(_graph_surface_points())
 
     def test_ricci_sign_identity(self):
         """In 2D sum_a R^a_aij = -sum_a R^a_iaj exactly, which lets contract
         evaluate one contraction and negate it for "first-index"."""
         for j in _general_patch_jets():
-            riem = riemann_tensor(*christoffel_at(j))
+            riem, _ = riemann_at(j)
             assert np.array_equal(np.einsum("aaij->ij", riem), -np.einsum("aiaj->ij", riem))
+
+
+@st.composite
+def general_patches(draw):
+    """(grid, u, v): a random general patch of degrees 1..4, scaled by 10^-2..10^2,
+    with three parameter points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = random_general_grid(rng, draw(st.integers(1, 4)), draw(st.integers(1, 4)), jitter=0.1)
+    grid = ControlGrid("general", grid.points * 10.0 ** draw(st.floats(-2.0, 2.0)))
+    u, v = (np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))) for _ in range(2))
+    return grid, u, v
+
+
+class TestGaussReference:
+    @settings(max_examples=150, deadline=None)
+    @given(general_patches())
+    def test_general_patches_match_50_digit_gauss_equation(self, patch):
+        grid, u, v = patch
+        f = point_features(grid, u, v)
+        for k in range(len(u)):
+            riem_ref, scalar_ref, scale = mp_gauss_curvature(grid.points, u[k], v[k])
+            errs = _curvature_errors(f.riemann[k], f.scalar[k], f.g[k], riem_ref, scalar_ref, scale)
+            assert max(errs) <= CURVATURE_MP_TOL
 
 
 class TestGraphSurfaceOracle:
