@@ -16,8 +16,7 @@ from .bezier import (
     save_control_grids,
 )
 from .data import (
-    FlightCondition,
-    RawSample,
+    Samples,
     TensorBatch,
     NormalizationSpec,
     assemble,

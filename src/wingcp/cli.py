@@ -206,7 +206,7 @@ _CACHE_KEYS = ("d", "convention")
 
 
 def _extract(args, cfg):
-    """Check the manifold, load the samples and assemble them: (result, samples)."""
+    """Check the manifold, load the samples and assemble them."""
     manifold = load_manifold(args.manifold)
     _check_all(manifold, cfg)
     bad = manifold.invalid_patches()
@@ -215,7 +215,7 @@ def _extract(args, cfg):
     samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
     if not samples:
         raise WingcpError(f"{args.samples}: no samples to extract")
-    return assemble(manifold, samples, d=args.d, convention=args.convention), samples
+    return assemble(manifold, samples, d=args.d, convention=args.convention)
 
 
 def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
@@ -337,7 +337,7 @@ def cmd_check_geometry(args, cfg):
 
 
 def cmd_extract(args, cfg):
-    result, samples = _extract(args, cfg)
+    result = _extract(args, cfg)
     manifest = {
         "d": args.d,
         "convention": args.convention,
@@ -349,7 +349,7 @@ def cmd_extract(args, cfg):
     if os.path.exists(sibling):
         with open(sibling) as fh:
             manifest["dataset_manifest"] = json.load(fh)
-    save_feature_cache(args.out, result, samples, manifest)
+    save_feature_cache(args.out, result, manifest)
     print(f"extract: {len(result.kept)} samples kept, {len(result.dropped)} dropped -> {args.out}")
     return 0, result.counts
 
@@ -374,8 +374,8 @@ def cmd_train(args, cfg):
 
 
 def cmd_crossval(args, cfg):
-    result, samples = _extract(args, cfg)
-    batch, meta = result.batch, meta_rows(result, samples)
+    result = _extract(args, cfg)
+    batch, meta = result.batch, meta_rows(result)
     settings = {key: getattr(args, key) for key in _CACHE_KEYS}
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
     folds = fold_split(batch.x1[:, 1], fold_aoas)

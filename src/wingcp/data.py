@@ -1,9 +1,10 @@
 """Sample ingestion, feature assembly, normalization and fold splitting.
 
-Each measured sample carries a surface location, a flight condition and
-a pressure coefficient. Assembly expands the samples into one
-TensorBatch of five feature groups built from a 9-point stencil (per
-sample):
+Each measured sample is a surface location (patch id, u, v), a flight
+condition (Ma, AoA, Re), an optional span station and a pressure
+coefficient; a Samples table holds one array per column. Assembly
+expands the samples into one TensorBatch of five feature groups built
+from a 9-point stencil (per sample):
 
     x1  (3,)         Ma, AoA, Re
     x2  (1, 9, 3)    3D positions of the stencil points
@@ -38,16 +39,16 @@ from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseErr
 from .geometry import DEFAULT_CONVENTION, point_features
 from .stencil import AXIAL, NEIGHBOR_SLOTS, out_of_patch, stencil_points
 
-# assemble calls neither of these one-point functions; the traced benchmark
-# (pipebench/layers.py) wraps them as names of this module, so they stay here.
+# No code of the package calls these one-point functions (assemble and synth
+# run point_features over arrays); the traced benchmark (pipebench/layers.py)
+# wraps them as names of this module, so they stay imported here.
 from .geometry import feature_bundle  # noqa: F401
 from .stencil import build_stencil  # noqa: F401
 
 __all__ = [
     "FOLD_AOAS_DEFAULT",
     "FEATURE_POINTS_HEADER",
-    "FlightCondition",
-    "RawSample",
+    "Samples",
     "TensorBatch",
     "NormalizationSpec",
     "AssembleResult",
@@ -72,29 +73,36 @@ SAMPLE_HEADER = ["patch_id", "u", "v", "Ma", "AoA", "Re", "span", "cp"]
 GROUP_SHAPES = {"x1": (3,), "x2": (1, 9, 3), "x3": (1, 18, 2), "x4": (2, 18, 2), "x5": (9,)}
 
 
-@dataclass(frozen=True)
-class FlightCondition:
-    ma: float
-    aoa: float
-    re: float
+@dataclass
+class Samples:
+    """Measured samples as a column table: row i of every array is sample i.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.ma) and math.isfinite(self.aoa) and math.isfinite(self.re)):
-            raise ValueError("non-finite flight condition")
-        if self.ma <= 0 or self.re <= 0:
-            raise ValueError(f"Ma and Re must be positive, got Ma={self.ma}, Re={self.re}")
+    ``patch_id`` holds str objects; ``span`` is NaN where the sample file
+    leaves it empty. :func:`load_samples` checks every row it reads; a
+    table built in code is taken as given.
+    """
 
+    patch_id: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    ma: np.ndarray
+    aoa: np.ndarray
+    re: np.ndarray
+    span: np.ndarray
+    cp: np.ndarray
 
-@dataclass(frozen=True)
-class RawSample:
-    location: SurfacePoint
-    condition: FlightCondition
-    cp: float
-    span_station: float | None = None
+    @classmethod
+    def from_rows(cls, rows):
+        """A table from (patch_id, u, v, ma, aoa, re, span, cp) tuples."""
+        numbers = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 7)
+        return cls(np.array([r[0] for r in rows], dtype=object), *numbers.T)
 
-    def __post_init__(self):
-        if not math.isfinite(self.cp):
-            raise ValueError("non-finite cp")
+    def __len__(self):
+        return len(self.cp)
+
+    def subset(self, rows):
+        """The samples at ``rows`` (an index array or a slice), in that order."""
+        return Samples(**{name: column[rows] for name, column in vars(self).items()})
 
 
 @dataclass
@@ -140,16 +148,17 @@ class TensorBatch:
 class AssembleResult:
     """The features of every kept sample, stacked once, and where they came from.
 
-    Row r of ``batch`` is input sample ``kept[r]``, and ``uv[r]`` holds the
-    (u, v) of its nine stencil points on the sample's patch, in the batch's
-    slot order. ``counts`` tallies the work of one call: the distinct
-    centres calibrated and the distinct stencil points evaluated (summed
-    over patches), and over the kept samples the stencils with a clamped
-    offset and the neighbor slots at zero spacing.
+    Row r of ``batch`` and of ``samples`` is input sample ``kept[r]``, and
+    ``uv[r]`` holds the (u, v) of its nine stencil points on the sample's
+    patch, in the batch's slot order. ``counts`` tallies the work of one
+    call: the distinct centres calibrated and the distinct stencil points
+    evaluated (summed over patches), and over the kept samples the
+    stencils with a clamped offset and the neighbor slots at zero spacing.
     """
 
     batch: TensorBatch
-    kept: list  # indices into the input sample list
+    samples: Samples  # the kept samples
+    kept: list  # indices into the input samples
     dropped: list  # (index, reason) pairs
     uv: np.ndarray  # (len(kept), 9, 2)
     counts: dict
@@ -163,7 +172,7 @@ def _distinct(uv: np.ndarray):
 
 def assemble(
     manifold: PiecewiseManifold,
-    samples,
+    samples: Samples,
     d: float,
     convention: str = DEFAULT_CONVENTION,
     max_drop_fraction: float = 0.10,
@@ -187,14 +196,13 @@ def assemble(
     good = np.zeros(n, dtype=bool)
     reasons = {}
     counts = dict.fromkeys(("distinct_centres", "distinct_points", "clamped_stencils", "zero_spacing_slots"), 0)
-    by_patch = {}
-    for i, s in enumerate(samples):
-        by_patch.setdefault(s.location.patch_id, []).append(i)
-    for pid, rows in by_patch.items():
+    # np.unique compares the str objects exactly; == with a str would drop a trailing NUL
+    pids, patch_of = np.unique(samples.patch_id, return_inverse=True)
+    for k, pid in enumerate(pids.tolist()):
         manifold.assert_ready(pid)
         grid = manifold.grid(pid)
-        rows = np.array(rows)
-        centres, centre_of = _distinct(np.array([(samples[i].location.u, samples[i].location.v) for i in rows]))
+        rows = np.flatnonzero(patch_of == k)
+        centres, centre_of = _distinct(np.column_stack([samples.u[rows], samples.v[rows]]))
         st_uv, clamped, extent = stencil_points(grid, centres[:, 0], centres[:, 1], d)
         fits = (d <= extent).all(axis=1)
         points, point_of = _distinct(st_uv[fits].reshape(-1, 2))
@@ -220,7 +228,7 @@ def assemble(
         counts["zero_spacing_slots"] += int(zero.sum())
 
         for i, c in zip(rows[~mine], centre_of[~mine]):
-            center = samples[i].location
+            center = SurfacePoint(pid, *centres[c].tolist())
             if not fits[c]:
                 k = int(np.argmax(d > extent[c]))
                 exc = out_of_patch(d, extent[c, k], AXIAL[k][0], center)
@@ -235,17 +243,16 @@ def assemble(
             f"dropped {len(dropped)}/{n} samples (> {max_drop_fraction:.0%})", dropped=dropped
         )
     kept = np.flatnonzero(good)
-    m = len(kept)
-    conditions = [(samples[i].condition.ma, samples[i].condition.aoa, samples[i].condition.re) for i in kept]
+    m, mine = len(kept), samples.subset(kept)
     batch = TensorBatch(
-        x1=np.array(conditions, dtype=float).reshape(m, 3),
+        x1=np.column_stack([mine.ma, mine.aoa, mine.re]),
         x2=pos[kept].reshape(m, 1, 9, 3),
         x3=g[kept].reshape(m, 1, 18, 2),
         x4=gamma[kept].transpose(0, 2, 1, 3, 4).reshape(m, 2, 18, 2),
         x5=scalar[kept],
-        y=np.array([samples[i].cp for i in kept], dtype=float),
+        y=mine.cp,
     )
-    return AssembleResult(batch=batch, kept=kept.tolist(), dropped=dropped, uv=uv[kept], counts=counts)
+    return AssembleResult(batch, mine, kept.tolist(), dropped, uv[kept], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +433,13 @@ def train_val_split(indices, aoas, seed: int, val_fraction: float = 0.10):
 # ---------------------------------------------------------------------------
 
 
-def load_samples(path, known_patches=None) -> list:
-    """Parse a sample CSV; errors carry the 1-based file row number."""
-    samples = []
+def load_samples(path, known_patches=None) -> Samples:
+    """Parse a sample CSV into a Samples table; errors carry the 1-based file row number.
+
+    Each row must hold finite numbers (an empty span reads as NaN), u and v
+    in [0, 1], and Ma and Re > 0.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -437,54 +448,40 @@ def load_samples(path, known_patches=None) -> list:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}:{lineno}"
             if len(row) != len(SAMPLE_HEADER):
-                raise SampleParseError(
-                    f"{path}:{lineno}: expected {len(SAMPLE_HEADER)} fields, got {len(row)}"
-                )
+                raise SampleParseError(f"{where}: expected {len(SAMPLE_HEADER)} fields, got {len(row)}")
             pid = row[0].strip()
             if known_patches is not None and pid not in known_patches:
-                raise SampleParseError(f"{path}:{lineno}: unknown patch_id {pid!r}")
+                raise SampleParseError(f"{where}: unknown patch_id {pid!r}")
             try:
-                u, v = float(row[1]), float(row[2])
-                ma, aoa, re = float(row[3]), float(row[4]), float(row[5])
+                u, v, ma, aoa, re = map(float, row[1:6])
                 span = float(row[6]) if row[6].strip() != "" else None
                 cp = float(row[7])
             except ValueError as exc:
-                raise SampleParseError(f"{path}:{lineno}: {exc}") from None
-            vals = [u, v, ma, aoa, re, cp] + ([span] if span is not None else [])
-            if not all(math.isfinite(x) for x in vals):
-                raise SampleParseError(f"{path}:{lineno}: non-finite value")
-            try:
-                samples.append(
-                    RawSample(
-                        location=SurfacePoint(pid, u, v),
-                        condition=FlightCondition(ma=ma, aoa=aoa, re=re),
-                        cp=cp,
-                        span_station=span,
-                    )
-                )
-            except ValueError as exc:
-                raise SampleParseError(f"{path}:{lineno}: {exc}") from None
-    return samples
+                raise SampleParseError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, (u, v, ma, aoa, re, cp, 0.0 if span is None else span))):
+                raise SampleParseError(f"{where}: non-finite value")
+            if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+                raise SampleParseError(f"{where}: parameters outside [0,1]: u={u}, v={v}")
+            if ma <= 0 or re <= 0:
+                raise SampleParseError(f"{where}: Ma and Re must be positive, got Ma={ma}, Re={re}")
+            rows.append((pid, u, v, ma, aoa, re, math.nan if span is None else span, cp))
+    return Samples.from_rows(rows)
 
 
-def save_samples(path, samples):
+def _span_text(span: float) -> str:
+    return "" if math.isnan(span) else format(span, ".17g")
+
+
+def save_samples(path, samples: Samples):
+    """Write a sample CSV that :func:`load_samples` reads back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SAMPLE_HEADER)
-        for s in samples:
-            writer.writerow(
-                [
-                    s.location.patch_id,
-                    format(s.location.u, ".17g"),
-                    format(s.location.v, ".17g"),
-                    format(s.condition.ma, ".17g"),
-                    format(s.condition.aoa, ".17g"),
-                    format(s.condition.re, ".17g"),
-                    "" if s.span_station is None else format(s.span_station, ".17g"),
-                    format(s.cp, ".17g"),
-                ]
-            )
+        columns = (samples.u, samples.v, samples.ma, samples.aoa, samples.re, samples.span, samples.cp)
+        for pid, *values, span, cp in zip(samples.patch_id.tolist(), *(c.tolist() for c in columns)):
+            writer.writerow([pid, *(format(x, ".17g") for x in values), _span_text(span), format(cp, ".17g")])
 
 
 # ---------------------------------------------------------------------------
@@ -513,35 +510,35 @@ def _point_values(batch: TensorBatch) -> np.ndarray:
     return np.concatenate([batch.x2.reshape(n, 9, 3), g, gamma, batch.x5[:, :, None]], axis=2)
 
 
-def _meta_lines(result: AssembleResult, samples) -> list:
+def _meta_lines(result: AssembleResult) -> list:
     """The data lines of ``meta.csv``, one per kept sample, as csv.writer writes them.
 
     The location fields (patch id, u, v and the stencil centre's x, y, z)
     are formatted once per distinct location, keyed on the patch id and
     the five values' bytes so that -0.0 and 0.0 stay apart.
     """
-    uv = [(samples[i].location.u, samples[i].location.v) for i in result.kept]
-    values = np.concatenate([np.array(uv, dtype=float).reshape(-1, 2), result.batch.x2[:, 0, 4, :]], axis=1)
+    s = result.samples
+    values = np.concatenate([np.column_stack([s.u, s.v]), result.batch.x2[:, 0, 4, :]], axis=1)
     location = {}  # (patch id, the five values as bytes) -> their text
     lines = []
-    for out_row, (i, row) in enumerate(zip(result.kept, values)):
-        s = samples[i]
-        key = (s.location.patch_id, row.tobytes())
+    columns = (s.ma, s.aoa, s.re, s.span, s.cp)
+    for out_row, (pid, row, ma, aoa, re, span, cp) in enumerate(
+        zip(s.patch_id.tolist(), values, *(c.tolist() for c in columns))
+    ):
+        key = (pid, row.tobytes())
         if key not in location:
-            location[key] = ",".join([_csv_field(key[0])] + [format(c, ".17g") for c in row.tolist()])
-        span = "" if s.span_station is None else format(s.span_station, ".17g")
-        c = s.condition
-        lines.append(_META_LINE % (out_row, location[key], c.ma, c.aoa, c.re, span, s.cp))
+            location[key] = ",".join([_csv_field(pid)] + [format(c, ".17g") for c in row.tolist()])
+        lines.append(_META_LINE % (out_row, location[key], ma, aoa, re, _span_text(span), cp))
     return lines
 
 
-def meta_rows(result: AssembleResult, samples) -> list:
+def meta_rows(result: AssembleResult) -> list:
     """One ``meta.csv`` row per kept sample: text fields keyed by column name.
 
     These are the rows ``load_meta`` reads back; x, y, z are the position
     of the stencil centre.
     """
-    return [dict(zip(_META_HEADER, r)) for r in csv.reader(_meta_lines(result, samples))]
+    return [dict(zip(_META_HEADER, r)) for r in csv.reader(_meta_lines(result))]
 
 
 def _csv_field(text: str) -> str:
@@ -551,7 +548,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
+def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
     """Write the raw (un-normalized) batch arrays, their text forms, sample metadata and manifest.
 
     The nine ``features_points.csv`` rows of a sample are formatted once
@@ -566,14 +563,13 @@ def save_feature_cache(outdir, result: AssembleResult, samples, manifest: dict):
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
         fh.write("".join(["cp\r\n"] + ["%.17g\r\n" % v for v in batch.y.tolist()]))
     with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
-        fh.write("".join([",".join(_META_HEADER) + "\r\n"] + _meta_lines(result, samples)))
+        fh.write("".join([",".join(_META_HEADER) + "\r\n"] + _meta_lines(result)))
     with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
         csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
         fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"
         values = np.concatenate([result.uv, _point_values(batch)], axis=2)
         text = {}  # (patch id, the sample's row values as bytes) -> its nine rows
-        for i, rows in zip(result.kept, values):
-            pid = samples[i].location.patch_id
+        for pid, rows in zip(result.samples.patch_id.tolist(), values):
             key = (pid, rows.tobytes())
             if key not in text:
                 text[key] = "".join([fmt % (_csv_field(pid), *r, slot) for slot, r in enumerate(rows.tolist())])

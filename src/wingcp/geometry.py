@@ -42,8 +42,11 @@ any number of points: one point and N points run the same code.
 "first-index" is computed as the exact negation of "standard".
 ``point_features`` runs the chain for N points of one patch at once,
 evaluating the jet and the metric once and flagging degenerate points
-in a mask; ``feature_bundle`` is its one-point call, which raises
-DegenerateMetric instead.
+in a mask; feature assembly (``data.assemble``) and the synthetic
+generator (``synth``) call only it. ``feature_bundle`` is its one-point
+call, which raises DegenerateMetric instead; no code of the package
+calls it, and it stays for one-point use and the traced benchmark's
+name for it (imported by ``data``).
 """
 
 from dataclasses import dataclass

@@ -62,9 +62,15 @@ class NetSpec:
     def __post_init__(self):
         if self.kind not in ("dense", "conv"):
             raise ConfigError(f"unknown net kind {self.kind!r}")
-        self.widths = tuple(self.widths)
-        self.channels = tuple(self.channels)
-        self.kernel = tuple(self.kernel)
+        for name in ("widths", "channels", "kernel"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"net spec {name} must be a list of integers, got {value!r}")
+            for x in value:
+                check_int(x, f"net spec {name} entry", 1)
+            setattr(self, name, tuple(value))
+        if len(self.kernel) != 2:
+            raise ConfigError(f"net spec kernel must have two entries, got {list(self.kernel)}")
 
     @classmethod
     def from_dict(cls, d):
@@ -95,8 +101,9 @@ class ModelConfig:
             raise ConfigError(f"active groups must be a nonempty subset of {GROUP_IDS}")
         check_int(self.k_outputs, "k_outputs", 1)
         check_int(self.seed, "seed", 0)
-        if not isinstance(self.leaky_slope, (int, float)) or not 0.0 <= self.leaky_slope <= 1.0:
-            raise ConfigError(f"leaky_slope must be a finite number in [0, 1], got {self.leaky_slope!r}")
+        slope = self.leaky_slope
+        if isinstance(slope, bool) or not isinstance(slope, (int, float)) or not 0.0 <= slope <= 1.0:
+            raise ConfigError(f"leaky_slope must be a finite number in [0, 1], got {slope!r}")
 
     @property
     def context_width(self):
@@ -112,7 +119,11 @@ class ModelConfig:
         d = dict(d)
         if not isinstance(d["nets"], dict):
             raise ConfigError("model config nets is not an object")
-        d["nets"] = {int(z): NetSpec.from_dict(spec) for z, spec in d["nets"].items()}
+        groups = {str(z): z for z in GROUP_IDS}
+        for z in d["nets"]:
+            if str(z) not in groups:
+                raise ConfigError(f"model config nets key {z!r} is not one of the groups {GROUP_IDS}")
+        d["nets"] = {groups[str(z)]: NetSpec.from_dict(spec) for z, spec in d["nets"].items()}
         d["context"] = NetSpec.from_dict(d["context"])
         d["concat"] = NetSpec.from_dict(d["concat"])
         d["active"] = tuple(d["active"])
@@ -358,8 +369,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("learning_rate", "epsilon"):
+            if not (np.isfinite(getattr(self, key)) and getattr(self, key) > 0.0):
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
 
 
 class FlatParams(list):

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint, save_control_grids
-from .data import RawSample, FlightCondition, save_samples
-from .errors import ConfigError, check_int
-from .geometry import feature_bundle
+from .data import Samples, save_samples
+from .errors import ConfigError, DegenerateMetric, check_int
+from .geometry import point_features
 from .shapes import poly_substitute_affine_v, surface_from_polynomials
 
 __all__ = ["SynthConfig", "SynthResult", "generate_synthetic", "cp_formula", "CP_FORMULA_TEXT"]
@@ -143,7 +143,7 @@ def _locate(cfg: SynthConfig, w: float):
 @dataclass
 class SynthResult:
     manifold: PiecewiseManifold
-    samples: list
+    samples: Samples
     manifest: dict
     manifold_path: str | None = None
     samples_path: str | None = None
@@ -162,34 +162,31 @@ def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
     seams = manifold.detect_seams()
 
     # curvature features depend only on the point, so compute them once
-    # per (station, chordwise) location and reuse across AoAs
+    # per (station, chordwise) location, one call per station, and reuse
+    # them across AoAs
     station_ws = [(s + 0.5) / cfg.stations for s in range(cfg.stations)]
     chord_us = np.linspace(0.04, 0.96, cfg.points_per_section)
-    geo = []
+    geo = []  # (patch id, u, v, w, S, |Gamma|) of each location
     for w in station_ws:
         k, v = _locate(cfg, w)
         pid = grids[k].patch_id
-        for u in chord_us:
-            point = SurfacePoint(pid, float(u), float(v))
-            bundle = feature_bundle(manifold, point, "standard")
-            gnorm = float(np.sqrt(np.sum(bundle.gamma**2)))
-            geo.append((w, float(u), point, bundle.scalar, gnorm))
+        manifold.assert_ready(pid)
+        f = point_features(manifold.grid(pid), chord_us, v, "standard")
+        if f.degenerate.any():
+            i = int(np.argmax(f.degenerate))
+            raise DegenerateMetric(f.det_g[i], SurfacePoint(pid, float(chord_us[i]), v))
+        gnorm = np.sqrt(np.sum((f.gamma**2).reshape(len(chord_us), -1), axis=1))
+        geo += [(pid, u, v, w, s, g) for u, s, g in zip(chord_us.tolist(), f.scalar.tolist(), gnorm.tolist())]
 
     rng = np.random.default_rng(cfg.seed)
-    samples = []
+    rows = []
     for aoa in cfg.aoa_set:
-        for w, u, point, s_curv, gnorm in geo:
+        for pid, u, v, w, s_curv, gnorm in geo:
             cp = cp_formula(cfg.coefficients, aoa, u, w, s_curv, gnorm)
             if cfg.noise_sigma > 0.0:
                 cp += cfg.noise_sigma * rng.standard_normal()
-            samples.append(
-                RawSample(
-                    location=point,
-                    condition=FlightCondition(ma=cfg.ma, aoa=float(aoa), re=cfg.reynolds),
-                    cp=float(cp),
-                    span_station=100.0 * w,
-                )
-            )
+            rows.append((pid, u, v, cfg.ma, float(aoa), cfg.reynolds, 100.0 * w, float(cp)))
+    samples = Samples.from_rows(rows)
 
     manifest = {
         "generator": "synthetic-wing",

@@ -455,6 +455,11 @@ def loop_point_features(points, point, convention):
     return j[0, 0], g, gamma, scalar
 
 
+def sample_points(samples):
+    """The SurfacePoint (patch id, u, v) of every row of a Samples table, as Python floats."""
+    return [SurfacePoint(*row) for row in zip(samples.patch_id.tolist(), samples.u.tolist(), samples.v.tolist())]
+
+
 def loop_assemble(manifold, samples, d, convention="standard"):
     """One sample at a time: stencil, then the chain at each of its nine points.
 
@@ -463,8 +468,7 @@ def loop_assemble(manifold, samples, d, convention="standard"):
     reason text of the first failing offset (E, W, N, S) or slot.
     """
     kept, dropped, rows = [], [], []
-    for idx, sample in enumerate(samples):
-        center = sample.location
+    for idx, center in enumerate(sample_points(samples)):
         points = manifold.grid(center.patch_id).points
         try:
             stencil, _ = scalar_stencil(points, center, d)
@@ -624,7 +628,10 @@ def svd_check_patch(grid, samples_per_axis, rank_tol, eps_space, delta_param):
 
 
 def write_features_points_rows(path, header, result, samples):
-    """features_points.csv by csv.writer, one row per stencil slot, each value indexed out of the batch."""
+    """features_points.csv by csv.writer, one row per stencil slot, each value indexed out of the batch.
+
+    The patch id of batch row r is read from input row ``result.kept[r]`` of ``samples``.
+    """
     b = result.batch
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -636,32 +643,34 @@ def write_features_points_rows(path, header, result, samples):
                 values += [b.x4[r, k, 2 * s + i, j] for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))]
                 values.append(b.x5[r, s])
                 text = [format(float(x), ".17g") for x in values]
-                writer.writerow([samples[src].location.patch_id, *text, s])
+                writer.writerow([str(samples.patch_id[src]), *text, s])
 
 
 META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
 
 
 def loop_meta_rows(result, samples):
-    """meta.csv rows as dicts of text, every field formatted for every sample."""
+    """meta.csv rows as dicts of text, every field formatted for every sample.
+
+    Batch row r describes input row ``result.kept[r]`` of ``samples``.
+    """
     rows = []
     for out_row, src in enumerate(result.kept):
-        s = samples[src]
         x, y, z = (format(c, ".17g") for c in result.batch.x2[out_row, 0, 4, :])
-        values = (s.location.u, s.location.v)
+        span = float(samples.span[src])
         rows.append({
             "row": str(out_row),
-            "patch_id": s.location.patch_id,
-            "u": format(values[0], ".17g"),
-            "v": format(values[1], ".17g"),
+            "patch_id": str(samples.patch_id[src]),
+            "u": format(float(samples.u[src]), ".17g"),
+            "v": format(float(samples.v[src]), ".17g"),
             "x": x,
             "y": y,
             "z": z,
-            "Ma": format(s.condition.ma, ".17g"),
-            "AoA": format(s.condition.aoa, ".17g"),
-            "Re": format(s.condition.re, ".17g"),
-            "span": "" if s.span_station is None else format(s.span_station, ".17g"),
-            "cp": format(s.cp, ".17g"),
+            "Ma": format(float(samples.ma[src]), ".17g"),
+            "AoA": format(float(samples.aoa[src]), ".17g"),
+            "Re": format(float(samples.re[src]), ".17g"),
+            "span": "" if math.isnan(span) else format(span, ".17g"),
+            "cp": format(float(samples.cp[src]), ".17g"),
         })
     return rows
 

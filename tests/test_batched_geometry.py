@@ -15,13 +15,14 @@ import pytest
 from oracles import (
     loop_assemble,
     rel_err,
+    sample_points,
     scalar_calibrate_offset,
     scalar_stencil,
 )
 
 import wingcp.geometry as geometry
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint
-from wingcp.data import FlightCondition, RawSample, _csv_field, assemble
+from wingcp.data import Samples, _csv_field, assemble
 from wingcp.errors import StencilOutOfPatch
 from wingcp.shapes import flat_grid
 from wingcp.stencil import AXIAL, build_stencil, calibrate_offset
@@ -37,7 +38,7 @@ def wing():
 
 
 def _sample(pid, u, v):
-    return RawSample(SurfacePoint(pid, u, v), FlightCondition(ma=0.175, aoa=7.0, re=1.35e6), cp=0.5)
+    return (pid, u, v, 0.175, 7.0, 1.35e6, float("nan"), 0.5)
 
 
 def _assert_offsets_equal_scalar(manifold, points, d):
@@ -66,7 +67,7 @@ class TestCalibrationAgainstScalarBisection:
 
     @pytest.mark.parametrize("d", [0.01, 0.005, 0.001])
     def test_default_wing_centres(self, wing, d):
-        centres = list(dict.fromkeys(s.location for s in wing.samples))
+        centres = list(dict.fromkeys(sample_points(wing.samples)))
         assert _assert_offsets_equal_scalar(wing.manifold, centres, d) == 4 * len(centres)
 
     def test_random_points(self, wing):
@@ -79,9 +80,9 @@ class TestCalibrationAgainstScalarBisection:
         assert _assert_offsets_equal_scalar(wing.manifold, points, 0.005) == 800
 
     def test_build_stencil_is_the_one_centre_case(self, wing):
-        for s in wing.samples[:40]:
-            st = build_stencil(wing.manifold, s.location, 0.005)
-            ref_points, ref_clamped = scalar_stencil(wing.manifold.grid(s.location.patch_id).points, s.location, 0.005)
+        for point in sample_points(wing.samples)[:40]:
+            st = build_stencil(wing.manifold, point, 0.005)
+            ref_points, ref_clamped = scalar_stencil(wing.manifold.grid(point.patch_id).points, point, 0.005)
             assert st.points == ref_points and st.clamped == ref_clamped
 
 
@@ -126,7 +127,7 @@ class TestAssembleAgainstPerSampleLoop:
             for u, v in rng.uniform(0.0, 1.0, (30, 2))
         ]
         samples += samples[:10]  # repeated centres
-        _assert_matches_loop_assembly(manifold, samples, 0.01)
+        _assert_matches_loop_assembly(manifold, Samples.from_rows(samples), 0.01)
 
     def test_drop_reasons(self):
         """One patch too small for d, one with a collapsed boundary row."""
@@ -140,7 +141,7 @@ class TestAssembleAgainstPerSampleLoop:
             ("flat", 0.5, 0.5), ("tiny", 0.5, 0.5), ("deg", 0.5, 0.004), ("flat", 0.0, 1.0),
             ("deg", 0.5, 0.5), ("deg", 0.3, 0.0), ("tiny", 0.5, 0.5), ("deg", 0.0, 0.002),
         ]
-        samples = [_sample(*loc) for loc in locations]
+        samples = Samples.from_rows([_sample(*loc) for loc in locations])
         result = _assert_matches_loop_assembly(manifold, samples, 0.01)
         reasons = dict(result.dropped)
         assert sorted(reasons) == [1, 2, 5, 6, 7]
@@ -168,7 +169,7 @@ def test_one_metric_call_per_batched_chain(wing, monkeypatch):
     grid = wing.manifold.grid(wing.manifold.patch_ids[0])
     f = geometry.point_features(grid, np.linspace(0.1, 0.9, 50), np.full(50, 0.5))
     assert len(calls) == 1 and f.scalar.shape == (50,) and orders == [2]
-    geometry.feature_bundle(wing.manifold, wing.samples[0].location)
+    geometry.feature_bundle(wing.manifold, sample_points(wing.samples)[0])
     assert len(calls) == 2 and orders == [2, 2]
 
 

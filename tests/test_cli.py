@@ -14,6 +14,8 @@ from wingcp.data import load_samples
 from wingcp.errors import WingcpError
 from wingcp.stencil import build_stencil
 
+from oracles import sample_points
+
 TINY_CONF = """
 # tiny pipeline settings for fast tests
 aoa_set = 0, 6, 12
@@ -161,10 +163,10 @@ class TestExtractCli:
         manifold = load_manifold(synth_dir / "manifold.csv")
         for pid in manifold.patch_ids:
             manifold.exempt(pid)
-        samples = load_samples(synth_dir / "samples.csv")
-        stencils = [build_stencil(manifold, s.location, 0.005) for s in samples]
+        points = sample_points(load_samples(synth_dir / "samples.csv"))
+        stencils = [build_stencil(manifold, p, 0.005) for p in points]
         assert counts == {
-            "distinct_centres": len({s.location for s in samples}),
+            "distinct_centres": len(set(points)),
             "distinct_points": len({p for st in stencils for p in st.points}),
             "clamped_stencils": sum(any(st.clamped) for st in stencils),
             "zero_spacing_slots": int(sum(np.sum(st.achieved_spacings == 0.0) for st in stencils)),
@@ -305,6 +307,11 @@ BAD_TRAINING_SETTINGS = [
     ("leaky_slope = 2", "leaky_slope"),
     ("leaky_slope = -0.5", "leaky_slope"),
     ("leaky_slope = nan", "leaky_slope"),
+    ("beta1 = 1", "beta1"),
+    ("beta1 = nan", "beta1"),
+    ("beta2 = 1.5", "beta2"),
+    ("epsilon = 0", "epsilon"),
+    ("epsilon = -1", "epsilon"),
 ]
 
 
@@ -617,6 +624,14 @@ BAD_CHECKPOINTS = [
     ("text-seed", "predict", None, _model_json(lambda m: m["config"].update(seed="x")), "seed"),
     ("negative-seed", "predict", None, _model_json(lambda m: m["config"].update(seed=-1)), "seed"),
     ("stride-listed", "predict", None, _model_json(_list_strides), "stride"),
+    ("text-nets-key", "predict", None,
+     _model_json(lambda m: m["config"]["nets"].update(abc=m["config"]["nets"].pop("2"))), "'abc'"),
+    ("text-widths", "predict", None, _model_json(lambda m: m["config"]["nets"]["2"].update(widths="abc")),
+     "widths"),
+    ("one-number-kernel", "predict", None, _model_json(lambda m: m["config"]["nets"]["2"].update(kernel=3)),
+     "kernel"),
+    ("bool-leaky-slope", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=True)),
+     "leaky_slope"),
 ]
 
 

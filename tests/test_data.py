@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 
 import numpy as np
@@ -7,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint
+from wingcp.bezier import ControlGrid, PiecewiseManifold
 from wingcp.data import (
     FEATURE_POINTS_HEADER,
     FOLD_AOAS_DEFAULT,
     GROUP_SHAPES,
     AssembleResult,
-    FlightCondition,
-    RawSample,
+    Samples,
     TensorBatch,
     assemble,
     fit_normalizer,
@@ -30,38 +30,34 @@ from wingcp.data import (
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
 from wingcp.shapes import flat_grid, paraboloid_grid
 
-from oracles import loop_meta_rows, write_features_points_rows, write_meta_rows
+from oracles import loop_meta_rows, sample_points, write_features_points_rows, write_meta_rows
 from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 
-def make_sample(pid, u, v, aoa=7.0, cp=0.5, ma=0.175, re=1.35e6, span=None):
-    return RawSample(
-        location=SurfacePoint(pid, u, v),
-        condition=FlightCondition(ma=ma, aoa=aoa, re=re),
-        cp=cp,
-        span_station=span,
-    )
+def sample_row(pid, u, v, aoa=7.0, cp=0.5, ma=0.175, re=1.35e6, span=None):
+    """One row for ``Samples.from_rows``; ``span=None`` is an empty span."""
+    return (pid, u, v, ma, aoa, re, math.nan if span is None else span, cp)
 
 
 @st.composite
-def _sample_lists(draw):
+def _sample_tables(draw):
     unit = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    return [
-        RawSample(
-            location=SurfacePoint(draw(PATCH_IDS), draw(unit), draw(unit)),
-            condition=FlightCondition(ma=draw(positive), aoa=draw(FINITE), re=draw(positive)),
-            cp=draw(FINITE),
-            span_station=draw(st.none() | FINITE),
+    return Samples.from_rows([
+        sample_row(
+            draw(PATCH_IDS), draw(unit), draw(unit),
+            ma=draw(positive), aoa=draw(FINITE), re=draw(positive),
+            cp=draw(FINITE), span=draw(st.none() | FINITE),
         )
         for _ in range(draw(st.integers(1, 4)))
-    ]
+    ])
 
 
-def _sample_bits(s):
-    values = (s.location.u, s.location.v, s.condition.ma, s.condition.aoa, s.condition.re, s.cp)
-    span = None if s.span_station is None else np.float64(s.span_station).tobytes()
-    return s.location.patch_id, np.array(values).tobytes(), span
+def _sample_bits(samples):
+    """Each row's patch id, the bytes of its numbers and the bytes of its span (None if empty)."""
+    values = np.column_stack([samples.u, samples.v, samples.ma, samples.aoa, samples.re, samples.cp])
+    spans = [None if math.isnan(x) else np.float64(x).tobytes() for x in samples.span.tolist()]
+    return list(zip(samples.patch_id.tolist(), [row.tobytes() for row in values], spans))
 
 
 class TestLoadSamples:
@@ -72,9 +68,9 @@ class TestLoadSamples:
         path.write_text(self.HEADER + "p,0.5,0.5,0.175,7,1350000,28.8,0.42\np,0.1,0.9,0.175,12,1350000,,-1.3\n")
         samples = load_samples(path)
         assert len(samples) == 2
-        assert samples[0].condition.aoa == 7.0
-        assert samples[0].span_station == 28.8
-        assert samples[1].span_station is None
+        assert samples.aoa[0] == 7.0
+        assert samples.span[0] == 28.8
+        assert math.isnan(samples.span[1])
 
     def test_out_of_domain_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -85,7 +81,7 @@ class TestLoadSamples:
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(self.HEADER)
-        assert load_samples(path) == []
+        assert len(load_samples(path)) == 0
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -105,24 +101,50 @@ class TestLoadSamples:
         with pytest.raises(SampleParseError, match="zzz"):
             load_samples(path, known_patches={"p"})
 
+    @pytest.mark.parametrize("field,value", [("Ma", "0"), ("Re", "-1")])
+    def test_non_positive_ma_or_re_names_row(self, tmp_path, field, value):
+        good = "p,0.5,0.5,0.175,7,1350000,,0.4\n"
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + good + good.replace({"Ma": "0.175", "Re": "1350000"}[field], value))
+        with pytest.raises(SampleParseError, match=rf":3: Ma and Re must be positive, got .*{field}={float(value)}"):
+            load_samples(path)
+
     def test_round_trip(self, tmp_path):
-        samples = [make_sample("p", 0.25, 0.75, aoa=18.5, cp=-0.75, span=44.9)]
+        samples = Samples.from_rows([sample_row("p", 0.25, 0.75, aoa=18.5, cp=-0.75, span=44.9)])
         path = tmp_path / "rt.csv"
         save_samples(path, samples)
         back = load_samples(path)
-        assert back == samples
+        assert _sample_bits(back) == _sample_bits(samples)
+
+    def test_synth_file_saved_back_byte_for_byte(self, tmp_path):
+        from wingcp.synth import SynthConfig, generate_synthetic
+
+        res = generate_synthetic(SynthConfig(seed=7, stations=2, points_per_section=3), tmp_path / "synth")
+        save_samples(tmp_path / "again.csv", load_samples(res.samples_path))
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "synth" / "samples.csv").read_bytes()
+
+    def test_empty_spans_and_quoted_patch_id_saved_back_byte_for_byte(self, tmp_path):
+        path = tmp_path / "in.csv"
+        rows = ['"p,1",0.5,0.25,0.17499999999999999,7,1350000,,0.40000000000000002',
+                "q,0,1,0.5,-2.5,1000,12.5,-1", '"say ""x""",1,0,0.25,7,1350000,,0']
+        path.write_bytes(("\r\n".join([self.HEADER.strip(), *rows]) + "\r\n").encode())
+        samples = load_samples(path)
+        assert samples.patch_id.tolist() == ["p,1", "q", 'say "x"']
+        assert np.isnan(samples.span[[0, 2]]).all() and samples.span[1] == 12.5
+        save_samples(tmp_path / "out.csv", samples)
+        assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(samples=_sample_lists())
+    @given(samples=_sample_tables())
     def test_finite_samples_round_trip_bitwise(self, samples):
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/samples.csv"
             save_samples(path, samples)
             back = load_samples(path)
-        assert [_sample_bits(s) for s in back] == [_sample_bits(s) for s in samples]
+        assert _sample_bits(back) == _sample_bits(samples)
 
     @settings(max_examples=40, deadline=None)
-    @given(samples=_sample_lists(), data=st.data())
+    @given(samples=_sample_tables(), data=st.data())
     def test_one_non_finite_field_refused(self, samples, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/samples.csv"
@@ -134,7 +156,7 @@ class TestLoadSamples:
 
 class TestAssemble:
     def test_flat_plane_tensors(self, flat_manifold):
-        samples = [make_sample("flat", 0.5, 0.5), make_sample("flat", 0.3, 0.7)]
+        samples = Samples.from_rows([sample_row("flat", 0.5, 0.5), sample_row("flat", 0.3, 0.7)])
         result = assemble(flat_manifold, samples, d=0.01)
         assert result.kept == [0, 1]
         batch = result.batch
@@ -144,7 +166,7 @@ class TestAssemble:
         np.testing.assert_allclose(batch.x5, 0.0, atol=1e-13)
 
     def test_paraboloid_center_curvature(self, paraboloid_manifold):
-        samples = [make_sample("paraboloid", 0.0, 0.0)]
+        samples = Samples.from_rows([sample_row("paraboloid", 0.0, 0.0)])
         result = assemble(paraboloid_manifold, samples, d=0.001)
         x5 = result.batch.x5[0]
         assert x5[4] == pytest.approx(8.0, abs=1e-9)
@@ -152,13 +174,13 @@ class TestAssemble:
     def test_center_slot_matches_bundle(self, paraboloid_manifold):
         from wingcp.geometry import feature_bundle
 
-        samples = [make_sample("paraboloid", 0.4, 0.6), make_sample("paraboloid", 0.2, 0.3)]
+        samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6), sample_row("paraboloid", 0.2, 0.3)])
         result = assemble(paraboloid_manifold, samples, d=0.005)
-        for sample, x5 in zip(samples, result.batch.x5):
-            assert x5[4] == feature_bundle(paraboloid_manifold, sample.location).scalar
+        for point, x5 in zip(sample_points(samples), result.batch.x5):
+            assert x5[4] == feature_bundle(paraboloid_manifold, point).scalar
 
     def test_deterministic(self, paraboloid_manifold):
-        samples = [make_sample("paraboloid", u, v) for u, v in [(0.2, 0.2), (0.8, 0.5), (0.5, 0.9)]]
+        samples = Samples.from_rows([sample_row("paraboloid", u, v) for u, v in [(0.2, 0.2), (0.8, 0.5), (0.5, 0.9)]])
         a = assemble(paraboloid_manifold, samples, d=0.005)
         b = assemble(paraboloid_manifold, samples, d=0.005)
         for key, x in a.batch.groups().items():
@@ -172,18 +194,18 @@ class TestAssemble:
 
         wing = generate_synthetic(SynthConfig(seed=3, stations=3, points_per_section=4, aoa_set=(0.0,)))
         cases = [
-            (paraboloid_manifold, [make_sample("paraboloid", 0.4, 0.6, aoa=12.0, cp=-0.3),
-                                   make_sample("paraboloid", 0.0, 0.9, aoa=7.0, cp=0.2)]),
+            (paraboloid_manifold, Samples.from_rows([sample_row("paraboloid", 0.4, 0.6, aoa=12.0, cp=-0.3),
+                                                     sample_row("paraboloid", 0.0, 0.9, aoa=7.0, cp=0.2)])),
             (wing.manifold, wing.samples),  # includes stencils clamped at patch seams
         ]
         for manifold, samples in cases:
             result = assemble(manifold, samples, d=0.005, convention=convention)
             b = result.batch
             assert result.kept == list(range(len(samples))) and b.n == len(samples)
-            for r, s in enumerate(samples):
-                assert b.x1[r].tolist() == [s.condition.ma, s.condition.aoa, s.condition.re]
-                assert b.y[r] == s.cp
-                stencil = build_stencil(manifold, s.location, 0.005)
+            for r, point in enumerate(sample_points(samples)):
+                assert b.x1[r].tolist() == [samples.ma[r], samples.aoa[r], samples.re[r]]
+                assert b.y[r] == samples.cp[r]
+                stencil = build_stencil(manifold, point, 0.005)
                 f = [feature_bundle(manifold, p, convention) for p in stencil.points]
                 stacked = {
                     "x2": np.stack([x.position for x in f])[None],
@@ -196,7 +218,7 @@ class TestAssemble:
                     assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
 
     def test_shape_contract(self, paraboloid_manifold):
-        samples = [make_sample("paraboloid", 0.4, 0.4), make_sample("paraboloid", 0.6, 0.6)]
+        samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.4), sample_row("paraboloid", 0.6, 0.6)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         assert batch.x1.shape == (2, 3)
         assert batch.x2.shape == (2, 1, 9, 3)
@@ -205,11 +227,19 @@ class TestAssemble:
         assert batch.x5.shape == (2, 9)
 
     def test_metric_rows_symmetric(self, paraboloid_manifold):
-        samples = [make_sample("paraboloid", 0.5, 0.5)]
+        samples = Samples.from_rows([sample_row("paraboloid", 0.5, 0.5)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         for r in range(9):
             block = batch.x3[0, 0, 2 * r : 2 * r + 2, :]
             assert abs(block[0, 1] - block[1, 0]) < 1e-12
+
+    def test_patch_ids_that_differ_in_a_trailing_nul_stay_apart(self):
+        manifold = PiecewiseManifold([paraboloid_grid(patch_id="p"), flat_grid(patch_id="p\x00")])
+        manifold.check_all(samples_per_axis=8)
+        samples = Samples.from_rows([sample_row(pid, 0.5, 0.5) for pid in ("p\x00", "p", "p\x00")])
+        result = assemble(manifold, samples, d=0.005)
+        assert result.kept == [0, 1, 2] and result.samples.patch_id.tolist() == ["p\x00", "p", "p\x00"]
+        assert result.batch.x5[[0, 2], 4].tolist() == [0.0, 0.0] and result.batch.x5[1, 4] != 0.0
 
     def test_drop_policy(self):
         # second patch is a tiny plane whose extent is far below d, so its
@@ -217,15 +247,15 @@ class TestAssemble:
         tiny = ControlGrid("tiny", flat_grid(2, 2).points * 0.001)
         manifold = PiecewiseManifold([flat_grid(patch_id="flat"), tiny])
         manifold.check_all(samples_per_axis=8)
-        good = [make_sample("flat", 0.1 * i, 0.5) for i in range(1, 10)]
-        bad = [make_sample("tiny", 0.5, 0.5)]
-        result = assemble(manifold, good + bad, d=0.01)
+        good = [sample_row("flat", 0.1 * i, 0.5) for i in range(1, 10)]
+        bad = [sample_row("tiny", 0.5, 0.5)]
+        result = assemble(manifold, Samples.from_rows(good + bad), d=0.01)
         assert len(result.dropped) == 1
         assert result.dropped[0][0] == 9
         assert "StencilOutOfPatch" in result.dropped[0][1]
 
         with pytest.raises(AssemblyError):
-            assemble(manifold, good[:2] + bad, d=0.01)  # 1 of 3 > 10%
+            assemble(manifold, Samples.from_rows(good[:2] + bad), d=0.01)  # 1 of 3 > 10%
 
 
 class TestNormalizer:
@@ -352,20 +382,20 @@ def _batches(draw):
 
 def _save_batch(cache, batch):
     """``save_feature_cache`` of a batch with placeholder sample metadata."""
-    samples = [make_sample("p", 0.5, 0.5)] * batch.n
-    result = AssembleResult(batch, list(range(batch.n)), [], np.zeros((batch.n, 9, 2)), {})
-    save_feature_cache(cache, result, samples, {"d": 0.005})
+    samples = Samples.from_rows([sample_row("p", 0.5, 0.5)] * batch.n)
+    result = AssembleResult(batch, samples, list(range(batch.n)), [], np.zeros((batch.n, 9, 2)), {})
+    save_feature_cache(cache, result, {"d": 0.005})
 
 
 class TestFeatureCache:
     def test_round_trip(self, tmp_path, paraboloid_manifold):
-        samples = [
-            make_sample("paraboloid", 0.3, 0.4, aoa=7.0, cp=0.1, span=10.0),
-            make_sample("paraboloid", 0.6, 0.5, aoa=12.0, cp=-0.4, span=20.0),
-        ]
+        samples = Samples.from_rows([
+            sample_row("paraboloid", 0.3, 0.4, aoa=7.0, cp=0.1, span=10.0),
+            sample_row("paraboloid", 0.6, 0.5, aoa=12.0, cp=-0.4, span=20.0),
+        ])
         result = assemble(paraboloid_manifold, samples, d=0.005)
         cache = tmp_path / "features"
-        save_feature_cache(cache, result, samples, {"d": 0.005, "convention": "standard"})
+        save_feature_cache(cache, result, {"d": 0.005, "convention": "standard"})
         batch, manifest = load_feature_cache(cache)
         orig = result.batch
         for key in ("x1", "x2", "x3", "x4", "x5"):
@@ -423,9 +453,9 @@ class TestFeatureCache:
         })
         uv = np.repeat(rng.uniform(0, 1, (1, 9, 2)), len(order), axis=0)
         uv[5] = rng.uniform(0, 1, (9, 2))
-        samples = [make_sample(pid, 0.5, 0.5, aoa=float(i)) for i, pid in enumerate(pids)]
-        result = AssembleResult(batch, list(range(len(order))), [], uv, {})
-        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        samples = Samples.from_rows([sample_row(pid, 0.5, 0.5, aoa=float(i)) for i, pid in enumerate(pids)])
+        result = AssembleResult(batch, samples, list(range(len(order))), [], uv, {})
+        save_feature_cache(tmp_path / "cache", result, {"d": 0.005})
         write_features_points_rows(tmp_path / "want.csv", FEATURE_POINTS_HEADER, result, samples)
         got = (tmp_path / "cache" / "features_points.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
@@ -436,14 +466,14 @@ class TestFeatureCache:
         """Three locations at three AoAs each, on a patch whose id needs quoting."""
         manifold = PiecewiseManifold([paraboloid_grid(patch_id="p,1")])
         manifold.check_all(samples_per_axis=16)
-        samples = [
-            make_sample("p,1", u, v, aoa=aoa, cp=aoa / 10)
+        samples = Samples.from_rows([
+            sample_row("p,1", u, v, aoa=aoa, cp=aoa / 10)
             for aoa in (0.0, 6.0, 12.0)
             for u, v in ((0.3, 0.4), (0.6, 0.5), (0.5, 0.0))
-        ]
+        ])
         result = assemble(manifold, samples, d=0.005)
         assert len(result.kept) == 9
-        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        save_feature_cache(tmp_path / "cache", result, {"d": 0.005})
         write_features_points_rows(tmp_path / "want.csv", FEATURE_POINTS_HEADER, result, samples)
         assert (tmp_path / "cache" / "features_points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -459,39 +489,40 @@ class TestFeatureCache:
             k: np.concatenate([r[k] for r in order]) for k in GROUP_SHAPES
         })
         specials = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 7, 2.0 / 3.0, 1e-300]
-        samples = [
-            make_sample("p,1", 0.5, 0.25, aoa=specials[i], ma=abs(specials[-1 - i]) or 0.2, re=1.35e6 + i,
-                        cp=specials[(i + 2) % 7], span=None if i % 2 else specials[(i + 3) % 7])
+        rows = [
+            sample_row("p,1", 0.5, 0.25, aoa=specials[i], ma=abs(specials[-1 - i]) or 0.2, re=1.35e6 + i,
+                       cp=specials[(i + 2) % 7], span=None if i % 2 else specials[(i + 3) % 7])
             for i in range(len(order))
         ]
-        samples[1] = make_sample('say "x"', 0.5, 0.25)  # same values, another patch
-        samples[4] = make_sample("p,1", -0.0, 0.25)  # -0.0 and 0.0 stay apart in u too
-        samples[5] = make_sample("p,1", 0.0, 0.25)
-        result = AssembleResult(batch, list(range(len(order))), [], np.zeros((len(order), 9, 2)), {})
-        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        rows[1] = sample_row('say "x"', 0.5, 0.25)  # same values, another patch
+        rows[4] = sample_row("p,1", -0.0, 0.25)  # -0.0 and 0.0 stay apart in u too
+        rows[5] = sample_row("p,1", 0.0, 0.25)
+        samples = Samples.from_rows(rows)
+        result = AssembleResult(batch, samples, list(range(len(order))), [], np.zeros((len(order), 9, 2)), {})
+        save_feature_cache(tmp_path / "cache", result, {"d": 0.005})
         write_meta_rows(tmp_path / "want.csv", result, samples)
         got = (tmp_path / "cache" / "meta.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b'"p,1",' in got and b'"say ""x""",' in got
-        assert meta_rows(result, samples) == loop_meta_rows(result, samples)
+        assert meta_rows(result) == loop_meta_rows(result, samples)
         assert load_meta(tmp_path / "cache", len(order)) == loop_meta_rows(result, samples)
 
     def test_meta_of_assembled_repeats(self, tmp_path):
         manifold = PiecewiseManifold([paraboloid_grid(patch_id="p,1")])
         manifold.check_all(samples_per_axis=16)
-        samples = [
-            make_sample("p,1", u, v, aoa=aoa, cp=aoa / 10, span=None if aoa else 3.5)
+        samples = Samples.from_rows([
+            sample_row("p,1", u, v, aoa=aoa, cp=aoa / 10, span=None if aoa else 3.5)
             for aoa in (0.0, 6.0, 12.0)
             for u, v in ((0.3, 0.4), (0.6, 0.5), (0.5, 0.0))
-        ]
+        ])
         result = assemble(manifold, samples, d=0.005)
-        save_feature_cache(tmp_path / "cache", result, samples, {"d": 0.005})
+        save_feature_cache(tmp_path / "cache", result, {"d": 0.005})
         write_meta_rows(tmp_path / "want.csv", result, samples)
         assert (tmp_path / "cache" / "meta.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert meta_rows(result, samples) == loop_meta_rows(result, samples)
+        assert meta_rows(result) == loop_meta_rows(result, samples)
 
     def test_pointwise_view(self, paraboloid_manifold):
-        samples = [make_sample("paraboloid", 0.4, 0.6)]
+        samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         pw = batch.pointwise()
         assert pw.x2.shape == (1, 3)

@@ -15,11 +15,12 @@ from oracles import (
     loop_riemann_tensor,
     mp_gauss_curvature,
     rel_err,
+    sample_points,
     scalar_jet,
 )
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
-from wingcp.data import FlightCondition, RawSample, assemble, save_feature_cache
+from wingcp.data import Samples, assemble, save_feature_cache
 from wingcp.errors import DegenerateMetric, InvalidPatch
 from wingcp.geometry import (
     CONVENTIONS,
@@ -231,7 +232,7 @@ def _general_patch_jets():
 
 def _synthetic_wing_points():
     wing = generate_synthetic(SynthConfig())
-    for point in dict.fromkeys(s.location for s in wing.samples):
+    for point in dict.fromkeys(sample_points(wing.samples)):
         yield wing.manifold.grid(point.patch_id).points, point
 
 
@@ -425,15 +426,16 @@ class TestFeaturePointsCsv:
 
     def _check(self, tmp_path, manifold, samples, d):
         result = assemble(manifold, samples, d=d)
-        save_feature_cache(tmp_path, result, samples, {"d": d})
+        save_feature_cache(tmp_path, result, {"d": d})
         with open(tmp_path / "features_points.csv", newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
         assert reader.fieldnames == ["patch_id", "u", "v", *self.VALUE_COLUMNS, "stencil_slot"]
         assert len(rows) == 9 * len(result.kept)
         clamped = 0
+        points = sample_points(samples)
         for r, src in enumerate(result.kept):
-            stencil = build_stencil(manifold, samples[src].location, d)
+            stencil = build_stencil(manifold, points[src], d)
             clamped += any(stencil.clamped)
             for slot, p in enumerate(stencil.points):
                 row = rows[9 * r + slot]
@@ -448,7 +450,7 @@ class TestFeaturePointsCsv:
 
     def test_paraboloid(self, tmp_path, paraboloid_manifold):
         locations = [(0.5, 0.5), (0.2, 0.7), (0.0, 0.4), (0.9, 1.0)]
-        samples = [_raw_sample(SurfacePoint("paraboloid", u, v)) for u, v in locations]
+        samples = Samples.from_rows([_sample_row(SurfacePoint("paraboloid", u, v)) for u, v in locations])
         assert self._check(tmp_path, paraboloid_manifold, samples, 0.005) == 2
 
     def test_synth_wing_with_seam_stencils(self, tmp_path):
@@ -459,5 +461,5 @@ class TestFeaturePointsCsv:
         assert self._check(tmp_path, res.manifold, res.samples, 0.005) > 0
 
 
-def _raw_sample(point):
-    return RawSample(location=point, condition=FlightCondition(ma=0.175, aoa=7.0, re=1.35e6), cp=0.5)
+def _sample_row(point):
+    return (point.patch_id, point.u, point.v, 0.175, 7.0, 1.35e6, float("nan"), 0.5)

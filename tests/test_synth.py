@@ -8,6 +8,8 @@ from wingcp.errors import ConfigError
 from wingcp.geometry import feature_bundle
 from wingcp.synth import SynthConfig, cp_formula, generate_synthetic
 
+from oracles import sample_points
+
 SMALL = dict(stations=3, points_per_section=5, aoa_set=(0.0, 7.0, 14.0))
 
 
@@ -45,14 +47,13 @@ class TestGenerator:
         cfg = SynthConfig(seed=5, noise_sigma=0.0, **SMALL)
         res = generate_synthetic(cfg)
         coeffs = res.manifest["coefficients"]
-        for sample in res.samples:
-            bundle = feature_bundle(res.manifold, sample.location, "standard")
+        s = res.samples
+        for point, aoa, span, cp in zip(sample_points(s), s.aoa.tolist(), s.span.tolist(), s.cp.tolist()):
+            bundle = feature_bundle(res.manifold, point, "standard")
             gnorm = float(np.sqrt(np.sum(bundle.gamma**2)))
-            w = sample.span_station / 100.0
-            expected = cp_formula(
-                coeffs, sample.condition.aoa, sample.location.u, w, bundle.scalar, gnorm
-            )
-            assert sample.cp == pytest.approx(expected, abs=1e-10)
+            w = span / 100.0
+            expected = cp_formula(coeffs, aoa, point.u, w, bundle.scalar, gnorm)
+            assert cp == pytest.approx(expected, abs=1e-10)
 
     def test_manifest_documents_generator(self, tmp_path):
         generate_synthetic(SynthConfig(seed=5, **SMALL), tmp_path)
@@ -64,15 +65,15 @@ class TestGenerator:
 
     def test_flight_condition_columns(self):
         res = generate_synthetic(SynthConfig(seed=2, **SMALL))
-        mas = {s.condition.ma for s in res.samples}
-        res_ = {s.condition.re for s in res.samples}
+        mas = set(res.samples.ma.tolist())
+        res_ = set(res.samples.re.tolist())
         assert mas == {0.175}
         assert res_ == {1.35e6}
 
     def test_samples_assemble_cleanly(self):
         cfg = SynthConfig(seed=4, **SMALL)
         res = generate_synthetic(cfg)
-        out = assemble(res.manifold, res.samples[:12], d=0.005)
+        out = assemble(res.manifold, res.samples.subset(slice(0, 12)), d=0.005)
         assert len(out.dropped) == 0
 
     def test_config_validation(self):
