@@ -11,7 +11,8 @@ run_manifest.json (command, config snapshot, seed, digests of the
 --manifold/--samples inputs, version, elapsed seconds, and for extract
 the assembly counts) for every command that did not raise. Timings
 live only in the manifest, so all other output files are bitwise
-reproducible under a fixed seed at a fixed BLAS thread count.
+reproducible for a fixed seed on one BLAS build and CPU kernel, whatever
+the BLAS thread count (``wingcp.nn`` names the one known exception).
 """
 
 import argparse

@@ -153,7 +153,9 @@ class AssembleResult:
     patch, in the batch's slot order. ``counts`` tallies the work of one
     call: the distinct centres calibrated and the distinct stencil points
     evaluated (summed over patches), and over the kept samples the
-    stencils with a clamped offset and the neighbor slots at zero spacing.
+    stencils with a clamped offset, the neighbor slots at zero spacing and
+    the least and greatest achieved chord of an axial neighbor that is not
+    clamped (None when there is none).
     """
 
     batch: TensorBatch
@@ -162,6 +164,10 @@ class AssembleResult:
     dropped: list  # (index, reason) pairs
     uv: np.ndarray  # (len(kept), 9, 2)
     counts: dict
+
+
+_AXIAL_SLOTS = [5, 3, 1, 7]  # E, W, N, S
+_AXIAL_CLAMPED = [NEIGHBOR_SLOTS.index(s) for s in _AXIAL_SLOTS]  # their columns of the clamped flags
 
 
 def _distinct(uv: np.ndarray):
@@ -196,6 +202,7 @@ def assemble(
     good = np.zeros(n, dtype=bool)
     reasons = {}
     counts = dict.fromkeys(("distinct_centres", "distinct_points", "clamped_stencils", "zero_spacing_slots"), 0)
+    chords = [np.empty(0)]  # achieved chords of the unclamped axial neighbors of kept centres
     # np.unique compares the str objects exactly; == with a str would drop a trailing NUL
     pids, patch_of = np.unique(samples.patch_id, return_inverse=True)
     for k, pid in enumerate(pids.tolist()):
@@ -226,6 +233,9 @@ def assemble(
         zero = (f.position[idx[:, NEIGHBOR_SLOTS]] == f.position[idx[:, 4:5]]).all(axis=-1)
         counts["clamped_stencils"] += int(clamped[centre_of[mine]].any(axis=1).sum())
         counts["zero_spacing_slots"] += int(zero.sum())
+        at = f.position[slots[ok]]
+        chord = np.linalg.norm(at[:, _AXIAL_SLOTS] - at[:, 4:5], axis=-1)
+        chords.append(chord[~clamped[ok][:, _AXIAL_CLAMPED]])
 
         for i, c in zip(rows[~mine], centre_of[~mine]):
             center = SurfacePoint(pid, *centres[c].tolist())
@@ -237,6 +247,9 @@ def assemble(
                 point = center if slot == 4 else SurfacePoint(pid, *st_uv[c, slot].tolist())
                 exc = DegenerateMetric(f.det_g[slots[c, slot]], point)
             reasons[int(i)] = f"{type(exc).__name__}: {exc}"
+    chords = np.concatenate(chords)
+    counts["axial_chord_min"] = float(chords.min()) if chords.size else None
+    counts["axial_chord_max"] = float(chords.max()) if chords.size else None
     dropped = sorted(reasons.items())
     if n and len(dropped) > max_drop_fraction * n:
         raise AssemblyError(
@@ -519,15 +532,17 @@ def _meta_lines(result: AssembleResult) -> list:
     """
     s = result.samples
     values = np.concatenate([np.column_stack([s.u, s.v]), result.batch.x2[:, 0, 4, :]], axis=1)
+    pids = s.patch_id.tolist()
+    fields = _csv_fields(pids)
     location = {}  # (patch id, the five values as bytes) -> their text
     lines = []
     columns = (s.ma, s.aoa, s.re, s.span, s.cp)
     for out_row, (pid, row, ma, aoa, re, span, cp) in enumerate(
-        zip(s.patch_id.tolist(), values, *(c.tolist() for c in columns))
+        zip(pids, values, *(c.tolist() for c in columns))
     ):
         key = (pid, row.tobytes())
         if key not in location:
-            location[key] = ",".join([_csv_field(pid)] + [format(c, ".17g") for c in row.tolist()])
+            location[key] = ",".join([fields[pid]] + [format(c, ".17g") for c in row.tolist()])
         lines.append(_META_LINE % (out_row, location[key], ma, aoa, re, _span_text(span), cp))
     return lines
 
@@ -546,6 +561,11 @@ def _csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_fields(pids: list) -> dict:
+    """``_csv_field`` of each distinct patch id, keyed by the id."""
+    return {pid: _csv_field(pid) for pid in set(pids)}
 
 
 def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
@@ -568,11 +588,13 @@ def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
         csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
         fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"
         values = np.concatenate([result.uv, _point_values(batch)], axis=2)
+        pids = result.samples.patch_id.tolist()
+        fields = _csv_fields(pids)
         text = {}  # (patch id, the sample's row values as bytes) -> its nine rows
-        for pid, rows in zip(result.samples.patch_id.tolist(), values):
+        for pid, rows in zip(pids, values):
             key = (pid, rows.tobytes())
             if key not in text:
-                text[key] = "".join([fmt % (_csv_field(pid), *r, slot) for slot, r in enumerate(rows.tolist())])
+                text[key] = "".join([fmt % (fields[pid], *r, slot) for slot, r in enumerate(rows.tolist())])
             fh.write(text[key])
     manifest = dict(manifest)
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}

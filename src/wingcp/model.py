@@ -12,9 +12,10 @@ normalization is applied to it). A plain concatenation baseline maps
 the flattened groups through a single dense stack to one output.
 
 Training is full reverse-mode gradient descent with Adam, seeded and
-bitwise deterministic for a fixed configuration, data order and BLAS
-thread count (matrix products round differently when split over
-another number of threads).
+bitwise deterministic for a fixed configuration and data order on one
+BLAS build and CPU kernel, whatever the BLAS thread count (see
+``wingcp.nn`` for the operand layouts and row blocks that make it so,
+and for the one known exception).
 """
 
 import json

@@ -17,10 +17,16 @@ C-contiguous (C*kh*kw, B*ho*wo) window matrix filled by ``kh * kw``
 block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
 which dk, db and the window gradients are all taken. OpenBLAS rounds a
 product differently for a C- or an F-contiguous operand, so fixing the
-layouts makes a conv call's bits depend only on its input values and the
-BLAS thread count. Dense products with a narrow output run on the calling
-thread only (see ``_matmul``), so their time does not hang on a second
-free CPU.
+layouts makes a conv call's bits depend only on its input values. Dense
+products with a narrow output run on the calling thread only (see
+``_matmul``), so their time does not hang on a second free CPU and their
+bits do not depend on the thread count. On one BLAS build and CPU kernel
+every output of the pipeline is therefore the same at any BLAS thread
+count; the test suite compares 1 and 2 OpenBLAS threads byte for byte.
+One exception is known: a product whose inner dimension exceeds 384
+(OpenBLAS's K block on its Haswell kernels) rounds differently when
+OpenBLAS splits it over threads, and mlp's weight gradients at a batch
+above 384 samples are such products.
 
 Layers only read their parameter arrays. During ``wingcp.model.train``
 those arrays are views of one flat float64 buffer, which the Adam step
@@ -78,7 +84,8 @@ def _matmul(a, b):
     and the call must wait for a second free CPU: with one of two CPUs
     busy, rgfil training spent 7x longer in its dense products. Such a
     product is taken in row blocks below ``_BLAS_SPLIT``, whatever the
-    thread count.
+    thread count. The blocks also decide bits: split over two threads,
+    rgfil's narrow products round differently than on one.
     """
     m, k = a.shape
     n = b.shape[1]

@@ -2,9 +2,10 @@
 
 The target spacing d is a Euclidean (chord) distance in model space,
 realized by offsets along the two parameter axes. Offsets are found by
-bisection on the monotone chord-length function, for every offset of a
-patch at once: each offset keeps its own stop test and done mask, so a
-batch gives the offsets that one call per offset gives. Diagonals
+Newton's method on the chord-length function, safeguarded by a bracket
+that falls back to its midpoint, for every offset of a patch at once:
+each offset keeps its own bracket, stop test and done mask, so a batch
+gives the offsets that one call per offset gives. Diagonals
 compose the axial offsets (square layout). Stencils never cross patch
 seams; when the patch boundary is closer than d the offset clamps to the
 boundary and the point carries a flag instead of failing. When d exceeds
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import ControlGrid, PiecewiseManifold, SurfacePoint, eval_patch
+from .bezier import ControlGrid, PiecewiseManifold, SurfacePoint, bernstein_row, eval_patch
 from .errors import StencilOutOfPatch
 
 __all__ = [
@@ -38,19 +39,48 @@ NEIGHBOR_SLOTS = (0, 1, 2, 3, 5, 6, 7, 8)  # all slots except the center
 AXIAL = (("u", 1), ("u", -1), ("v", 1), ("v", -1))  # (axis, direction) of E, W, N, S
 
 _CHORD_REL_TOL = 1e-9
-_MAX_BISECT = 80
+_MAX_STEPS = 80
+
+
+def _dot(a, b):
+    """Inner products over the last axis (length 3), summed in one fixed order at every shape."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _chord(grid: ControlGrid, u, v, base, along_u, offset):
-    p = eval_patch(grid, np.where(along_u, u + offset, u), np.where(along_u, v, v + offset))
-    return np.linalg.norm(p - base, axis=-1)
+    """(chord length, F - base) at the points ``offset`` along each axis from (u, v)."""
+    p = eval_patch(grid, np.where(along_u, u + offset, u), np.where(along_u, v, v + offset)) - base
+    return np.sqrt(_dot(p, p)), p
+
+
+def _axis_tangent_nets(grid: ControlGrid, u, v):
+    """The tangent nets of every offset's curve along u and along v, as (along_u, net) pairs.
+
+    At fixed v the curve along u has the control net C_a = sum_b B_b,n(v) P_ab,
+    and its tangent at t is sum_a B_a,m-1(t) m (C_a+1 - C_a); along v likewise
+    with the roles swapped. The fixed coordinate's row is contracted once here.
+    """
+    nets = []
+    for along_u, net, fixed in ((True, grid.points, v), (False, grid.points.transpose(1, 0, 2), u)):
+        curve = np.einsum("...b,abc->...ac", bernstein_row(net.shape[1] - 1, fixed), net)
+        nets.append((along_u, (net.shape[0] - 1) * np.diff(curve, axis=-2)))
+    return nets
+
+
+def _axis_tangent(nets, along_u, rows, t):
+    """dF/d(axis) of the offsets ``rows`` at parameter t along their axes, shape t.shape + (3,)."""
+    out = np.empty(t.shape + (3,))
+    for axis_u, net in nets:
+        sel = along_u[rows] == axis_u
+        out[sel] = np.einsum("...a,...ac->...c", bernstein_row(net.shape[-2] - 1, t[sel]), net[rows[sel]])
+    return out
 
 
 def calibrate_offset(grid: ControlGrid, u, v, axis, direction, d: float):
     """Parameter offsets delta >= 0 whose chords from F(u, v) equal d.
 
     u, v, axis ("u" or "v") and direction (+1 or -1) broadcast to one
-    shape, and every offset of that shape is bisected at once. Returns
+    shape, and every offset of that shape is solved at once. Returns
     (delta, clamped, extent), arrays of that shape. delta is the magnitude
     along +axis for direction=+1 or -axis for direction=-1 (always
     non-negative; the caller applies the sign). If the boundary arrives
@@ -58,6 +88,14 @@ def calibrate_offset(grid: ControlGrid, u, v, axis, direction, d: float):
     set. extent is the chord across the entire patch along the axis at the
     transverse coordinate; where d > extent the offset does not fit
     (delta 0, not clamped), which its caller reports as StencilOutOfPatch.
+
+    The chord c(delta) = |F(u + delta e) - F(u)| is solved for c = d by
+    Newton's method safeguarded by a bracket (Numerical Recipes, 3rd ed.,
+    section 9.4): from delta = d / |dF/d(axis)| at the centre, each step
+    takes the Newton step c' = <dF, F - F(u)> / c when it lies strictly
+    inside the bracket [lo, hi] with c(lo) < d <= c(hi), and the midpoint
+    otherwise. An offset stops once |c - d| <= 1e-9 d, with c from
+    ``eval_patch`` at the offset itself, or after 80 steps.
     """
     if not np.isin(axis, ("u", "v")).all():
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
@@ -84,24 +122,31 @@ def calibrate_offset(grid: ControlGrid, u, v, axis, direction, d: float):
     delta = np.zeros(u.shape)
     clamped = fits & (room <= 0.0)
     todo = np.flatnonzero(fits & (room > 0.0))
-    reach = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * room[todo])
+    reach, _ = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * room[todo])
     short = todo[reach < d]
     delta[short] = room[short]
     clamped[short] = True
 
     todo = todo[reach >= d]
+    nets = _axis_tangent_nets(grid, u, v)
+    tangent = _axis_tangent(nets, along_u, todo, coord[todo])
     lo, hi = np.zeros(todo.size), room[todo]
-    for _ in range(_MAX_BISECT):
+    with np.errstate(divide="ignore", over="ignore"):  # no speed: start at the room's end
+        x = np.minimum(d / np.sqrt(_dot(tangent, tangent)), hi)
+    for _ in range(_MAX_STEPS):
         if not todo.size:
             break
-        mid = 0.5 * (lo + hi)
-        c = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * mid)
+        c, p = _chord(grid, u[todo], v[todo], base[todo], along_u[todo], direction[todo] * x)
         done = np.abs(c - d) <= _CHORD_REL_TOL * d
-        delta[todo[done]] = mid[done]
+        delta[todo[done]] = x[done]
+        todo, x, lo, hi, c, p = (y[~done] for y in (todo, x, lo, hi, c, p))
         below = c < d
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        todo, lo, hi = todo[~done], lo[~done], hi[~done]
-    delta[todo] = 0.5 * (lo + hi)
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        tangent = _axis_tangent(nets, along_u, todo, coord[todo] + direction[todo] * x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a NaN or inf step fails the test
+            newton = x - (c - d) / (direction[todo] * _dot(tangent, p) / c)
+        x = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+    delta[todo] = x
     return delta.reshape(shape), clamped.reshape(shape), extent.reshape(shape)
 
 

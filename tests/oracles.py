@@ -8,8 +8,8 @@ from scalar index loops over the intrinsic formula with third
 derivatives (the package contracts whole arrays and uses the Gauss
 equation with second derivatives only) or from the Gauss equation in
 50-digit mpmath arithmetic, stencils are calibrated one offset at a time
-and assembled one sample at a time (the package bisects all offsets of
-a patch at once and evaluates each distinct point once), convolutions
+and assembled one sample at a time (the package steps all offsets of a
+patch at once and evaluates each distinct point once), convolutions
 loop over output positions (the package does one matrix product over a
 window matrix) or are one np.tensordot over a C-contiguous window tensor
 (the package fills its window matrix by block copies), Adam updates one array at a time (the package updates
@@ -17,6 +17,12 @@ one flat buffer), gradients come from central finite differences of the
 scalar loss, patch margins from LAPACK's SVD (the package uses a closed
 form) and close pairs from all sample pairs, and features_points.csv is
 written row by row (the package formats each location's rows once).
+
+The scalar Newton calibration is the one exception to the first rule:
+it takes its positions from the package's ``eval_patch`` and its Bernstein
+rows from ``bernstein_row``, so that its iterates equal the batched ones
+bit for bit. The scalar bisection checks the same offsets without them,
+and degree elevation checks them on another net of the same patch.
 """
 
 import csv
@@ -26,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from wingcp.bezier import SurfacePoint
+from wingcp.bezier import ControlGrid, SurfacePoint, bernstein_row, eval_patch
 from wingcp.errors import DegenerateMetric, StencilOutOfPatch, TrainingDiverged
 from wingcp.model import loss_mse
 
@@ -359,7 +365,7 @@ def curvature_scale(jet_):
 
 
 # ---------------------------------------------------------------------------
-# One point at a time: scalar jet, scalar bisection, per-sample assembly
+# One point at a time: scalar jet, scalar Newton and bisection, per-sample assembly
 # ---------------------------------------------------------------------------
 
 
@@ -390,17 +396,9 @@ def scalar_jet(points, u, v, order=3):
     return d
 
 
-def scalar_calibrate_offset(points, center, axis, direction, d, tol=1e-9, max_bisect=80):
-    """One offset by bisection on the chord: (delta, clamped); StencilOutOfPatch if d
-    exceeds the chord across the patch. The same midpoints and stop test as the package."""
+def _scalar_extent(points, center, axis, d):
+    """The chord across the patch along ``axis``; StencilOutOfPatch if d exceeds it."""
     u0, v0 = center.u, center.v
-
-    def chord(offset):
-        p = scalar_eval_patch(points, u0 + offset, v0) if axis == "u" else scalar_eval_patch(points, u0, v0 + offset)
-        return float(np.linalg.norm(p - base))
-
-    base = scalar_eval_patch(points, u0, v0)
-    coord = u0 if axis == "u" else v0
     if axis == "u":
         whole = float(np.linalg.norm(scalar_eval_patch(points, 1.0, v0) - scalar_eval_patch(points, 0.0, v0)))
     else:
@@ -409,6 +407,20 @@ def scalar_calibrate_offset(points, center, axis, direction, d, tol=1e-9, max_bi
         raise StencilOutOfPatch(
             f"spacing d={d} exceeds patch extent {whole:.6g} along {axis} at {center}"
         )
+
+
+def scalar_bisect_offset(points, center, axis, direction, d, tol=1e-9, max_bisect=80):
+    """One offset by bisection on the chord: (delta, clamped); StencilOutOfPatch if d
+    exceeds the chord across the patch. Its positions are Bernstein sums in Python floats."""
+    u0, v0 = center.u, center.v
+
+    def chord(offset):
+        p = scalar_eval_patch(points, u0 + offset, v0) if axis == "u" else scalar_eval_patch(points, u0, v0 + offset)
+        return float(np.linalg.norm(p - base))
+
+    base = scalar_eval_patch(points, u0, v0)
+    _scalar_extent(points, center, axis, d)
+    coord = u0 if axis == "u" else v0
     room = 1.0 - coord if direction > 0 else coord
     if room <= 0.0:
         return 0.0, True
@@ -425,6 +437,72 @@ def scalar_calibrate_offset(points, center, axis, direction, d, tol=1e-9, max_bi
         else:
             hi = mid
     return 0.5 * (lo + hi), False
+
+
+def scalar_calibrate_offset(points, center, axis, direction, d, tol=1e-9, max_steps=80, trace=None):
+    """One offset by safeguarded Newton on the chord: (delta, clamped); StencilOutOfPatch if
+    d exceeds the chord across the patch.
+
+    The package's iterates, one offset at a time in Python floats: positions come
+    from ``eval_patch`` at one point and the tangent from one Bernstein row of the
+    fixed coordinate contracted with the net, so every iterate agrees bit for bit.
+    ``trace``, if a list, receives ("newton" or "midpoint", the next iterate) per step.
+    """
+    grid = ControlGrid("oracle", points)
+    u0, v0 = center.u, center.v
+    coord = u0 if axis == "u" else v0
+    net = points if axis == "u" else points.transpose(1, 0, 2)
+    fixed = v0 if axis == "u" else u0
+    curve = np.einsum("b,abc->ac", bernstein_row(net.shape[1] - 1, fixed), net)
+    tangent_net = (net.shape[0] - 1) * np.diff(curve, axis=0)
+
+    def tangent(t):
+        return np.einsum("a,ac->c", bernstein_row(tangent_net.shape[0] - 1, t), tangent_net).tolist()
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def chord(offset):
+        at = (u0 + offset, v0) if axis == "u" else (u0, v0 + offset)
+        p = (eval_patch(grid, *at) - base).tolist()
+        return math.sqrt(dot(p, p)), p
+
+    base = eval_patch(grid, u0, v0)
+    _scalar_extent(points, center, axis, d)
+    room = 1.0 - coord if direction > 0 else coord
+    if room <= 0.0:
+        return 0.0, True
+    if chord(direction * room)[0] < d:
+        return room, True
+    lo, hi = 0.0, room
+    speed = math.sqrt(dot(tangent(coord), tangent(coord)))
+    x = min(d / speed, hi) if speed > 0.0 else hi
+    for _ in range(max_steps):
+        c, p = chord(direction * x)
+        if abs(c - d) <= tol * d:
+            return x, False
+        if c < d:
+            lo = x
+        else:
+            hi = x
+        slope = direction * dot(tangent(coord + direction * x), p) / c if c > 0.0 else math.nan
+        newton = x - (c - d) / slope if slope != 0.0 else math.nan
+        inside = lo < newton < hi
+        x = newton if inside else 0.5 * (lo + hi)
+        if trace is not None:
+            trace.append(("newton" if inside else "midpoint", x))
+    return x, False
+
+
+def elevate_degree(points, axis):
+    """The control net of the same patch with its degree along ``axis`` (0: u, 1: v) raised by one.
+
+    Farin, ch. 5: Q_0 = P_0, Q_i = i/(m+1) P_(i-1) + (1 - i/(m+1)) P_i, Q_(m+1) = P_m.
+    The surface and its parametrization stay the same.
+    """
+    p = np.moveaxis(np.asarray(points, dtype=float), axis, 0)
+    t = (np.arange(1, p.shape[0]) / p.shape[0])[:, None, None]
+    return np.moveaxis(np.concatenate([p[:1], t * p[:-1] + (1.0 - t) * p[1:], p[-1:]]), 0, axis)
 
 
 def scalar_stencil(points, center, d):

@@ -1,0 +1,97 @@
+"""Every output of the pipeline is the same at one and at two OpenBLAS threads.
+
+The default wing has 1080 samples, so the conv forward of the epoch-end
+evaluation and mlp's 128-wide dense products are past the size from which
+OpenBLAS splits a product over its threads; the second thread really
+works. Each thread count runs in its own child process, since OpenBLAS
+reads its thread count when numpy is first imported.
+
+mlp trains at batch 384, not the default 470: a product whose inner
+dimension exceeds 384 (OpenBLAS's K block on its Haswell kernels), such
+as mlp's weight gradient x.T @ dy of shape (128, 470) @ (470, 128),
+rounds differently when OpenBLAS splits it over two threads. The promise
+holds up to that size, and the README states the exception.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import wingcp
+from wingcp.cli import main
+
+PRESETS = ("rgfil", "mdf", "mlp", "mtl")
+
+CONF = """
+epochs = 2
+fold_aoas = 7, 20
+"""
+# the largest batch whose weight-gradient products keep their inner sum on one thread
+MLP_BATCH = 384
+
+# runs the CLI steps given as a JSON list in one process; exits non-zero at the first failure
+CHILD = """
+import json, sys
+from wingcp.cli import main
+for step in json.loads(sys.argv[1]):
+    if main(step) != 0:
+        sys.exit(f"{step[0]} failed")
+"""
+
+
+def _steps(data, confs, root):
+    manifold, samples = os.path.join(data, "manifold.csv"), os.path.join(data, "samples.csv")
+    features = os.path.join(root, "features")
+    steps = [["extract", "--manifold", manifold, "--samples", samples, "--d", "0.005", "--out", features,
+              "--config", confs["rgfil"]]]
+    for model in PRESETS:
+        conf = confs[model]
+        run = os.path.join(root, model, "train")
+        steps += [
+            ["train", "--features", features, "--model", model, "--seed", "7", "--out", run, "--config", conf],
+            ["predict", "--checkpoint", os.path.join(run, "checkpoint"), "--features", features,
+             "--out", os.path.join(root, model, "predict")],
+            ["crossval", "--manifold", manifold, "--samples", samples, "--model", model, "--seed", "7",
+             "--out", os.path.join(root, model, "crossval"), "--config", conf],
+        ]
+    return steps
+
+
+def _outputs(root):
+    """Every output file under root but run_manifest.json, by relative path, with root's own path masked."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            if name != "run_manifest.json":
+                path = os.path.join(folder, name)
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, root)] = fh.read().replace(root.encode(), b"<run>")
+    return out
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--seed", "7", "--out", data]) == 0
+    confs = {}
+    for model in PRESETS:
+        confs[model] = str(tmp_path / f"{model}.conf")
+        with open(confs[model], "w") as fh:
+            fh.write(CONF + (f"batch_size = {MLP_BATCH}\n" if model == "mlp" else ""))
+    # the children import the same wingcp as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingcp.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        root = str(tmp_path / f"threads{threads}")
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(_steps(data, confs, root))],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(_outputs(root))
+    one, two = outputs
+    assert sorted(one) == sorted(two)
+    assert len(one) > 40 and "mlp/crossval/report.json" in one and "features/x2.npy" in one
+    assert [rel for rel in sorted(one) if one[rel] != two[rel]] == []

@@ -165,13 +165,28 @@ class TestExtractCli:
             manifold.exempt(pid)
         points = sample_points(load_samples(synth_dir / "samples.csv"))
         stencils = [build_stencil(manifold, p, 0.005) for p in points]
+        # the axial neighbors E, W, N, S are neighbor slots 4, 3, 1, 6 (slot order without the centre)
+        chords = [st.achieved_spacings[k] for st in stencils for k in (4, 3, 1, 6) if not st.clamped[k]]
         assert counts == {
             "distinct_centres": len(set(points)),
             "distinct_points": len({p for st in stencils for p in st.points}),
             "clamped_stencils": sum(any(st.clamped) for st in stencils),
             "zero_spacing_slots": int(sum(np.sum(st.achieved_spacings == 0.0) for st in stencils)),
+            "axial_chord_min": min(chords),
+            "axial_chord_max": max(chords),
         }
         assert counts["zero_spacing_slots"] > 0
+
+    def test_run_manifest_axial_chords_meet_the_tolerance(self, synth_dir, tmp_path):
+        """The spread of achieved axial spacings lies within the calibration's 1e-9 relative stop test."""
+        out = tmp_path / "features"
+        assert main([
+            "extract", "--manifold", str(synth_dir / "manifold.csv"),
+            "--samples", str(synth_dir / "samples.csv"), "--d", "0.005", "--out", str(out),
+        ]) == 0
+        counts = json.loads((out / "run_manifest.json").read_text())["counts"]
+        lo, hi = 0.005 * (1.0 - 1e-9), 0.005 * (1.0 + 1e-9)
+        assert lo <= counts["axial_chord_min"] <= counts["axial_chord_max"] <= hi
 
     def test_gate_names_failing_patch(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
