@@ -300,17 +300,24 @@ def _load_for_inference(args):
 
 
 def _read_report(run_dir):
-    """A crossval run's report.json, refused unless it holds a fold_mse table keyed by AoA."""
+    """A crossval run's report.json, refused unless it holds a fold_mse table of finite numbers keyed by AoA.
+
+    ``n_samples``, where present, must be an object.
+    """
     path = os.path.join(run_dir, "report.json")
     with open(path) as fh:
         run = json.load(fh)
     if not isinstance(run, dict) or not isinstance(run.get("fold_mse"), dict):
         raise WingcpError(f"{path}: no fold_mse table")
-    for label in run["fold_mse"]:
+    if not isinstance(run.get("n_samples", {}), dict):
+        raise WingcpError(f"{path}: n_samples is not an object")
+    for label, mse in run["fold_mse"].items():
         try:
             float(label)
         except ValueError:
             raise WingcpError(f"{path}: fold label {label!r} is not an AoA") from None
+        if isinstance(mse, bool) or not isinstance(mse, (int, float)) or not np.isfinite(mse):
+            raise WingcpError(f"{path}: fold {label} MSE {mse!r} is not a finite number")
     return run
 
 

@@ -71,6 +71,8 @@ FOLD_AOAS_DEFAULT = (7.0, 12.0, 16.0, 18.0, 18.5, 19.0, 20.0)
 SAMPLE_HEADER = ["patch_id", "u", "v", "Ma", "AoA", "Re", "span", "cp"]
 
 GROUP_SHAPES = {"x1": (3,), "x2": (1, 9, 3), "x3": (1, 18, 2), "x4": (2, 18, 2), "x5": (9,)}
+# the centre-slot layout of TensorBatch.pointwise, which single-point models take
+POINTWISE_SHAPES = {"x1": (3,), "x2": (3,), "x3": (1, 2, 2), "x4": (2, 2, 2), "x5": (1,)}
 
 
 @dataclass
@@ -130,15 +132,12 @@ class TensorBatch:
         )
 
     def pointwise(self):
-        """Center-slot view for single-point models.
-
-        x2 -> (B, 3), x3 -> (B, 1, 2, 2), x4 -> (B, 2, 2, 2), x5 -> (B, 1).
-        """
+        """Center-slot view for single-point models, in the ``POINTWISE_SHAPES`` layout."""
         return TensorBatch(
             x1=self.x1,
             x2=self.x2[:, 0, 4, :],
-            x3=self.x3[:, :, 8:10, :].reshape(self.n, 1, 2, 2),
-            x4=self.x4[:, :, 8:10, :].reshape(self.n, 2, 2, 2),
+            x3=self.x3[:, :, 8:10, :].reshape(self.n, *POINTWISE_SHAPES["x3"]),
+            x4=self.x4[:, :, 8:10, :].reshape(self.n, *POINTWISE_SHAPES["x4"]),
             x5=self.x5[:, 4:5],
             y=self.y,
         )
@@ -627,8 +626,11 @@ def load_feature_cache(cachedir):
     SampleParseError names the first file that does not. No CSV file is
     opened: ``meta.csv`` is read by :func:`load_meta`.
     """
-    with open(os.path.join(cachedir, "manifest.json")) as fh:
+    path = os.path.join(cachedir, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise SampleParseError(f"{path}: not a JSON object")
     n = manifest.get("n_samples")
     shapes = {**GROUP_SHAPES, "y": ()}
     arrays = {k: _load_array(os.path.join(cachedir, f"{k}.npy"), (n, *shape)) for k, shape in shapes.items()}

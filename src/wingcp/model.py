@@ -10,6 +10,9 @@ prediction for a sample is the dot product
 where c is the context network's (A*K)-wide raw weight vector (no
 normalization is applied to it). A plain concatenation baseline maps
 the flattened groups through a single dense stack to one output.
+From construction, a model's parameter arrays are views of one flat
+float64 buffer, ``model.params.flat``, which the Adam step updates in
+place and a checkpoint's ``weights.bin`` holds byte for byte.
 
 Training is full reverse-mode gradient descent with Adam, seeded and
 bitwise deterministic for a fixed configuration and data order on one
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .data import NormalizationSpec, TensorBatch
+from .data import GROUP_SHAPES, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
 from .errors import ConfigError, TrainingDiverged, check_int, check_keys
 from .nn import Stack, conv_stack, dense_stack
 
@@ -187,12 +190,11 @@ def preset(name: str, **overrides) -> ModelConfig:
 
 
 def input_shapes(neighbor_mode: str) -> dict:
-    """Per-group feature shapes (without the batch axis) for a mode."""
-    if neighbor_mode == "9-point":
-        return {1: (3,), 2: (1, 9, 3), 3: (1, 18, 2), 4: (2, 18, 2), 5: (9,)}
-    if neighbor_mode == "1-point":
-        return {1: (3,), 2: (3,), 3: (1, 2, 2), 4: (2, 2, 2), 5: (1,)}
-    raise ConfigError(f"unknown neighbor mode {neighbor_mode!r}")
+    """Per-group feature shapes (without the batch axis) for a mode, keyed by group id."""
+    layouts = {"9-point": GROUP_SHAPES, "1-point": POINTWISE_SHAPES}
+    if neighbor_mode not in layouts:
+        raise ConfigError(f"unknown neighbor mode {neighbor_mode!r}")
+    return {z: layouts[neighbor_mode][f"x{z}"] for z in GROUP_IDS}
 
 
 def _build_stack(rng, spec: NetSpec, in_shape, out_dim, slope) -> Stack:
@@ -203,135 +205,108 @@ def _build_stack(rng, spec: NetSpec, in_shape, out_dim, slope) -> Stack:
     return conv_stack(rng, in_shape, spec.channels, out_dim, spec.kernel, slope)
 
 
-class FusionModel:
-    """Function networks fused by context-generated weights."""
+class _Model:
+    """Named stacks over the active feature groups, trained on the MSE loss.
+
+    ``stacks`` maps each stack's name to it, in parameter order. Their
+    layers' parameter arrays are bound here, once, as consecutive views
+    of one :class:`FlatParams` buffer, ``params``. A subclass supplies
+    ``_forward(batch, keep) -> (yhat, weights, cache)`` and
+    ``_backward(dyhat, cache) -> grads`` in ``params`` order.
+    """
+
+    def __init__(self, config: ModelConfig, stacks: dict):
+        self.config = config
+        self.stacks = stacks
+        layers = [layer for stack in stacks.values() for layer in stack.layers]
+        slots = [(layer, name) for layer in layers for name in layer.param_attrs]
+        self.params = FlatParams([getattr(layer, name) for layer, name in slots])
+        for (layer, name), view in zip(slots, self.params):
+            setattr(layer, name, view)
+
+    def param_names(self):
+        return [f"{name}.p{i}" for name, stack in self.stacks.items() for i in range(len(stack.params))]
+
+    def _inputs(self, batch: TensorBatch):
+        """The active groups in the model's neighbor mode, and xi, their flattened concatenation."""
+        view = batch if self.config.neighbor_mode == "9-point" else batch.pointwise()
+        groups = view.groups()
+        xs = [groups[f"x{z}"] for z in self.config.active]
+        return xs, np.concatenate([x.reshape(batch.n, -1) for x in xs], axis=1)
+
+    def forward(self, batch: TensorBatch, return_weights: bool = False):
+        """yhat and, if ``return_weights``, the context weights (None for a concat model)."""
+        yhat, weights, _ = self._forward(batch, keep=False)
+        return (yhat, weights) if return_weights else yhat
+
+    def loss_and_grads(self, batch: TensorBatch):
+        """MSE loss, parameter gradients in ``params`` order, and yhat."""
+        yhat, _, cache = self._forward(batch, keep=True)
+        resid = yhat - batch.y
+        loss = float(np.mean(resid**2))
+        return loss, self._backward((2.0 / batch.n) * resid, cache), yhat
+
+
+class FusionModel(_Model):
+    """Function networks ``f1``..``f5`` fused by weights from the ``context`` network."""
 
     def __init__(self, config: ModelConfig):
         if config.arch != "fusion":
             raise ConfigError("FusionModel requires arch='fusion'")
-        self.config = config
         shapes = input_shapes(config.neighbor_mode)
         rng = np.random.default_rng([config.seed, 7])
-        self.nets = {}
+        stacks = {}
         for z in config.active:
             spec = config.nets.get(z, _DENSE16())
-            self.nets[z] = _build_stack(rng, spec, shapes[z], config.k_outputs, config.leaky_slope)
+            stacks[f"f{z}"] = _build_stack(rng, spec, shapes[z], config.k_outputs, config.leaky_slope)
         xi_dim = sum(int(np.prod(shapes[z])) for z in config.active)
-        self.context = dense_stack(
+        stacks["context"] = dense_stack(
             rng, xi_dim, config.context.widths, config.context_width, config.leaky_slope
         )
+        super().__init__(config, stacks)
 
-    @property
-    def params(self):
-        out = []
-        for z in self.config.active:
-            out.extend(self.nets[z].params)
-        out.extend(self.context.params)
-        return out
-
-    def set_params(self, arrays):
-        i = 0
-        for z in self.config.active:
-            k = len(self.nets[z].params)
-            self.nets[z].set_params(arrays[i : i + k])
-            i += k
-        self.context.set_params(arrays[i:])
-
-    def param_names(self):
-        names = []
-        for z in self.config.active:
-            for idx in range(len(self.nets[z].params)):
-                names.append(f"f{z}.p{idx}")
-        for idx in range(len(self.context.params)):
-            names.append(f"context.p{idx}")
-        return names
-
-    def _inputs(self, batch: TensorBatch):
-        view = batch if self.config.neighbor_mode == "9-point" else batch.pointwise()
-        groups = view.groups()
-        out = {}
-        for z in self.config.active:
-            x = groups[f"x{z}"]
-            spec = self.config.nets.get(z, _DENSE16())
-            out[z] = x.reshape(x.shape[0], -1) if spec.kind == "dense" else x
-        xi = np.concatenate(
-            [groups[f"x{z}"].reshape(batch.n, -1) for z in self.config.active], axis=1
-        )
-        return out, xi
-
-    def _forward_full(self, batch, keep=False):
-        """yhat, f_all, c and, if ``keep``, the caches backward needs (None otherwise)."""
-        inputs, xi = self._inputs(batch)
-        f_parts, caches = [], {}
-        for z in self.config.active:
-            y, caches[z] = self.nets[z].forward(inputs[z], keep)
+    def _forward(self, batch, keep=False):
+        """yhat, the context weights c, and (f_all, c, per-stack caches) for backward (None caches unless ``keep``)."""
+        xs, xi = self._inputs(batch)
+        f_parts, caches = [], []
+        for z, x in zip(self.config.active, xs):
+            if self.config.nets.get(z, _DENSE16()).kind == "dense":
+                x = x.reshape(batch.n, -1)
+            y, cache = self.stacks[f"f{z}"].forward(x, keep)
             f_parts.append(y)
+            caches.append(cache)
         f_all = np.concatenate(f_parts, axis=1)  # (B, A*K)
-        c, ctx_cache = self.context.forward(xi, keep)
-        yhat = np.sum(f_all * c, axis=1)
-        return yhat, f_all, c, caches, ctx_cache
+        c, ctx_cache = self.stacks["context"].forward(xi, keep)
+        caches.append(ctx_cache)
+        return np.sum(f_all * c, axis=1), c, (f_all, c, caches)
 
-    def forward(self, batch: TensorBatch, return_weights: bool = False):
-        yhat, _, c, _, _ = self._forward_full(batch)
-        return (yhat, c) if return_weights else yhat
-
-    def loss_and_grads(self, batch: TensorBatch):
-        yhat, f_all, c, caches, ctx_cache = self._forward_full(batch, keep=True)
-        resid = yhat - batch.y
-        loss = float(np.mean(resid**2))
-        dyhat = (2.0 / batch.n) * resid
-        df = c * dyhat[:, None]
-        dc = f_all * dyhat[:, None]
+    def _backward(self, dyhat, cache):
+        f_all, c, caches = cache
+        dys = np.split(c * dyhat[:, None], len(self.config.active), axis=1) + [f_all * dyhat[:, None]]
         grads = []
-        k = self.config.k_outputs
-        for pos, z in enumerate(self.config.active):
-            grads.extend(self.nets[z].backward(df[:, pos * k : (pos + 1) * k], caches[z]))
-        grads.extend(self.context.backward(dc, ctx_cache))
-        return loss, grads, yhat
+        for stack, dy, stack_cache in zip(self.stacks.values(), dys, caches):
+            grads.extend(stack.backward(dy, stack_cache))
+        return grads
 
 
-class ConcatModel:
-    """Single dense stack over the concatenated flattened feature groups."""
+class ConcatModel(_Model):
+    """Single dense stack, ``concat``, over the concatenated flattened feature groups."""
 
     def __init__(self, config: ModelConfig):
         if config.arch != "concat":
             raise ConfigError("ConcatModel requires arch='concat'")
-        self.config = config
         shapes = input_shapes(config.neighbor_mode)
         in_dim = sum(int(np.prod(shapes[z])) for z in config.active)
         rng = np.random.default_rng([config.seed, 7])
-        self.stack = dense_stack(rng, in_dim, config.concat.widths, 1, config.leaky_slope)
+        stack = dense_stack(rng, in_dim, config.concat.widths, 1, config.leaky_slope)
+        super().__init__(config, {"concat": stack})
 
-    @property
-    def params(self):
-        return self.stack.params
+    def _forward(self, batch, keep=False):
+        out, caches = self.stacks["concat"].forward(self._inputs(batch)[1], keep)
+        return out[:, 0], None, caches
 
-    def set_params(self, arrays):
-        self.stack.set_params(arrays)
-
-    def param_names(self):
-        return [f"concat.p{i}" for i in range(len(self.stack.params))]
-
-    def _inputs(self, batch: TensorBatch):
-        view = batch if self.config.neighbor_mode == "9-point" else batch.pointwise()
-        groups = view.groups()
-        return np.concatenate(
-            [groups[f"x{z}"].reshape(batch.n, -1) for z in self.config.active], axis=1
-        )
-
-    def forward(self, batch: TensorBatch, return_weights: bool = False):
-        out, _ = self.stack.forward(self._inputs(batch), keep=False)
-        yhat = out[:, 0]
-        return (yhat, None) if return_weights else yhat
-
-    def loss_and_grads(self, batch: TensorBatch):
-        out, caches = self.stack.forward(self._inputs(batch))
-        yhat = out[:, 0]
-        resid = yhat - batch.y
-        loss = float(np.mean(resid**2))
-        dout = ((2.0 / batch.n) * resid)[:, None]
-        grads = self.stack.backward(dout, caches)
-        return loss, grads, yhat
+    def _backward(self, dyhat, caches):
+        return self.stacks["concat"].backward(dyhat[:, None], caches)
 
 
 def build_model(config: ModelConfig):
@@ -366,10 +341,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int(self.seed, "seed", 0)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int(self.epochs, "epochs", 1)
+        check_int(self.batch_size, "batch_size", 1)
         for key in ("learning_rate", "epsilon"):
             if not (np.isfinite(getattr(self, key)) and getattr(self, key) > 0.0):
                 raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
@@ -482,8 +455,7 @@ def train(
     """
     if cfg is None:
         cfg = TrainConfig()
-    params = FlatParams(model.params)
-    model.set_params(params)
+    params = model.params
     state = AdamState.init(params)
     rng = np.random.default_rng([cfg.seed, 3])
     n = train_batch.n
@@ -502,8 +474,11 @@ def train(
                 _, grads, _ = model.loss_and_grads(train_batch.subset(chunk))
                 t += 1
                 adam_step(params, grads, state, t, cfg)
+            train_mse = loss_mse(model.forward(train_batch), train_batch.y)
+            if not np.isfinite(train_mse):
+                raise TrainingDiverged("training loss became non-finite")
         except TrainingDiverged as exc:
-            model.set_params(last_good)
+            np.copyto(params.flat, last_good.flat)
             raise TrainingDiverged(
                 f"{exc} (epoch {epoch})",
                 last_good=last_good,
@@ -511,18 +486,9 @@ def train(
                 val_curve=np.array(val_curve),
             ) from None
 
-        train_mse = loss_mse(model.forward(train_batch), train_batch.y)
         val_mse = (
             loss_mse(model.forward(val_batch), val_batch.y) if val_batch is not None else float("nan")
         )
-        if not np.isfinite(train_mse):
-            model.set_params(last_good)
-            raise TrainingDiverged(
-                f"training loss became non-finite at epoch {epoch}",
-                last_good=last_good,
-                train_curve=np.array(train_curve),
-                val_curve=np.array(val_curve),
-            )
         train_curve.append(train_mse)
         val_curve.append(val_mse)
         if log_weights:
@@ -556,9 +522,8 @@ def _layout(model):
 
 def save_checkpoint(outdir, model, normalizer: NormalizationSpec | None = None, extra: dict | None = None):
     os.makedirs(outdir, exist_ok=True)
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in model.params)
     with open(os.path.join(outdir, "weights.bin"), "wb") as fh:
-        fh.write(blob)
+        fh.write(model.params.flat.astype("<f8").tobytes())
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
@@ -601,9 +566,8 @@ def load_checkpoint(ckptdir):
         raise ConfigError(f"{ckptdir}: layout has {n} entries, the model {len(layout)}")
     with open(os.path.join(ckptdir, "weights.bin"), "rb") as fh:
         blob = fh.read()
-    sizes = [p.size for p in model.params]
-    if len(blob) != 8 * sum(sizes):
-        raise ConfigError(f"{ckptdir}: weights.bin holds {len(blob)} bytes, the model {8 * sum(sizes)}")
-    chunks = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
-    model.set_params([c.reshape(p.shape).astype(float) for c, p in zip(chunks, model.params)])
+    flat = model.params.flat
+    if len(blob) != 8 * flat.size:
+        raise ConfigError(f"{ckptdir}: weights.bin holds {len(blob)} bytes, the model {8 * flat.size}")
+    np.copyto(flat, np.frombuffer(blob, dtype="<f8"))
     return model, normalizer, manifest

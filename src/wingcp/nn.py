@@ -28,14 +28,16 @@ One exception is known: a product whose inner dimension exceeds 384
 OpenBLAS splits it over threads, and mlp's weight gradients at a batch
 above 384 samples are such products.
 
-Layers only read their parameter arrays. During ``wingcp.model.train``
-those arrays are views of one flat float64 buffer, which the Adam step
+Layers only read their parameter arrays, the attributes each layer class
+names in ``param_attrs``. A ``wingcp.model`` model binds them from
+construction as views of one flat float64 buffer, which the Adam step
 updates in place.
 """
 
 import numpy as np
 
 __all__ = [
+    "Layer",
     "LeakyReLU",
     "Dense",
     "Conv2d",
@@ -53,10 +55,19 @@ def uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class LeakyReLU:
+class Layer:
+    """A layer whose ``param_attrs`` name the attributes that hold its parameter arrays, in order."""
+
+    param_attrs = ()
+
+    @property
+    def params(self):
+        return [getattr(self, name) for name in self.param_attrs]
+
+
+class LeakyReLU(Layer):
     def __init__(self, slope=0.01):
         self.slope = slope
-        self.params = []
 
     def forward(self, x):
         # max(x, slope*x) is LeakyReLU for 0 <= slope <= 1, the range ModelConfig admits
@@ -98,8 +109,10 @@ def _matmul(a, b):
     return out
 
 
-class Dense:
+class Dense(Layer):
     """Affine map y = x @ W + b for x of shape (B, in_dim)."""
+
+    param_attrs = ("w", "b")
 
     def __init__(self, w, b):
         self.w = w
@@ -108,10 +121,6 @@ class Dense:
     @classmethod
     def create(cls, rng, in_dim, out_dim):
         return cls(uniform_init(rng, (in_dim, out_dim), in_dim), np.zeros(out_dim))
-
-    @property
-    def params(self):
-        return [self.w, self.b]
 
     def forward(self, x):
         y = _matmul(x, self.w)
@@ -125,13 +134,15 @@ class Dense:
         return (_matmul(dy, self.w.T) if need_dx else None), [dw, db]
 
 
-class Conv2d:
+class Conv2d(Layer):
     """Non-overlapping 2D convolution (stride = kernel), a patchify.
 
     Kernels (out_ch, in_ch, kh, kw), x (B, C, H, W). Each output cell is
     one (kh, kw) window, so forward and backward are single matrix
     products with the (C*kh*kw, B*ho*wo) window matrix of the input.
     """
+
+    param_attrs = ("k", "b")
 
     def __init__(self, k, b):
         self.k = k
@@ -142,10 +153,6 @@ class Conv2d:
         fan_in = in_ch * kernel[0] * kernel[1]
         k = uniform_init(rng, (out_ch, in_ch) + tuple(kernel), fan_in)
         return cls(k, np.zeros(out_ch))
-
-    @property
-    def params(self):
-        return [self.k, self.b]
 
     @staticmethod
     def output_shape(in_shape, out_ch, kernel):
@@ -183,10 +190,7 @@ class Conv2d:
         return dx, [dk, db]
 
 
-class Flatten:
-    def __init__(self):
-        self.params = []
-
+class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -195,29 +199,14 @@ class Flatten:
 
 
 class Stack:
-    """Ordered sequence of layers with a shared flat parameter list."""
+    """Ordered sequence of layers; ``params`` lists their parameter arrays in layer order."""
 
     def __init__(self, layers):
         self.layers = layers
 
     @property
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        return out
-
-    def set_params(self, arrays):
-        i = 0
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                layer.w, layer.b = arrays[i], arrays[i + 1]
-                i += 2
-            elif isinstance(layer, Conv2d):
-                layer.k, layer.b = arrays[i], arrays[i + 1]
-                i += 2
-        if i != len(arrays):
-            raise ValueError("parameter count mismatch")
+        return [p for layer in self.layers for p in layer.params]
 
     def forward(self, x, keep=True):
         """Output and, if ``keep``, each layer's cache for backward (None otherwise)."""

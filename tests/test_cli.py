@@ -458,6 +458,7 @@ BAD_FEATURE_CACHES = [
     pytest.param("y.npy", _npy(lambda x: x.astype(object)), id="y.npy-object-dtype"),
     pytest.param("x5.npy", _npy(_first_nan), id="x5.npy-nan"),
     pytest.param("manifest.json", _n_samples_plus_one, id="manifest.json-n_samples-off"),
+    pytest.param("manifest.json", lambda path: path.write_text("[]"), id="manifest.json-not-an-object"),
     ("meta.csv", lambda path: _edit_rows(path, lambda rows: rows[:-1])),
     ("meta.csv", lambda path: _edit_rows(path, lambda rows: [r[:-1] for r in rows])),  # no cp column
     ("meta.csv", _meta_cell("AoA", "abc")),
@@ -689,6 +690,14 @@ BAD_REPORTS = [
     ("baseline-without-fold-mse", "baseline", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
     ("run-with-text-fold-label", "run", _report_json(lambda r: r["fold_mse"].update(abc=0.5)),
      "report.json: fold label 'abc'"),
+    ("run-n_samples-not-object", "run", _report_json(lambda r: r.update(n_samples=3)),
+     "report.json: n_samples is not an object"),
+    ("run-text-fold-mse", "run", _report_json(lambda r: r["fold_mse"].update({"6": "0.5"})),
+     "report.json: fold 6 MSE '0.5'"),
+    ("run-nan-fold-mse", "run", _report_json(lambda r: r["fold_mse"].update({"6": float("nan")})),
+     "report.json: fold 6 MSE nan"),
+    ("baseline-infinite-fold-mse", "baseline",
+     _report_json(lambda r: r["fold_mse"].update({"6": float("inf")})), "report.json: fold 6 MSE inf"),
 ]
 
 

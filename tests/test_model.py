@@ -67,21 +67,21 @@ class TestForward:
         cfg = preset("rgfil", k_outputs=1, seed=0)
         model = build_model(cfg)
         for z in cfg.active:
-            _set_head(model.nets[z], 1.0)
-        _set_head(model.context, 0.2)
+            _set_head(model.stacks[f"f{z}"], 1.0)
+        _set_head(model.stacks["context"], 0.2)
         batch = random_batch(np.random.default_rng(1), 4)
         np.testing.assert_allclose(model.forward(batch), 1.0, atol=1e-14)
 
     def test_zero_context_annihilates(self):
         model = build_model(preset("rgfil", seed=0))
-        _set_head(model.context, 0.0)
+        _set_head(model.stacks["context"], 0.0)
         batch = random_batch(np.random.default_rng(2), 4)
         np.testing.assert_allclose(model.forward(batch), 0.0, atol=1e-15)
 
     def test_dot_product_identity(self):
         model = build_model(preset("rgfil", seed=3))
         batch = random_batch(np.random.default_rng(3), 5)
-        yhat, f_all, c, _, _ = model._forward_full(batch)
+        yhat, c, (f_all, _, _) = model._forward(batch)
         manual = np.array([float(np.dot(f_all[i], c[i])) for i in range(5)])
         np.testing.assert_allclose(yhat, manual, atol=1e-12)
 
@@ -89,9 +89,9 @@ class TestForward:
         cfg = preset("rgfil", seed=4)
         model = build_model(cfg)
         width = len(cfg.active) * cfg.k_outputs
-        _set_head(model.context, 1.0 / width)
+        _set_head(model.stacks["context"], 1.0 / width)
         batch = random_batch(np.random.default_rng(4), 6)
-        yhat, f_all, _, _, _ = model._forward_full(batch)
+        yhat, _, (f_all, _, _) = model._forward(batch)
         np.testing.assert_allclose(yhat, f_all.mean(axis=1), atol=1e-12)
 
     def test_return_weights_shape(self):
@@ -281,6 +281,10 @@ class TestTrainConfigRanges:
             {"learning_rate": 0.0},
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": True},
+            {"batch_size": 8.0},
         ],
     )
     def test_out_of_range_rejected(self, bad):
@@ -460,19 +464,38 @@ class TestPresets:
             assert model.forward(batch).shape == (4,)
 
 
+def assert_params_are_views(model):
+    """The layers' parameter arrays are ``model.params``, consecutive views of ``model.params.flat``."""
+    flat = model.params.flat
+    layer_params = [p for stack in model.stacks.values() for p in stack.params]
+    assert len(layer_params) == len(model.params)
+    assert all(p is q for p, q in zip(layer_params, model.params))
+    before = flat.copy()
+    flat[:] = np.arange(flat.size)
+    assert np.concatenate([p.ravel() for p in layer_params]).tobytes() == flat.tobytes()
+    np.copyto(flat, before)
+
+
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("name", ["rgfil", "mdf", "mtl", "mlp"])
+    def test_round_trip_bitwise(self, tmp_path, name):
+        """save -> load -> save gives the same files, and the loaded model the same predictions."""
         from wingcp.data import fit_normalizer
 
-        model = build_model(tiny_config(seed=5))
+        model = build_model(preset(name, seed=5))
+        assert_params_are_views(model)
         batch = random_batch(np.random.default_rng(19), 6)
         train(model, batch, cfg=TrainConfig(epochs=2, batch_size=6, seed=5))
         normalizer = fit_normalizer(batch)
-        save_checkpoint(tmp_path / "ckpt", model, normalizer, extra={"model": "tiny"})
-        loaded, norm_back, manifest = load_checkpoint(tmp_path / "ckpt")
-        np.testing.assert_array_equal(loaded.forward(batch), model.forward(batch))
-        assert manifest["extra"]["model"] == "tiny"
+        save_checkpoint(tmp_path / "first", model, normalizer, extra={"model": name})
+        loaded, norm_back, manifest = load_checkpoint(tmp_path / "first")
+        assert_params_are_views(loaded)
+        assert loaded.forward(batch).tobytes() == model.forward(batch).tobytes()
+        assert manifest["extra"]["model"] == name
         assert norm_back.fitted_on == normalizer.fitted_on
+        save_checkpoint(tmp_path / "second", loaded, norm_back, extra=manifest["extra"])
+        for file in ("weights.bin", "model.json"):
+            assert (tmp_path / "second" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
 
     def test_stride_listed_by_older_checkpoints(self, tmp_path):
         """Checkpoints from before the stride became the kernel list a ``stride``
