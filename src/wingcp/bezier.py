@@ -13,13 +13,13 @@ degree are exactly zero. Evaluation and jets take arrays of parameters:
 one point is the case without leading axes of the same code.
 """
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidPatch, SampleParseError
+from .files import read_rows, write_rows
 
 __all__ = [
     "ControlGrid",
@@ -407,37 +407,24 @@ def load_control_grids(path) -> list:
     offending row number.
     """
     per_patch: dict[str, dict] = {}
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _GRID_HEADER:
-            raise SampleParseError(f"{path}: expected header {','.join(_GRID_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise SampleParseError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            pid = row[0].strip()
-            try:
-                a, b = int(row[1]), int(row[2])
-                xyz = [float(c) for c in row[3:6]]
-            except ValueError as exc:
-                raise SampleParseError(f"{path}:{lineno}: {exc}") from None
-            if a < 0 or b < 0:
-                raise SampleParseError(f"{path}:{lineno}: negative control index")
-            if not all(math.isfinite(c) for c in xyz):
-                raise SampleParseError(f"{path}:{lineno}: non-finite coordinate")
-            entry = per_patch.setdefault(pid, {})
-            if pid not in order:
-                order.append(pid)
-            if (a, b) in entry:
-                raise SampleParseError(f"{path}:{lineno}: duplicate index ({a},{b}) in patch {pid!r}")
-            entry[(a, b)] = xyz
+    for where, row in read_rows(path, _GRID_HEADER):
+        pid = row[0].strip()
+        try:
+            a, b = int(row[1]), int(row[2])
+            xyz = [float(c) for c in row[3:6]]
+        except ValueError as exc:
+            raise SampleParseError(f"{where}: {exc}") from None
+        if a < 0 or b < 0:
+            raise SampleParseError(f"{where}: negative control index")
+        if not all(math.isfinite(c) for c in xyz):
+            raise SampleParseError(f"{where}: non-finite coordinate")
+        entry = per_patch.setdefault(pid, {})
+        if (a, b) in entry:
+            raise SampleParseError(f"{where}: duplicate index ({a},{b}) in patch {pid!r}")
+        entry[(a, b)] = xyz
 
     grids = []
-    for pid in order:
-        entry = per_patch[pid]
+    for pid, entry in per_patch.items():
         m = max(a for a, _ in entry)
         n = max(b for _, b in entry)
         if len(entry) != (m + 1) * (n + 1):
@@ -452,17 +439,13 @@ def load_control_grids(path) -> list:
 
 
 def save_control_grids(path, grids):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_GRID_HEADER)
-        for grid in grids:
-            m, n = grid.degrees
-            for a in range(m + 1):
-                for b in range(n + 1):
-                    x, y, z = grid.points[a, b]
-                    writer.writerow(
-                        [grid.patch_id, a, b, format(x, ".17g"), format(y, ".17g"), format(z, ".17g")]
-                    )
+    rows = [
+        [grid.patch_id, a, b, *grid.points[a, b].tolist()]
+        for grid in grids
+        for a in range(grid.degrees[0] + 1)
+        for b in range(grid.degrees[1] + 1)
+    ]
+    write_rows(path, _GRID_HEADER, rows)
 
 
 def load_manifold(path) -> PiecewiseManifold:

@@ -16,10 +16,8 @@ the BLAS thread count (``wingcp.nn`` names the one known exception).
 """
 
 import argparse
-import csv
 import hashlib
 import inspect
-import json
 import os
 import sys
 import time
@@ -40,7 +38,8 @@ from .data import (
     save_feature_cache,
     train_val_split,
 )
-from .errors import ConfigError, WingcpError
+from .errors import ConfigError, WingcpError, check_int
+from .files import read_json, read_text, write_json, write_rows
 from .geometry import CONVENTIONS, DEFAULT_CONVENTION
 from .model import (
     ModelConfig,
@@ -106,20 +105,19 @@ CONFIG_SCHEMA = {
 def parse_config(path) -> dict:
     """Flat key=value config file; '#' comments; unknown keys rejected."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise WingcpError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_SCHEMA:
-                raise WingcpError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = CONFIG_SCHEMA[key](val)
-            except ValueError as exc:
-                raise WingcpError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise WingcpError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_SCHEMA:
+            raise WingcpError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = CONFIG_SCHEMA[key](val)
+        except ValueError as exc:
+            raise WingcpError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
@@ -129,12 +127,6 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_run_manifest(args, cfg, elapsed, counts):
@@ -150,7 +142,7 @@ def _write_run_manifest(args, cfg, elapsed, counts):
     }
     if counts is not None:
         manifest["counts"] = counts
-    _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
+    write_json(os.path.join(args.out, "run_manifest.json"), manifest)
 
 
 def _given(cfg: dict, fn) -> dict:
@@ -172,30 +164,27 @@ def _check_all(manifold, cfg):
 
 
 def _write_losses(path, result):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for e, (tr, va) in enumerate(zip(result.train_curve, result.val_curve), start=1):
-            writer.writerow([e, format(tr, ".17g"), format(va, ".17g")])
+    epochs = range(1, len(result.train_curve) + 1)
+    write_rows(path, ["epoch", "train_mse", "val_mse"], zip(epochs, result.train_curve, result.val_curve))
 
 
 def _write_weight_log(path, result, probe_rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "probe_row"] + [f"c{i}" for i in range(result.weight_log.shape[2])])
-        for e, frame in enumerate(result.weight_log, start=1):
-            for p, weights in zip(probe_rows, frame):
-                writer.writerow([e, int(p)] + [format(x, ".17g") for x in weights])
+    header = ["epoch", "probe_row"] + [f"c{i}" for i in range(result.weight_log.shape[2])]
+    rows = (
+        [e, int(p), *weights]
+        for e, frame in enumerate(result.weight_log, start=1)
+        for p, weights in zip(probe_rows, frame)
+    )
+    write_rows(path, header, rows)
 
 
 def _write_err_map(path, meta, indices, predictions, targets):
     fields = ("patch_id", "u", "v", "x", "y", "z", "AoA", "cp")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", *fields, "prediction", "abs_err"])
-        for src, p, e in zip(indices, predictions, error_map(predictions, targets)):
-            row = meta[int(src)]
-            writer.writerow([int(src), *(row[f] for f in fields), format(p, ".17g"), format(e, ".17g")])
+    rows = (
+        [int(src), *(meta[int(src)][f] for f in fields), p, e]
+        for src, p, e in zip(indices, predictions, error_map(predictions, targets))
+    )
+    write_rows(path, ["row", *fields, "prediction", "abs_err"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,7 @@ def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):
     pred = _predict(model, normalizer, sub)
     mse = loss_mse(pred, sub.y)
     _write_err_map(os.path.join(outdir, "err_map.csv"), meta, indices, pred, sub.y)
-    _write_json(os.path.join(outdir, "eval.json"), {**fields, "test_mse": mse, "n_test": int(sub.n)})
+    write_json(os.path.join(outdir, "eval.json"), {**fields, "test_mse": mse, "n_test": int(sub.n)})
     return mse
 
 
@@ -302,14 +291,14 @@ def _load_for_inference(args):
 def _read_report(run_dir):
     """A crossval run's report.json, refused unless it holds a fold_mse table of finite numbers keyed by AoA.
 
-    ``n_samples``, where present, must be an object.
+    ``n_samples``, where present, must map folds of ``fold_mse`` to integers >= 0.
     """
     path = os.path.join(run_dir, "report.json")
-    with open(path) as fh:
-        run = json.load(fh)
-    if not isinstance(run, dict) or not isinstance(run.get("fold_mse"), dict):
+    run = read_json(path)
+    if not isinstance(run.get("fold_mse"), dict):
         raise WingcpError(f"{path}: no fold_mse table")
-    if not isinstance(run.get("n_samples", {}), dict):
+    n_samples = run.get("n_samples", {})
+    if not isinstance(n_samples, dict):
         raise WingcpError(f"{path}: n_samples is not an object")
     for label, mse in run["fold_mse"].items():
         try:
@@ -318,6 +307,10 @@ def _read_report(run_dir):
             raise WingcpError(f"{path}: fold label {label!r} is not an AoA") from None
         if isinstance(mse, bool) or not isinstance(mse, (int, float)) or not np.isfinite(mse):
             raise WingcpError(f"{path}: fold {label} MSE {mse!r} is not a finite number")
+    for label, n in n_samples.items():
+        if label not in run["fold_mse"]:
+            raise WingcpError(f"{path}: n_samples key {label!r} is not a fold of fold_mse")
+        check_int(n, f"{path}: n_samples of fold {label}", 0)
     return run
 
 
@@ -335,7 +328,7 @@ def cmd_synth(args, cfg):
 def cmd_check_geometry(args, cfg):
     reports = _check_all(load_manifold(args.manifold), cfg)
     report = {pid: rep.to_dict() for pid, rep in reports.items()}
-    _write_json(os.path.join(args.out, "geometry_report.json"), report)
+    write_json(os.path.join(args.out, "geometry_report.json"), report)
     bad = [pid for pid, rep in reports.items() if not rep.valid]
     if bad:
         print(f"check-geometry: invalid patches: {', '.join(bad)}", file=sys.stderr)
@@ -355,8 +348,7 @@ def cmd_extract(args, cfg):
     }
     sibling = os.path.join(os.path.dirname(os.path.abspath(args.samples)), "dataset_manifest.json")
     if os.path.exists(sibling):
-        with open(sibling) as fh:
-            manifest["dataset_manifest"] = json.load(fh)
+        manifest["dataset_manifest"] = read_json(sibling)
     save_feature_cache(args.out, result, manifest)
     print(f"extract: {len(result.kept)} samples kept, {len(result.dropped)} dropped -> {args.out}")
     return 0, result.counts
@@ -376,7 +368,7 @@ def cmd_train(args, cfg):
         "n_val": int(val_idx.size),
         **settings,
     }
-    _write_json(os.path.join(args.out, "train_summary.json"), summary)
+    write_json(os.path.join(args.out, "train_summary.json"), summary)
     print(f"train: final train MSE {result.final_train_mse:.6g} -> {args.out}")
     return 0
 
@@ -402,13 +394,10 @@ def cmd_crossval(args, cfg):
         print(f"crossval fold {label}: test MSE {mse:.6g} ({test_idx.size} samples)")
 
     report = EvalReport.from_folds(fold_mse, fold_n)
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "test_mse", "n_test"])
-        for label in fold_mse:
-            writer.writerow([label, format(fold_mse[label], ".17g"), fold_n[label]])
-        writer.writerow(["average", format(report.average_mse, ".17g"), ""])
+    write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    rows = [[label, fold_mse[label], fold_n[label]] for label in fold_mse]
+    rows.append(["average", report.average_mse, ""])
+    write_rows(os.path.join(args.out, "report.csv"), ["fold", "test_mse", "n_test"], rows)
     print(f"crossval: average MSE {report.average_mse:.6g} -> {args.out}")
     return 0
 
@@ -424,11 +413,7 @@ def cmd_eval(args, cfg):
 def cmd_predict(args, cfg):
     model, normalizer, batch = _load_for_inference(args)
     pred = _predict(model, normalizer, batch)
-    with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "prediction"])
-        for i, p in enumerate(pred):
-            writer.writerow([i, format(p, ".17g")])
+    write_rows(os.path.join(args.out, "predictions.csv"), ["row", "prediction"], enumerate(pred.tolist()))
     print(f"predict: {batch.n} predictions -> {args.out}")
     return 0
 
@@ -445,26 +430,17 @@ def cmd_report(args, cfg):
             report.attach_baseline(baseline_mse)
         except ValueError as exc:
             raise WingcpError(f"baseline {args.baseline}: {exc}") from None
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["fold", "model_mse"]
-        if baseline_mse is not None:
-            header += ["baseline_mse", "reduction_pct"]
-        writer.writerow(header)
-        for label in report.fold_mse:
-            row = [label, format(report.fold_mse[label], ".17g")]
-            if baseline_mse is not None:
-                row += [
-                    format(float(baseline_mse[label]), ".17g"),
-                    format(report.reduction_vs_baseline[label], ".17g"),
-                ]
-            writer.writerow(row)
-        avg_row = ["average", format(report.average_mse, ".17g")]
-        if baseline_mse is not None:
-            avg_row += ["", format(report.average_reduction, ".17g")]
-        writer.writerow(avg_row)
-        writer.writerow(["# note: average = unweighted mean of per-fold values"])
+    write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    header = ["fold", "model_mse"]
+    rows = [[label, float(mse)] for label, mse in report.fold_mse.items()]
+    average = ["average", report.average_mse]
+    if baseline_mse is not None:
+        header += ["baseline_mse", "reduction_pct"]
+        for row in rows:
+            row += [float(baseline_mse[row[0]]), report.reduction_vs_baseline[row[0]]]
+        average += ["", report.average_reduction]
+    note = ["# note: average = unweighted mean of per-fold values"]
+    write_rows(os.path.join(args.out, "report.csv"), header, [*rows, average, note])
     if report.average_reduction is not None:
         print(f"report: average reduction {report.average_reduction:.2f}% -> {args.out}")
     else:
@@ -559,7 +535,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
         status = _COMMANDS[args.command](args, cfg)
-    except (WingcpError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (WingcpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rc, counts = status if isinstance(status, tuple) else (status, None)

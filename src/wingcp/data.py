@@ -27,7 +27,6 @@ leave-one-AoA-out.
 """
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -35,15 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint
-from .errors import AssemblyError, ConfigError, DegenerateMetric, SampleParseError, check_keys
-from .geometry import DEFAULT_CONVENTION, point_features
-from .stencil import AXIAL, NEIGHBOR_SLOTS, out_of_patch, stencil_points
-
-# No code of the package calls these one-point functions (assemble and synth
-# run point_features over arrays); the traced benchmark (pipebench/layers.py)
-# wraps them as names of this module, so they stay imported here.
-from .geometry import feature_bundle  # noqa: F401
-from .stencil import build_stencil  # noqa: F401
+from .errors import (
+    AssemblyError, ConfigError, DegenerateMetric, SampleParseError, StencilOutOfPatch, check_keys,
+)
+from .files import read_json, read_rows, write_json, write_rows
+from .geometry import DEFAULT_CONVENTION, feature_bundle, point_features
+from .stencil import NEIGHBOR_SLOTS, build_stencil, stencil_points
 
 __all__ = [
     "FOLD_AOAS_DEFAULT",
@@ -175,6 +171,16 @@ def _distinct(uv: np.ndarray):
     return keys.view(float), inverse.reshape(-1)
 
 
+def _drop_reason(manifold, center: SurfacePoint, d: float, convention: str) -> str:
+    """The error the one-point calls raise for the stencil of a sample that ``assemble`` drops."""
+    try:
+        for point in build_stencil(manifold, center, d).points:
+            feature_bundle(manifold, point, convention)
+    except (StencilOutOfPatch, DegenerateMetric) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError(f"assemble dropped the sample at {center}, the one-point calls keep it")
+
+
 def assemble(
     manifold: PiecewiseManifold,
     samples: Samples,
@@ -215,9 +221,8 @@ def assemble(
         f = point_features(grid, points[:, 0], points[:, 1], convention)
         slots = np.zeros((len(centres), 9), dtype=int)  # distinct point of each slot
         slots[fits] = point_of.reshape(-1, 9)
-        bad_slots = np.zeros(slots.shape, dtype=bool)
-        bad_slots[fits] = f.degenerate[slots[fits]]
-        ok = fits & ~bad_slots.any(axis=1)
+        ok = fits.copy()
+        ok[fits] = ~f.degenerate[slots[fits]].any(axis=1)
         counts["distinct_centres"] += len(centres)
         counts["distinct_points"] += len(points)
 
@@ -236,16 +241,9 @@ def assemble(
         chord = np.linalg.norm(at[:, _AXIAL_SLOTS] - at[:, 4:5], axis=-1)
         chords.append(chord[~clamped[ok][:, _AXIAL_CLAMPED]])
 
-        for i, c in zip(rows[~mine], centre_of[~mine]):
-            center = SurfacePoint(pid, *centres[c].tolist())
-            if not fits[c]:
-                k = int(np.argmax(d > extent[c]))
-                exc = out_of_patch(d, extent[c, k], AXIAL[k][0], center)
-            else:
-                slot = int(np.argmax(bad_slots[c]))
-                point = center if slot == 4 else SurfacePoint(pid, *st_uv[c, slot].tolist())
-                exc = DegenerateMetric(f.det_g[slots[c, slot]], point)
-            reasons[int(i)] = f"{type(exc).__name__}: {exc}"
+        for i in rows[~mine].tolist():
+            center = SurfacePoint(pid, samples.u[i].item(), samples.v[i].item())
+            reasons[i] = _drop_reason(manifold, center, d, convention)
     chords = np.concatenate(chords)
     counts["axial_chord_min"] = float(chords.min()) if chords.size else None
     counts["axial_chord_max"] = float(chords.max()) if chords.size else None
@@ -452,33 +450,23 @@ def load_samples(path, known_patches=None) -> Samples:
     in [0, 1], and Ma and Re > 0.
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SAMPLE_HEADER:
-            raise SampleParseError(f"{path}: expected header {','.join(SAMPLE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(SAMPLE_HEADER):
-                raise SampleParseError(f"{where}: expected {len(SAMPLE_HEADER)} fields, got {len(row)}")
-            pid = row[0].strip()
-            if known_patches is not None and pid not in known_patches:
-                raise SampleParseError(f"{where}: unknown patch_id {pid!r}")
-            try:
-                u, v, ma, aoa, re = map(float, row[1:6])
-                span = float(row[6]) if row[6].strip() != "" else None
-                cp = float(row[7])
-            except ValueError as exc:
-                raise SampleParseError(f"{where}: {exc}") from None
-            if not all(map(math.isfinite, (u, v, ma, aoa, re, cp, 0.0 if span is None else span))):
-                raise SampleParseError(f"{where}: non-finite value")
-            if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-                raise SampleParseError(f"{where}: parameters outside [0,1]: u={u}, v={v}")
-            if ma <= 0 or re <= 0:
-                raise SampleParseError(f"{where}: Ma and Re must be positive, got Ma={ma}, Re={re}")
-            rows.append((pid, u, v, ma, aoa, re, math.nan if span is None else span, cp))
+    for where, row in read_rows(path, SAMPLE_HEADER):
+        pid = row[0].strip()
+        if known_patches is not None and pid not in known_patches:
+            raise SampleParseError(f"{where}: unknown patch_id {pid!r}")
+        try:
+            u, v, ma, aoa, re = map(float, row[1:6])
+            span = float(row[6]) if row[6].strip() != "" else None
+            cp = float(row[7])
+        except ValueError as exc:
+            raise SampleParseError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, (u, v, ma, aoa, re, cp, 0.0 if span is None else span))):
+            raise SampleParseError(f"{where}: non-finite value")
+        if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+            raise SampleParseError(f"{where}: parameters outside [0,1]: u={u}, v={v}")
+        if ma <= 0 or re <= 0:
+            raise SampleParseError(f"{where}: Ma and Re must be positive, got Ma={ma}, Re={re}")
+        rows.append((pid, u, v, ma, aoa, re, math.nan if span is None else span, cp))
     return Samples.from_rows(rows)
 
 
@@ -488,12 +476,9 @@ def _span_text(span: float) -> str:
 
 def save_samples(path, samples: Samples):
     """Write a sample CSV that :func:`load_samples` reads back bit for bit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_HEADER)
-        columns = (samples.u, samples.v, samples.ma, samples.aoa, samples.re, samples.span, samples.cp)
-        for pid, *values, span, cp in zip(samples.patch_id.tolist(), *(c.tolist() for c in columns)):
-            writer.writerow([pid, *(format(x, ".17g") for x in values), _span_text(span), format(cp, ".17g")])
+    columns = (samples.u, samples.v, samples.ma, samples.aoa, samples.re, samples.span, samples.cp)
+    rows = zip(samples.patch_id.tolist(), *(c.tolist() for c in columns))
+    write_rows(path, SAMPLE_HEADER, ([*row[:6], _span_text(row[6]), row[7]] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +566,10 @@ def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
         np.save(os.path.join(outdir, f"{key}.npy"), x, allow_pickle=False)
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
         fh.write("".join(["cp\r\n"] + ["%.17g\r\n" % v for v in batch.y.tolist()]))
-    with open(os.path.join(outdir, "meta.csv"), "w", newline="") as fh:
+    with open(os.path.join(outdir, "meta.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("".join([",".join(_META_HEADER) + "\r\n"] + _meta_lines(result)))
-    with open(os.path.join(outdir, "features_points.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerow(FEATURE_POINTS_HEADER)
+    with open(os.path.join(outdir, "features_points.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(FEATURE_POINTS_HEADER) + "\r\n")
         fmt = "%s," + ",".join(["%.17g"] * (len(FEATURE_POINTS_HEADER) - 2)) + ",%d\r\n"
         values = np.concatenate([result.uv, _point_values(batch)], axis=2)
         pids = result.samples.patch_id.tolist()
@@ -599,9 +584,7 @@ def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}
     manifest["n_samples"] = batch.n
     manifest["dropped"] = [{"row": i, "reason": r} for i, r in result.dropped]
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _load_array(path, shape) -> np.ndarray:
@@ -626,11 +609,7 @@ def load_feature_cache(cachedir):
     SampleParseError names the first file that does not. No CSV file is
     opened: ``meta.csv`` is read by :func:`load_meta`.
     """
-    path = os.path.join(cachedir, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise SampleParseError(f"{path}: not a JSON object")
+    manifest = read_json(os.path.join(cachedir, "manifest.json"))
     n = manifest.get("n_samples")
     shapes = {**GROUP_SHAPES, "y": ()}
     arrays = {k: _load_array(os.path.join(cachedir, f"{k}.npy"), (n, *shape)) for k, shape in shapes.items()}
@@ -644,19 +623,17 @@ def load_meta(cachedir, n: int) -> list:
     span) must parse as a finite number; SampleParseError names the file.
     """
     path = os.path.join(cachedir, "meta.csv")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows or rows[0] != _META_HEADER or any(len(r) != len(_META_HEADER) for r in rows):
-        raise SampleParseError(f"{path}: expected the {len(_META_HEADER)} fields {','.join(_META_HEADER)}")
-    if len(rows) - 1 != n:
-        raise SampleParseError(f"{path}: {len(rows) - 1} data rows, manifest.json lists {n} samples")
-    meta = [dict(zip(_META_HEADER, r)) for r in rows[1:]]
-    for lineno, r in enumerate(meta, start=2):
+    meta = []
+    for where, row in read_rows(path, _META_HEADER):
+        r = dict(zip(_META_HEADER, row))
         try:
             values = [float(r[k]) for k in _META_NUMERIC]
             values += [float(r["span"])] if r["span"].strip() else []
         except ValueError as exc:
-            raise SampleParseError(f"{path}:{lineno}: {exc}") from None
+            raise SampleParseError(f"{where}: {exc}") from None
         if not all(math.isfinite(x) for x in values):
-            raise SampleParseError(f"{path}:{lineno}: non-finite value")
+            raise SampleParseError(f"{where}: non-finite value")
+        meta.append(r)
+    if len(meta) != n:
+        raise SampleParseError(f"{path}: {len(meta)} data rows, manifest.json lists {n} samples")
     return meta

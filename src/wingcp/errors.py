@@ -29,7 +29,10 @@ class InvalidPatch(WingcpError):
 
 
 class SampleParseError(WingcpError):
-    """Malformed row in a sample or control-grid file."""
+    """An input file that is not UTF-8, not valid CSV or JSON, or holds a malformed row or value.
+
+    The message names the file, and the line where one is known.
+    """
 
 
 class ConfigError(WingcpError):

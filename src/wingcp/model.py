@@ -21,7 +21,6 @@ BLAS build and CPU kernel, whatever the BLAS thread count (see
 and for the one known exception).
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields, asdict
@@ -30,6 +29,7 @@ import numpy as np
 
 from .data import GROUP_SHAPES, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
 from .errors import ConfigError, TrainingDiverged, check_int, check_keys
+from .files import read_json, write_json
 from .nn import Stack, conv_stack, dense_stack
 
 __all__ = [
@@ -531,22 +531,18 @@ def save_checkpoint(outdir, model, normalizer: NormalizationSpec | None = None, 
         "normalizer": normalizer.to_dict() if normalizer is not None else None,
         "extra": extra or {},
     }
-    with open(os.path.join(outdir, "model.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "model.json"), manifest)
 
 
 def load_checkpoint(ckptdir):
     """Rebuild (model, normalizer, manifest) from a checkpoint directory.
 
-    Raises ConfigError for another ``format`` tag, a missing manifest key,
-    a layout that differs in any name or shape from the model its config
-    builds, or a weight blob of the wrong size.
+    Raises SampleParseError, naming ``model.json``, for text that is not a
+    JSON object, and ConfigError for another ``format`` tag, a missing
+    manifest key, a layout that differs in any name or shape from the model
+    its config builds, or a weight blob of the wrong size.
     """
-    with open(os.path.join(ckptdir, "model.json")) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{ckptdir}: model.json is not an object")
+    manifest = read_json(os.path.join(ckptdir, "model.json"))
     for key, kind in _MANIFEST_TYPES.items():
         if key not in manifest or not isinstance(manifest[key], kind):
             raise ConfigError(f"{ckptdir}: model.json key {key} is missing or of the wrong type")

@@ -27,7 +27,6 @@ __all__ = [
     "Stencil",
     "calibrate_offset",
     "stencil_points",
-    "out_of_patch",
     "build_stencil",
     "SLOT_NAMES",
     "NEIGHBOR_SLOTS",
@@ -170,11 +169,6 @@ def stencil_points(grid: ControlGrid, u: np.ndarray, v: np.ndarray, d: float):
     return np.stack([us, vs], axis=-1), clamped, extent
 
 
-def out_of_patch(d: float, extent: float, axis: str, center: SurfacePoint) -> StencilOutOfPatch:
-    """The error of a stencil whose offset along ``axis`` does not fit in its patch."""
-    return StencilOutOfPatch(f"spacing d={d} exceeds patch extent {extent:.6g} along {axis} at {center}")
-
-
 @dataclass
 class Stencil:
     """3x3 grid of surface points around a center at target chord spacing d.
@@ -199,9 +193,11 @@ def build_stencil(manifold: PiecewiseManifold, center: SurfacePoint, d: float) -
     manifold.assert_ready(center.patch_id)
     grid = manifold.grid(center.patch_id)
     uv, clamped, extent = stencil_points(grid, np.array([center.u]), np.array([center.v]), d)
-    out = np.flatnonzero(d > extent[0])
-    if out.size:
-        raise out_of_patch(d, extent[0, out[0]], AXIAL[out[0]][0], center)
+    for (axis, _), reach in zip(AXIAL, extent[0].tolist()):
+        if d > reach:
+            raise StencilOutOfPatch(
+                f"spacing d={d} exceeds patch extent {reach:.6g} along {axis} at {center}"
+            )
     points = tuple(
         center if slot == 4 else SurfacePoint(center.patch_id, u, v)
         for slot, (u, v) in enumerate(uv[0].tolist())

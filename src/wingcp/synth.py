@@ -10,7 +10,6 @@ written into the dataset manifest so cp values can be re-derived
 independently.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ import numpy as np
 from .bezier import PiecewiseManifold, SurfacePoint, save_control_grids
 from .data import Samples, save_samples
 from .errors import ConfigError, DegenerateMetric, check_int
+from .files import write_json
 from .geometry import point_features
 from .shapes import poly_substitute_affine_v, surface_from_polynomials
 
@@ -216,7 +216,5 @@ def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
         result.manifest_path = os.path.join(outdir, "dataset_manifest.json")
         save_control_grids(result.manifold_path, grids)
         save_samples(result.samples_path, samples)
-        with open(result.manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(result.manifest_path, manifest)
     return result

@@ -443,6 +443,13 @@ def _first_nan(x):
     return x
 
 
+def _non_utf8(path):
+    """Put a byte that is not UTF-8 at the start of the file's second line."""
+    data = path.read_bytes()
+    cut = data.find(b"\n") + 1
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+
+
 def _n_samples_plus_one(path):
     manifest = json.loads(path.read_text())
     manifest["n_samples"] += 1
@@ -463,6 +470,9 @@ BAD_FEATURE_CACHES = [
     ("meta.csv", lambda path: _edit_rows(path, lambda rows: [r[:-1] for r in rows])),  # no cp column
     ("meta.csv", _meta_cell("AoA", "abc")),
     ("meta.csv", _meta_cell("span", "inf")),
+    pytest.param("manifest.json", _non_utf8, id="manifest.json-not-utf8"),
+    pytest.param("manifest.json", lambda path: path.write_text("{"), id="manifest.json-open-brace"),
+    pytest.param("meta.csv", _non_utf8, id="meta.csv-not-utf8"),
 ]
 
 
@@ -648,6 +658,9 @@ BAD_CHECKPOINTS = [
      "kernel"),
     ("bool-leaky-slope", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=True)),
      "leaky_slope"),
+    ("model.json-not-utf8", "predict", None, lambda ckpt: _non_utf8(ckpt / "model.json"), "model.json"),
+    ("model.json-open-brace", "eval", None, lambda ckpt: (ckpt / "model.json").write_text("{"),
+     "model.json"),
 ]
 
 
@@ -683,7 +696,7 @@ def _report_json(change):
 # (id, which run directory is edited, edit of its report.json, text the error names)
 BAD_REPORTS = [
     ("baseline-with-other-folds", "baseline",
-     _report_json(lambda r: r["fold_mse"].pop("6")), "fold keys differ"),
+     _report_json(lambda r: (r["fold_mse"].pop("6"), r["n_samples"].pop("6"))), "fold keys differ"),
     ("baseline-fold-mse-zero", "baseline",
      _report_json(lambda r: r["fold_mse"].update({"6": 0.0})), "positive"),
     ("run-without-fold-mse", "run", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
@@ -698,6 +711,16 @@ BAD_REPORTS = [
      "report.json: fold 6 MSE nan"),
     ("baseline-infinite-fold-mse", "baseline",
      _report_json(lambda r: r["fold_mse"].update({"6": float("inf")})), "report.json: fold 6 MSE inf"),
+    ("run-text-n_samples", "run", _report_json(lambda r: r["n_samples"].update({"6": "abc"})),
+     "report.json: n_samples of fold 6 must be an integer >= 0, got 'abc'"),
+    ("run-negative-n_samples", "run", _report_json(lambda r: r["n_samples"].update({"6": -1})),
+     "report.json: n_samples of fold 6 must be an integer >= 0, got -1"),
+    ("baseline-bool-n_samples", "baseline", _report_json(lambda r: r["n_samples"].update({"6": True})),
+     "report.json: n_samples of fold 6 must be an integer >= 0, got True"),
+    ("run-n_samples-of-no-fold", "run", _report_json(lambda r: r["n_samples"].update({"7": 3})),
+     "report.json: n_samples key '7' is not a fold of fold_mse"),
+    ("run-not-utf8", "run", _non_utf8, "run/report.json: not UTF-8 text"),
+    ("baseline-open-brace", "baseline", lambda path: path.write_text("{"), "baseline/report.json: "),
 ]
 
 
@@ -719,3 +742,63 @@ class TestReportRejected:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and text in err[0]
+
+
+def _edited_copy(name, edit):
+    """An input maker: a copy of ``name`` from the command's input directory, changed by ``edit``."""
+    def make(tmp_path, given):
+        path = tmp_path / name
+        shutil.copy(given, path)
+        edit(path)
+        return path
+    return make
+
+
+def _bad_config(tmp_path, given):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"epochs = 2\n\xff\n")
+    return path
+
+
+def _directory(tmp_path, given):
+    path = tmp_path / "samples.csv"
+    path.mkdir()
+    return path
+
+
+def _plain_file(tmp_path, given):
+    path = tmp_path / "features"
+    path.write_text("not a feature cache\n")
+    return path
+
+
+# (id, command, option whose value is replaced, maker of the new value from (tmp_path, old value))
+UNREADABLE_INPUTS = [
+    ("samples.csv-not-utf8", "extract", "--samples", _edited_copy("samples.csv", _non_utf8)),
+    ("manifold.csv-not-utf8", "check-geometry", "--manifold", _edited_copy("manifold.csv", _non_utf8)),
+    ("config-not-utf8", "check-geometry", "--config", _bad_config),
+    ("samples-is-a-directory", "crossval", "--samples", _directory),
+    ("features-is-a-file", "predict", "--features", _plain_file),
+]
+
+
+class TestUnreadableInputRejected:
+    @pytest.mark.parametrize(
+        "command,option,make", [pytest.param(*case[1:], id=case[0]) for case in UNREADABLE_INPUTS]
+    )
+    def test_exits_one_with_one_error_line_naming_the_file(
+        self, every_command, tmp_path, capsys, command, option, make
+    ):
+        argv, _ = every_command[command]
+        argv = list(argv)
+        given = argv[argv.index(option) + 1] if option in argv else None
+        path = str(make(tmp_path, given))
+        if given is None:
+            argv += [option, path]
+        else:
+            argv[argv.index(option) + 1] = path
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
