@@ -252,7 +252,7 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
 
 def _predict(model, normalizer, batch):
     """Denormalized predictions for every row of ``batch``."""
-    return normalizer.invert_targets(model.forward(normalizer.apply(batch)))
+    return normalizer.invert_targets(model.forward(model.inputs(normalizer.apply(batch))))
 
 
 def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):

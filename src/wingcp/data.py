@@ -416,10 +416,10 @@ def train_val_split(indices, aoas, seed: int, val_fraction: float = 0.10):
     ``aoas[i]`` is the angle of attack of batch row i. Groups with a
     single sample stay in training; every other group contributes at
     least one validation sample. Raises ConfigError unless
-    0 <= val_fraction < 1.
+    0 < val_fraction < 1 (at 0 every such group would still give one).
     """
-    if not 0.0 <= val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     indices = np.asarray(indices)
     rng = np.random.default_rng([int(seed), 91])
     groups: dict[float, list] = {}

@@ -14,6 +14,14 @@ From construction, a model's parameter arrays are views of one flat
 float64 buffer, ``model.params.flat``, which the Adam step updates in
 place and a checkpoint's ``weights.bin`` holds byte for byte.
 
+``forward`` and ``loss_and_grads`` take a batch in the form
+``model.inputs(batch)`` prepares: each group a function network takes,
+as a view of xi in the shape its stack reads (conv groups
+channel-major), then xi, then y. ``train`` prepares its training and
+validation batches once per call, and each minibatch and probe set is
+``model.rows`` of them, so a step copies the rows of xi and y and no
+other feature array.
+
 Training is full reverse-mode gradient descent with Adam, seeded and
 bitwise deterministic for a fixed configuration and data order on one
 BLAS build and CPU kernel, whatever the BLAS thread count (see
@@ -210,14 +218,20 @@ class _Model:
 
     ``stacks`` maps each stack's name to it, in parameter order. Their
     layers' parameter arrays are bound here, once, as consecutive views
-    of one :class:`FlatParams` buffer, ``params``. A subclass supplies
-    ``_forward(batch, keep) -> (yhat, weights, cache)`` and
-    ``_backward(dyhat, cache) -> grads`` in ``params`` order.
+    of one :class:`FlatParams` buffer, ``params``. ``groups`` lists, for
+    each group a stack of the model takes on its own, in xi's order, the
+    group's per-sample shape and whether its stack is a conv stack. A
+    subclass supplies ``_forward(inputs, keep) -> (yhat, weights, cache)``
+    on :meth:`inputs` output and ``_backward(dyhat, cache) -> grads`` in
+    ``params`` order.
     """
 
-    def __init__(self, config: ModelConfig, stacks: dict):
+    def __init__(self, config: ModelConfig, stacks: dict, groups=()):
         self.config = config
         self.stacks = stacks
+        ends = np.cumsum([0] + [math.prod(shape) for shape, _ in groups]).tolist()
+        # each group's columns of xi, and its (C, H, W) if its stack takes it channel-major
+        self._views = [(lo, hi, shape if conv else None) for (shape, conv), lo, hi in zip(groups, ends, ends[1:])]
         layers = [layer for stack in stacks.values() for layer in stack.layers]
         slots = [(layer, name) for layer in layers for name in layer.param_attrs]
         self.params = FlatParams([getattr(layer, name) for layer, name in slots])
@@ -227,24 +241,47 @@ class _Model:
     def param_names(self):
         return [f"{name}.p{i}" for name, stack in self.stacks.items() for i in range(len(stack.params))]
 
-    def _inputs(self, batch: TensorBatch):
-        """The active groups in the model's neighbor mode, and xi, their flattened concatenation."""
+    def inputs(self, batch: TensorBatch):
+        """The arrays the model's layers read, prepared once per batch.
+
+        A tuple: for a fusion model each active group in the shape its
+        stack takes (dense: (B, D) rows; conv: channel-major (C, B, H, W)),
+        then for either model xi, the active groups flattened and
+        concatenated as (B, sum D), and last the targets y (B,). Each
+        group is a view of its columns of xi, so xi and y are the only
+        arrays :meth:`rows` copies.
+        """
         view = batch if self.config.neighbor_mode == "9-point" else batch.pointwise()
         groups = view.groups()
-        xs = [groups[f"x{z}"] for z in self.config.active]
-        return xs, np.concatenate([x.reshape(batch.n, -1) for x in xs], axis=1)
+        xi = np.concatenate([groups[f"x{z}"].reshape(batch.n, -1) for z in self.config.active], axis=1)
+        return self._prepare(xi, batch.y)
 
-    def forward(self, batch: TensorBatch, return_weights: bool = False):
-        """yhat and, if ``return_weights``, the context weights (None for a concat model)."""
-        yhat, weights, _ = self._forward(batch, keep=False)
+    def rows(self, inputs, indices):
+        """Samples ``indices`` of prepared ``inputs``: the arrays ``inputs(batch.subset(indices))`` holds."""
+        xi, y = inputs[-2:]
+        return self._prepare(xi.take(indices, axis=0), y.take(indices))
+
+    def _prepare(self, xi, y):
+        # A view keeps xi's row stride. That decides bits for a one-feature group (mdf's x5): numpy
+        # takes its weight gradient x.T @ dy as an OpenBLAS gemv, which sums otherwise at unit stride.
+        own = []
+        for lo, hi, shape in self._views:
+            x = xi[:, lo:hi]
+            own.append(x if shape is None else np.swapaxes(x.reshape(xi.shape[0], *shape), 0, 1))
+        return (*own, xi, y)
+
+    def forward(self, inputs, return_weights: bool = False):
+        """yhat on prepared ``inputs`` and, if ``return_weights``, the context weights (None for a concat model)."""
+        yhat, weights, _ = self._forward(inputs, keep=False)
         return (yhat, weights) if return_weights else yhat
 
-    def loss_and_grads(self, batch: TensorBatch):
-        """MSE loss, parameter gradients in ``params`` order, and yhat."""
-        yhat, _, cache = self._forward(batch, keep=True)
-        resid = yhat - batch.y
+    def loss_and_grads(self, inputs):
+        """MSE loss on prepared ``inputs``, parameter gradients in ``params`` order, and yhat."""
+        yhat, _, cache = self._forward(inputs, keep=True)
+        y = inputs[-1]
+        resid = yhat - y
         loss = float(np.mean(resid**2))
-        return loss, self._backward((2.0 / batch.n) * resid, cache), yhat
+        return loss, self._backward((2.0 / y.shape[0]) * resid, cache), yhat
 
 
 class FusionModel(_Model):
@@ -263,26 +300,26 @@ class FusionModel(_Model):
         stacks["context"] = dense_stack(
             rng, xi_dim, config.context.widths, config.context_width, config.leaky_slope
         )
-        super().__init__(config, stacks)
+        groups = [(shapes[z], config.nets.get(z, _DENSE16()).kind == "conv") for z in config.active]
+        super().__init__(config, stacks, groups)
 
-    def _forward(self, batch, keep=False):
+    def _forward(self, inputs, keep=False):
         """yhat, the context weights c, and (f_all, c, per-stack caches) for backward (None caches unless ``keep``)."""
-        xs, xi = self._inputs(batch)
         f_parts, caches = [], []
-        for z, x in zip(self.config.active, xs):
-            if self.config.nets.get(z, _DENSE16()).kind == "dense":
-                x = x.reshape(batch.n, -1)
+        for z, x in zip(self.config.active, inputs):
             y, cache = self.stacks[f"f{z}"].forward(x, keep)
             f_parts.append(y)
             caches.append(cache)
         f_all = np.concatenate(f_parts, axis=1)  # (B, A*K)
-        c, ctx_cache = self.stacks["context"].forward(xi, keep)
+        c, ctx_cache = self.stacks["context"].forward(inputs[-2], keep)
         caches.append(ctx_cache)
-        return np.sum(f_all * c, axis=1), c, (f_all, c, caches)
+        return np.add.reduce(f_all * c, axis=1), c, (f_all, c, caches)
 
     def _backward(self, dyhat, cache):
         f_all, c, caches = cache
-        dys = np.split(c * dyhat[:, None], len(self.config.active), axis=1) + [f_all * dyhat[:, None]]
+        k = self.config.k_outputs
+        dc = c * dyhat[:, None]
+        dys = [dc[:, i : i + k] for i in range(0, dc.shape[1], k)] + [f_all * dyhat[:, None]]
         grads = []
         for stack, dy, stack_cache in zip(self.stacks.values(), dys, caches):
             grads.extend(stack.backward(dy, stack_cache))
@@ -301,8 +338,8 @@ class ConcatModel(_Model):
         stack = dense_stack(rng, in_dim, config.concat.widths, 1, config.leaky_slope)
         super().__init__(config, {"concat": stack})
 
-    def _forward(self, batch, keep=False):
-        out, caches = self.stacks["concat"].forward(self._inputs(batch)[1], keep)
+    def _forward(self, inputs, keep=False):
+        out, caches = self.stacks["concat"].forward(inputs[0], keep)
         return out[:, 0], None, caches
 
     def _backward(self, dyhat, caches):
@@ -397,7 +434,7 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     if t < 1:
         raise ValueError("Adam step count t must be >= 1")
     b1, b2 = cfg.beta1, cfg.beta2
-    np.concatenate([np.ravel(x) for x in grads], out=state.g)
+    np.concatenate(grads, axis=None, out=state.g)
     if not (np.isfinite(state.g.min()) and np.isfinite(state.g.max())):  # a nan or an infinity
         ends = np.cumsum([math.prod(shape) for shape in state.shapes])
         i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(state.g))[0], side="right"))
@@ -461,7 +498,9 @@ def train(
     n = train_batch.n
     probes = np.asarray(probe_indices, dtype=int)
     log_weights = probes.size > 0 and isinstance(model, FusionModel)
-    probe_batch = train_batch.subset(probes) if log_weights else None
+    data = model.inputs(train_batch)
+    val = model.inputs(val_batch) if val_batch is not None else None
+    probe_data = model.rows(data, probes) if log_weights else None
 
     train_curve, val_curve, weight_frames = [], [], []
     last_good = FlatParams(params)
@@ -471,10 +510,10 @@ def train(
         try:
             for start in range(0, n, cfg.batch_size):
                 chunk = perm[start : start + cfg.batch_size]
-                _, grads, _ = model.loss_and_grads(train_batch.subset(chunk))
+                _, grads, _ = model.loss_and_grads(model.rows(data, chunk))
                 t += 1
                 adam_step(params, grads, state, t, cfg)
-            train_mse = loss_mse(model.forward(train_batch), train_batch.y)
+            train_mse = loss_mse(model.forward(data), train_batch.y)
             if not np.isfinite(train_mse):
                 raise TrainingDiverged("training loss became non-finite")
         except TrainingDiverged as exc:
@@ -486,13 +525,11 @@ def train(
                 val_curve=np.array(val_curve),
             ) from None
 
-        val_mse = (
-            loss_mse(model.forward(val_batch), val_batch.y) if val_batch is not None else float("nan")
-        )
+        val_mse = loss_mse(model.forward(val), val_batch.y) if val is not None else float("nan")
         train_curve.append(train_mse)
         val_curve.append(val_mse)
         if log_weights:
-            _, c = model.forward(probe_batch, return_weights=True)
+            _, c = model.forward(probe_data, return_weights=True)
             weight_frames.append(c.copy())
         np.copyto(last_good.flat, params.flat)
 
@@ -540,7 +577,8 @@ def load_checkpoint(ckptdir):
     Raises SampleParseError, naming ``model.json``, for text that is not a
     JSON object, and ConfigError for another ``format`` tag, a missing
     manifest key, a layout that differs in any name or shape from the model
-    its config builds, or a weight blob of the wrong size.
+    its config builds, or a weight blob of the wrong size or with a value
+    that is not finite.
     """
     manifest = read_json(os.path.join(ckptdir, "model.json"))
     for key, kind in _MANIFEST_TYPES.items():
@@ -565,5 +603,9 @@ def load_checkpoint(ckptdir):
     flat = model.params.flat
     if len(blob) != 8 * flat.size:
         raise ConfigError(f"{ckptdir}: weights.bin holds {len(blob)} bytes, the model {8 * flat.size}")
-    np.copyto(flat, np.frombuffer(blob, dtype="<f8"))
+    weights = np.frombuffer(blob, dtype="<f8")
+    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):  # a nan or an infinity
+        i = int(np.flatnonzero(~np.isfinite(weights))[0])
+        raise ConfigError(f"{ckptdir}: weights.bin holds a non-finite weight ({weights[i]}) at index {i}")
+    np.copyto(flat, weights)
     return model, normalizer, manifest

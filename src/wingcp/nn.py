@@ -6,18 +6,25 @@ aligns with the layer's ``params`` list and ``dx`` is None when
 ``need_dx`` is false. No layer mutates shared state during a pass, so a
 parameter snapshot can serve inference from many threads.
 
-Conv2d follows NCHW layout with stride equal to the kernel and "valid"
-output sizing (floor(dim / k)): a remainder row or column that does not
-fill a window is dropped. A spatial dim smaller than the kernel is
-zero-padded (bottom/right) up to kernel size so the stack stays
-applicable to 2x2 inputs.
+Conv activations are channel-major: a conv stack takes its input as
+(C, B, H, W), every Conv2d and LeakyReLU between the first Conv2d and
+the flatten passes (C, B, H, W) arrays forward and back, and
+ChannelFlatten turns the last one into the (B, C*H*W) rows the dense
+head reads. Conv2d uses stride equal to the kernel and "valid" output
+sizing (floor(dim / k)): a remainder row or column that does not fill a
+window is dropped. A spatial dim smaller than the kernel is zero-padded
+(bottom/right) up to kernel size so the stack stays applicable to 2x2
+inputs.
 
 Conv2d has one operand layout, whatever the input's memory layout: a
 C-contiguous (C*kh*kw, B*ho*wo) window matrix filled by ``kh * kw``
 block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
-which dk, db and the window gradients are all taken. OpenBLAS rounds a
-product differently for a C- or an F-contiguous operand, so fixing the
-layouts makes a conv call's bits depend only on its input values. Dense
+which dk, db and the window gradients are all taken. In the channel-major
+layout both are the layer's own arrays: its output is the product's
+(out_ch, B, ho, wo) result and the gradient it receives is that shape,
+so neither is transposed or copied. OpenBLAS rounds a product
+differently for a C- or an F-contiguous operand, so fixing the layouts
+makes a conv call's bits depend only on its input values. Dense
 products with a narrow output run on the calling thread only (see
 ``_matmul``), so their time does not hang on a second free CPU and their
 bits do not depend on the thread count. On one BLAS build and CPU kernel
@@ -27,6 +34,10 @@ One exception is known: a product whose inner dimension exceeds 384
 (OpenBLAS's K block on its Haswell kernels) rounds differently when
 OpenBLAS splits it over threads, and mlp's weight gradients at a batch
 above 384 samples are such products.
+
+LeakyReLU caches its output, not a mask: for finite x and a slope in
+[0, 1], y > 0 exactly where x > 0, so ``max(y > 0, slope) * dy`` is the
+input gradient, bit for bit the masked select it replaces.
 
 Layers only read their parameter arrays, the attributes each layer class
 names in ``param_attrs``. A ``wingcp.model`` model binds them from
@@ -41,7 +52,7 @@ __all__ = [
     "LeakyReLU",
     "Dense",
     "Conv2d",
-    "Flatten",
+    "ChannelFlatten",
     "Stack",
     "dense_stack",
     "conv_stack",
@@ -67,18 +78,20 @@ class Layer:
 
 class LeakyReLU(Layer):
     def __init__(self, slope=0.01):
-        self.slope = slope
+        self.slope = float(slope)  # an int slope would make the backward's gain an int array
 
     def forward(self, x):
         # max(x, slope*x) is LeakyReLU for 0 <= slope <= 1, the range ModelConfig admits
-        pos = x > 0.0
         y = self.slope * x
         np.maximum(x, y, out=y)
-        return y, pos
+        return y, y
 
     def backward(self, dy, cache, need_dx=True):
-        pos = cache
-        return (np.where(pos, dy, self.slope * dy) if need_dx else None), []
+        if not need_dx:
+            return None, []
+        gain = np.maximum(cache > 0.0, self.slope)  # 1.0 where y > 0, i.e. where x > 0
+        gain *= dy
+        return gain, []
 
 
 # 2 threads x OpenBLAS's GEMM_MULTITHREAD_THRESHOLD (4) x 65536 multiply-adds
@@ -130,16 +143,17 @@ class Dense(Layer):
     def backward(self, dy, cache, need_dx=True):
         x = cache
         dw = _matmul(x.T, dy)
-        db = dy.sum(axis=0)
+        db = np.add.reduce(dy, axis=0)  # ndarray.sum, without its Python wrapper
         return (_matmul(dy, self.w.T) if need_dx else None), [dw, db]
 
 
 class Conv2d(Layer):
-    """Non-overlapping 2D convolution (stride = kernel), a patchify.
+    """Non-overlapping 2D convolution (stride = kernel), a patchify, on channel-major activations.
 
-    Kernels (out_ch, in_ch, kh, kw), x (B, C, H, W). Each output cell is
-    one (kh, kw) window, so forward and backward are single matrix
-    products with the (C*kh*kw, B*ho*wo) window matrix of the input.
+    Kernels (out_ch, in_ch, kh, kw), x (C, B, H, W), output (out_ch, B,
+    ho, wo). Each output cell is one (kh, kw) window, so forward and
+    backward are single matrix products with the (C*kh*kw, B*ho*wo)
+    window matrix of the input.
     """
 
     param_attrs = ("k", "b")
@@ -161,41 +175,51 @@ class Conv2d(Layer):
 
     def forward(self, x):
         o, c, kh, kw = self.k.shape
-        b, _, h, w = x.shape
+        _, b, h, w = x.shape
         ho, wo = max(h, kh) // kh, max(w, kw) // kw
-        # kernel offset (i, j) of every window is one strided block; blocks in the padding stay 0
-        cols = np.zeros((c, kh, kw, b, ho, wo))
+        # kernel offset (i, j) of every window is one strided block; blocks in the padding are 0
+        cols = np.empty((c, kh, kw, b, ho, wo))
+        cols[:, h:] = 0.0
+        cols[:, :, w:] = 0.0
         for i in range(min(kh, h)):
             for j in range(min(kw, w)):
-                cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw].transpose(1, 0, 2, 3)
+                cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw]
         cols = cols.reshape(c * kh * kw, b * ho * wo)
         out = (self.k.reshape(o, -1) @ cols).reshape(o, b, ho, wo)
-        return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None], (x.shape, cols)
+        out += self.b[:, None, None, None]
+        return out, (x.shape, cols)
 
     def backward(self, dy, cache, need_dx=True):
         x_shape, cols = cache
         o, c, kh, kw = self.k.shape
-        b, _, h, w = x_shape
+        _, b, h, w = x_shape
         _, _, ho, wo = dy.shape
-        dy_t = np.ascontiguousarray(dy.transpose(1, 0, 2, 3).reshape(o, -1))
+        dy_t = np.ascontiguousarray(dy).reshape(o, -1)
         dk = (dy_t @ cols.T).reshape(self.k.shape)
-        db = dy_t.sum(axis=1)
+        db = np.add.reduce(dy_t, axis=1)
         if not need_dx:
             return None, [dk, db]
         dwin = (dy_t.T @ self.k.reshape(o, -1)).reshape(b, ho, wo, c, kh, kw)
-        dx = np.zeros(x_shape)  # zero where no window reaches
+        dx = np.empty(x_shape)
+        dx[:, :, ho * kh :] = 0.0  # the remainder rows and columns no window reaches
+        dx[:, :, :, wo * kw :] = 0.0
         for i in range(min(kh, h)):
             for j in range(min(kw, w)):
-                dx[:, :, i : ho * kh : kh, j : wo * kw : kw] = dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                dx[:, :, i : ho * kh : kh, j : wo * kw : kw] = dwin[:, :, :, :, i, j].transpose(3, 0, 1, 2)
         return dx, [dk, db]
 
 
-class Flatten(Layer):
+class ChannelFlatten(Layer):
+    """Channel-major (C, B, ...) activations to C-contiguous (B, C*...) rows, and back."""
+
     def forward(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
+        return np.swapaxes(x, 0, 1).reshape(x.shape[1], -1), x.shape
 
     def backward(self, dy, cache, need_dx=True):
-        return (dy.reshape(cache) if need_dx else None), []
+        if not need_dx:
+            return None, []
+        c, b, *rest = cache
+        return np.ascontiguousarray(np.swapaxes(dy.reshape(b, c, *rest), 0, 1)), []
 
 
 class Stack:
@@ -239,14 +263,18 @@ def dense_stack(rng, in_dim, widths, out_dim, slope=0.01) -> Stack:
 
 
 def conv_stack(rng, in_shape, channels, out_dim, kernel=(2, 2), slope=0.01) -> Stack:
-    """Conv+LeakyReLU layers, then flatten and one affine map to out_dim."""
+    """Conv+LeakyReLU layers, then flatten and one affine map to out_dim.
+
+    ``in_shape`` is one sample's (C, H, W); the stack takes its input
+    channel-major, (C, B, H, W), and returns (B, out_dim).
+    """
     layers = []
     shape = tuple(in_shape)
     for out_ch in channels:
         layers.append(Conv2d.create(rng, shape[0], out_ch, kernel))
         layers.append(LeakyReLU(slope))
         shape = Conv2d.output_shape(shape, out_ch, kernel)
-    layers.append(Flatten())
+    layers.append(ChannelFlatten())
     flat = int(np.prod(shape))
     layers.append(Dense.create(rng, flat, out_dim))
     return Stack(layers)

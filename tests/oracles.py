@@ -615,15 +615,16 @@ def loop_conv2d_backward(k, x, dy):
 def fd_model_gradients(model, batch, h=1e-6):
     """Central finite differences of the MSE loss for every parameter scalar."""
     grads = []
+    inputs = model.inputs(batch)
     for p in model.params:
         g = np.zeros_like(p)
         flat, gflat = p.ravel(), g.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_mse(model.forward(batch), batch.y)
+            lp = loss_mse(model.forward(inputs), batch.y)
             flat[i] = orig - h
-            lm = loss_mse(model.forward(batch), batch.y)
+            lm = loss_mse(model.forward(inputs), batch.y)
             flat[i] = orig
             gflat[i] = (lp - lm) / (2.0 * h)
         grads.append(g)

@@ -120,7 +120,7 @@ def test_gradient_check():
 
     model = build_model(tiny_config(seed=31))
     batch = random_batch(np.random.default_rng(31), 6)
-    _, grads, _ = model.loss_and_grads(batch)
+    _, grads, _ = model.loss_and_grads(model.inputs(batch))
     fd = fd_model_gradients(model, batch, h=1e-6)
     worst = 0.0
     for name, g, f in zip(model.param_names(), grads, fd):
@@ -190,7 +190,7 @@ def test_directional_ablation():
             model = build_model(preset(model_name, seed=seed + k))
             train(model, normalizer.apply(train_b),
                   cfg=TrainConfig(epochs=250, seed=seed + k))
-            pred = model.forward(normalizer.apply(batch.subset(test_idx)))
+            pred = model.forward(model.inputs(normalizer.apply(batch.subset(test_idx))))
             mses.append(loss_mse(normalizer.invert_targets(pred), batch.y[test_idx]))
         return float(np.mean(mses))
 

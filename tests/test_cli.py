@@ -318,6 +318,7 @@ BAD_TRAINING_SETTINGS = [
     ("val_fraction = 1.5", "val_fraction"),
     ("val_fraction = 1", "val_fraction"),
     ("val_fraction = -0.1", "val_fraction"),
+    ("val_fraction = 0", "val_fraction"),
     ("probe_points = -3", "probe_points"),
     ("leaky_slope = 2", "leaky_slope"),
     ("leaky_slope = -0.5", "leaky_slope"),
@@ -596,6 +597,16 @@ def other_caches(every_command):
     return caches
 
 
+def _weight(value, index=5):
+    """A checkpoint edit: set one weight of the right-sized weights.bin to ``value``."""
+    def edit(ckpt):
+        path = ckpt / "weights.bin"
+        weights = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        weights[index] = value
+        path.write_bytes(weights.tobytes())
+    return edit
+
+
 def _model_json(change):
     """A checkpoint edit: apply ``change`` to the parsed model.json."""
     def edit(ckpt):
@@ -636,6 +647,8 @@ BAD_CHECKPOINTS = [
     ("short-weight-blob", "predict", None,
      lambda ckpt: (ckpt / "weights.bin").write_bytes((ckpt / "weights.bin").read_bytes()[:-3]),
      "weights.bin"),
+    ("nan-weight", "predict", None, _weight(np.nan), "weights.bin"),
+    ("infinite-weight", "eval", None, _weight(-np.inf), "weights.bin"),
     ("no-recorded-d", "predict", None, _model_json(lambda m: m["extra"].pop("d")), "d = None"),
     ("cache-d", "predict", "d0.01", lambda ckpt: None, "d = 0.01"),
     ("cache-convention", "eval", "first-index", lambda ckpt: None, "convention = 'first-index'"),

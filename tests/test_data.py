@@ -363,7 +363,7 @@ class TestTrainValSplit:
         b = train_val_split(np.arange(12), aoas, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.0, 1.5, float("nan")])
     def test_val_fraction_out_of_range_rejected(self, fraction):
         with pytest.raises(ConfigError):
             train_val_split(np.arange(4), np.array([7.0] * 4), seed=0, val_fraction=fraction)

@@ -70,18 +70,18 @@ class TestForward:
             _set_head(model.stacks[f"f{z}"], 1.0)
         _set_head(model.stacks["context"], 0.2)
         batch = random_batch(np.random.default_rng(1), 4)
-        np.testing.assert_allclose(model.forward(batch), 1.0, atol=1e-14)
+        np.testing.assert_allclose(model.forward(model.inputs(batch)), 1.0, atol=1e-14)
 
     def test_zero_context_annihilates(self):
         model = build_model(preset("rgfil", seed=0))
         _set_head(model.stacks["context"], 0.0)
         batch = random_batch(np.random.default_rng(2), 4)
-        np.testing.assert_allclose(model.forward(batch), 0.0, atol=1e-15)
+        np.testing.assert_allclose(model.forward(model.inputs(batch)), 0.0, atol=1e-15)
 
     def test_dot_product_identity(self):
         model = build_model(preset("rgfil", seed=3))
         batch = random_batch(np.random.default_rng(3), 5)
-        yhat, c, (f_all, _, _) = model._forward(batch)
+        yhat, c, (f_all, _, _) = model._forward(model.inputs(batch))
         manual = np.array([float(np.dot(f_all[i], c[i])) for i in range(5)])
         np.testing.assert_allclose(yhat, manual, atol=1e-12)
 
@@ -91,14 +91,14 @@ class TestForward:
         width = len(cfg.active) * cfg.k_outputs
         _set_head(model.stacks["context"], 1.0 / width)
         batch = random_batch(np.random.default_rng(4), 6)
-        yhat, _, (f_all, _, _) = model._forward(batch)
+        yhat, _, (f_all, _, _) = model._forward(model.inputs(batch))
         np.testing.assert_allclose(yhat, f_all.mean(axis=1), atol=1e-12)
 
     def test_return_weights_shape(self):
         cfg = preset("rgfil", seed=5)
         model = build_model(cfg)
         batch = random_batch(np.random.default_rng(5), 3)
-        yhat, c = model.forward(batch, return_weights=True)
+        yhat, c = model.forward(model.inputs(batch), return_weights=True)
         assert c.shape == (3, len(cfg.active) * cfg.k_outputs)
 
     def test_context_width_invariant(self):
@@ -136,9 +136,9 @@ class TestBackward:
         batch = random_batch(np.random.default_rng(7), 4)
         fitted = TensorBatch(
             x1=batch.x1, x2=batch.x2, x3=batch.x3, x4=batch.x4, x5=batch.x5,
-            y=model.forward(batch),
+            y=model.forward(model.inputs(batch)),
         )
-        _, grads, _ = model.loss_and_grads(fitted)
+        _, grads, _ = model.loss_and_grads(model.inputs(fitted))
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -146,7 +146,7 @@ class TestBackward:
         """Every parameter gradient against central differences, rel err < 1e-4."""
         model = build_model(tiny_config())
         batch = random_batch(np.random.default_rng(8), 6)
-        _, grads, _ = model.loss_and_grads(batch)
+        _, grads, _ = model.loss_and_grads(model.inputs(batch))
         fd = fd_model_gradients(model, batch, h=1e-6)
         for name, g, f in zip(model.param_names(), grads, fd):
             err = np.max(rel_err(g, f, floor=1e-4))
@@ -157,7 +157,7 @@ class TestBackward:
                           concat=NetSpec("dense", widths=(4, 4)), seed=9)
         model = build_model(cfg)
         batch = random_batch(np.random.default_rng(9), 5)
-        _, grads, _ = model.loss_and_grads(batch)
+        _, grads, _ = model.loss_and_grads(model.inputs(batch))
         fd = fd_model_gradients(model, batch, h=1e-6)
         for g, f in zip(grads, fd):
             assert np.max(rel_err(g, f, floor=1e-4)) < 1e-4
@@ -167,7 +167,7 @@ class TestBackward:
         cfg = tiny_config()
         model = build_model(cfg)
         batch = random_batch(np.random.default_rng(10), 6)
-        _, grads, _ = model.loss_and_grads(batch)
+        _, grads, _ = model.loss_and_grads(model.inputs(batch))
         first_ctx_w = grads[model.param_names().index("context.p0")]
         from wingcp.model import input_shapes
 
@@ -387,6 +387,51 @@ class TestTrain:
         assert any(a.tobytes() != b.tobytes() for a, b in zip(model.params, init))
 
 
+class TestPreparedInputs:
+    """A step on rows of inputs prepared once gives the bits of inputs prepared from the subset."""
+
+    @pytest.mark.parametrize("name", ["rgfil", "mdf", "mtl", "mlp"])
+    def test_rows_equal_subset_bitwise(self, name):
+        rng = np.random.default_rng(29)
+        model = build_model(preset(name, seed=6))
+        batch = random_batch(rng, 480)
+        prepared = model.inputs(batch)
+        # 470 and 3 rows: sizes at which OpenBLAS's gemv sums a unit-stride one-feature input otherwise
+        for rows in (rng.permutation(480)[:470], rng.permutation(480)[:3], np.arange(480)[::-1]):
+            got, want = model.rows(prepared, rows), model.inputs(batch.subset(rows))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+            xi = got[-2]
+            assert all(np.shares_memory(x, xi) for x in got[:-2])  # each group a view of xi's rows
+            loss, grads, yhat = model.loss_and_grads(got)
+            want_loss, want_grads, want_yhat = model.loss_and_grads(want)
+            assert loss == want_loss and yhat.tobytes() == want_yhat.tobytes()
+            for g, w in zip(grads, want_grads):
+                assert g.tobytes() == w.tobytes()
+            assert model.forward(got).tobytes() == model.forward(want).tobytes()
+
+    def test_train_subsets_no_batch_per_step(self, monkeypatch):
+        """TensorBatch.subset calls in one train call do not grow with epochs or minibatches."""
+        real, calls = TensorBatch.subset, []
+
+        def counting(self, indices):
+            calls.append(len(indices))
+            return real(self, indices)
+
+        monkeypatch.setattr(TensorBatch, "subset", counting)
+        rng = np.random.default_rng(30)
+        batch, val = random_batch(rng, 20), random_batch(rng, 4)
+        counts = []
+        for epochs, batch_size in ((1, 20), (3, 20), (3, 6)):
+            calls.clear()
+            model = build_model(tiny_config())
+            train(model, batch, val, TrainConfig(epochs=epochs, batch_size=batch_size, seed=0),
+                  probe_indices=[0, 5])
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3
+
+
 class TestTrainOracles:
     """train against a train driven by the per-array Adam step."""
 
@@ -461,7 +506,7 @@ class TestPresets:
         batch = random_batch(np.random.default_rng(18), 4)
         for name in ("rgfil", "mtl", "mdf", "mlp"):
             model = build_model(preset(name, seed=1))
-            assert model.forward(batch).shape == (4,)
+            assert model.forward(model.inputs(batch)).shape == (4,)
 
 
 def assert_params_are_views(model):
@@ -490,7 +535,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "first", model, normalizer, extra={"model": name})
         loaded, norm_back, manifest = load_checkpoint(tmp_path / "first")
         assert_params_are_views(loaded)
-        assert loaded.forward(batch).tobytes() == model.forward(batch).tobytes()
+        assert loaded.forward(loaded.inputs(batch)).tobytes() == model.forward(model.inputs(batch)).tobytes()
         assert manifest["extra"]["model"] == name
         assert norm_back.fitted_on == normalizer.fitted_on
         save_checkpoint(tmp_path / "second", loaded, norm_back, extra=manifest["extra"])

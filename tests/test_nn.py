@@ -11,7 +11,7 @@ from oracles import (
 
 from wingcp.model import input_shapes, preset
 from wingcp import nn
-from wingcp.nn import Conv2d, Dense, Flatten, LeakyReLU, conv_stack, dense_stack
+from wingcp.nn import ChannelFlatten, Conv2d, Dense, LeakyReLU, conv_stack, dense_stack
 
 # (input shape (C, H, W), out-channels) of every conv layer of the presets;
 # (2, 1, 1) pads both spatial dims
@@ -37,8 +37,13 @@ BATCH_SIZES = (1, 32, 108, 470, 972)
 
 
 def channel_major(a):
-    """``a`` (B, C, H, W) held in (C, B, H, W) memory, the layout a conv output hands the next layer."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    """``a`` (B, C, H, W) as the C-contiguous (C, B, H, W) array a conv layer takes and hands on."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+def batch_major(a):
+    """The (B, C, H, W) view of a (C, B, H, W) array, or the (C, B, H, W) view of a (B, C, H, W) one."""
+    return a.transpose(1, 0, 2, 3)
 
 
 class TestConv2d:
@@ -46,18 +51,18 @@ class TestConv2d:
         # floor((18-2)/2)+1 = 9 rows, floor((2-2)/2)+1 = 1 column
         rng = np.random.default_rng(0)
         conv = Conv2d.create(rng, in_ch=1, out_ch=4)
-        out, _ = conv.forward(rng.normal(size=(3, 1, 18, 2)))
-        assert out.shape == (3, 4, 9, 1)
+        out, _ = conv.forward(rng.normal(size=(1, 3, 18, 2)))
+        assert out.shape == (4, 3, 9, 1)
 
     def test_output_shape_9x3(self):
         rng = np.random.default_rng(0)
         conv = Conv2d.create(rng, in_ch=1, out_ch=4)
-        out, _ = conv.forward(rng.normal(size=(2, 1, 9, 3)))
-        assert out.shape == (2, 4, 4, 1)
+        out, _ = conv.forward(rng.normal(size=(1, 2, 9, 3)))
+        assert out.shape == (4, 2, 4, 1)
 
     def test_zero_kernels_zero_output(self):
         conv = Conv2d(np.zeros((4, 1, 2, 2)), np.zeros(4))
-        out, _ = conv.forward(np.random.default_rng(1).normal(size=(2, 1, 6, 4)))
+        out, _ = conv.forward(np.random.default_rng(1).normal(size=(1, 2, 6, 4)))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_identity_kernel_constant_input(self):
@@ -71,12 +76,12 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         conv = Conv2d.create(rng, in_ch=2, out_ch=3)
         out, _ = conv.forward(rng.normal(size=(2, 2, 1, 1)))  # both dims < kernel
-        assert out.shape == (2, 3, 1, 1)
+        assert out.shape == (3, 2, 1, 1)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(3)
         conv = Conv2d.create(rng, in_ch=2, out_ch=3)
-        x = rng.normal(size=(2, 2, 5, 3))
+        x = rng.normal(size=(2, 2, 5, 3))  # (C, B, H, W)
         target = rng.normal(size=conv.forward(x)[0].shape)
 
         def loss(xx):
@@ -100,7 +105,7 @@ class TestConv2d:
 
 
 def conv_case(in_shape, out_ch, batch):
-    """A Conv2d with random bias, a C-order input and a C-order output gradient for it."""
+    """A Conv2d with random bias, a C-order (B, C, H, W) input and a C-order output gradient for it."""
     rng = np.random.default_rng([batch, *in_shape, out_ch])
     conv = Conv2d.create(rng, in_shape[0], out_ch)
     conv.b = rng.normal(size=out_ch)
@@ -110,6 +115,7 @@ def conv_case(in_shape, out_ch, batch):
 
 
 def conv_pass(conv, x, dy):
+    """(out, dx, dk, db) of the conv on (C, B, H, W) ``x`` and ``dy``; out and dx are (C, B, H, W) too."""
     out, cache = conv.forward(x)
     dx, (dk, db) = conv.backward(dy, cache)
     return out, dx, dk, db
@@ -120,13 +126,15 @@ class TestConvLoopReference:
 
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_matches_loops(self, in_shape, out_ch):
-        """Every batch size, with the input and output gradient in C order and channel-major."""
+        """Every batch size, with the input and output gradient channel-major and in batch-major memory."""
         for batch in BATCH_SIZES:
             conv, x, dy = conv_case(in_shape, out_ch, batch)
             ref_out = loop_conv2d_forward(conv.k, conv.b, x)
             ref_dx, ref_dk, ref_db = loop_conv2d_backward(conv.k, x, dy)
-            for layout, xs, dys in (("c-order", x, dy), ("channel-major", channel_major(x), channel_major(dy))):
-                for g, ref in zip(conv_pass(conv, xs, dys), (ref_out, ref_dx, ref_dk, ref_db)):
+            for layout, xs, dys in (("c-order", batch_major(x), batch_major(dy)),
+                                    ("channel-major", channel_major(x), channel_major(dy))):
+                out, dx, dk, db = conv_pass(conv, xs, dys)
+                for g, ref in zip((batch_major(out), batch_major(dx), dk, db), (ref_out, ref_dx, ref_dk, ref_db)):
                     assert g.shape == ref.shape, (batch, layout)
                     assert np.max(rel_err(g, ref, floor=1.0)) <= LOOP_REL_TOL, (batch, layout)
 
@@ -150,8 +158,8 @@ class TestConvLayout:
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_layout_independent(self, in_shape, out_ch, batch):
         conv, x, dy = conv_case(in_shape, out_ch, batch)
-        got = conv_pass(conv, channel_major(x), channel_major(dy))
-        for g, want in zip(got, conv_pass(conv, x, dy)):
+        got = conv_pass(conv, batch_major(x), batch_major(dy))
+        for g, want in zip(got, conv_pass(conv, channel_major(x), channel_major(dy))):
             assert g.shape == want.shape
             assert g.tobytes() == want.tobytes()
 
@@ -162,8 +170,11 @@ class TestConvTensordotBits:
 
     OpenBLAS rounds a product differently for a C- or an F-contiguous
     operand, so equal bits here mean every product got the one operand
-    layout of the oracle, whatever the input's layout; equal output and
-    dx strides keep the next layer's operands the same too.
+    layout of the oracle, whatever the input's layout ("c-order": a
+    (C, B, H, W) view of C-order (B, C, H, W) memory). The output is the
+    oracle's (O, B, ho, wo) product itself, and the output and dx are
+    C-contiguous channel-major, so the next layer gets the same operands
+    too.
     """
 
     @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
@@ -171,20 +182,19 @@ class TestConvTensordotBits:
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_bitwise_equal(self, in_shape, out_ch, batch, layout):
         conv, x, dy = conv_case(in_shape, out_ch, batch)
-        if layout == "channel-major":
-            x, dy = channel_major(x), channel_major(dy)
-        out, dx, dk, db = conv_pass(conv, x, dy)
+        to_conv = channel_major if layout == "channel-major" else batch_major
+        out, dx, dk, db = conv_pass(conv, to_conv(x), to_conv(dy))
         ref_out, ref_cache = tensordot_conv2d_forward(conv.k, conv.b, x)
         ref_dx, ref_dk, ref_db = tensordot_conv2d_backward(conv.k, ref_cache, dy)
-        for got, ref in ((out, ref_out), (dx, ref_dx), (dk, ref_dk), (db, ref_db)):
+        for got, ref in ((batch_major(out), ref_out), (batch_major(dx), ref_dx), (dk, ref_dk), (db, ref_db)):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
-        assert out.strides == ref_out.strides
-        assert dx.strides == ref_dx.strides
+        assert out.flags.c_contiguous and dx.flags.c_contiguous
 
     @pytest.mark.parametrize("in_shape,out_ch", PRESET_CONV_LAYERS + [WIDE_CONV_LAYER])
     def test_without_input_gradient(self, in_shape, out_ch):
         conv, x, dy = conv_case(in_shape, out_ch, 5)
+        x, dy = channel_major(x), channel_major(dy)
         _, cache = conv.forward(x)
         _, (dk, db) = conv.backward(dy, cache)
         none, (dk2, db2) = conv.backward(dy, cache, need_dx=False)
@@ -273,10 +283,24 @@ class TestLeakyReLU:
     @pytest.mark.parametrize("slope", [0.01, 0.0, 1.0, 0.5])  # ModelConfig admits [0, 1]
     def test_forward_equals_where_bitwise(self, slope):
         x = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(12).normal(size=200)])
-        out, pos = LeakyReLU(slope).forward(x)
+        out, cache = LeakyReLU(slope).forward(x)
         want = np.where(x > 0.0, x, slope * x)
         assert out.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(pos, x > 0.0)
+        assert cache is out
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, 0, 1])  # ModelConfig admits the ints too
+    def test_backward_equals_where_bitwise(self, slope):
+        """max(y > 0, slope) * dy is the masked select on x, for every pair of special values."""
+        rng = np.random.default_rng(15)
+        n = SPECIAL_INPUTS.size
+        x = np.concatenate([np.repeat(SPECIAL_INPUTS, n), rng.normal(size=200)])
+        dy = np.concatenate([np.tile(SPECIAL_INPUTS, n), rng.normal(size=200)])
+        layer = LeakyReLU(slope)
+        _, cache = layer.forward(x)
+        dx, grads = layer.backward(dy, cache)
+        want = np.where(x > 0, dy, slope * dy)
+        assert grads == [] and dx.dtype == np.float64
+        assert dx.tobytes() == want.tobytes()
 
     def test_forward_values(self):
         layer = LeakyReLU(0.01)
@@ -302,20 +326,20 @@ class TestStacks:
     def test_conv_stack_on_stencil_metric_block(self):
         rng = np.random.default_rng(6)
         stack = conv_stack(rng, in_shape=(1, 18, 2), channels=(4, 8, 16), out_dim=8)
-        out, _ = stack.forward(rng.normal(size=(2, 1, 18, 2)))
+        out, _ = stack.forward(rng.normal(size=(1, 2, 18, 2)))
         assert out.shape == (2, 8)
 
     def test_conv_stack_on_single_metric(self):
         rng = np.random.default_rng(7)
         stack = conv_stack(rng, in_shape=(1, 2, 2), channels=(4, 8, 16), out_dim=8)
-        out, _ = stack.forward(rng.normal(size=(5, 1, 2, 2)))
+        out, _ = stack.forward(rng.normal(size=(1, 5, 2, 2)))
         assert out.shape == (5, 8)
 
     def test_backward_returns_parameter_gradients(self):
         """Stack.backward gives each layer's own parameter gradients, bit for bit, in params order."""
         rng = np.random.default_rng(9)
         stack = conv_stack(rng, in_shape=(2, 18, 2), channels=(4, 8), out_dim=3)
-        out, caches = stack.forward(rng.normal(size=(6, 2, 18, 2)))
+        out, caches = stack.forward(rng.normal(size=(2, 6, 18, 2)))
         dy = rng.normal(size=out.shape)
         grads = stack.backward(dy, caches)
         want = []
@@ -330,16 +354,18 @@ class TestStacks:
     def test_forward_without_caches(self):
         rng = np.random.default_rng(10)
         stack = conv_stack(rng, in_shape=(1, 9, 3), channels=(4, 8), out_dim=2)
-        x = rng.normal(size=(4, 1, 9, 3))
+        x = rng.normal(size=(1, 4, 9, 3))
         out, caches = stack.forward(x)
         bare, none = stack.forward(x, keep=False)
         assert none is None and len(caches) == len(stack.layers)
         assert bare.tobytes() == out.tobytes()
 
     def test_flatten_round_trip(self):
-        flat = Flatten()
-        x = np.arange(24.0).reshape(2, 3, 4)
+        flat = ChannelFlatten()
+        x = np.arange(24.0).reshape(3, 2, 4)  # (C, B, W)
         out, cache = flat.forward(x)
-        assert out.shape == (2, 12)
+        assert out.shape == (2, 12) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, x.transpose(1, 0, 2).reshape(2, 12))
         dx, _ = flat.backward(out, cache)
+        assert dx.flags.c_contiguous
         np.testing.assert_array_equal(dx, x)
