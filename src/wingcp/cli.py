@@ -222,12 +222,10 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
     train_idx, val_idx = train_val_split(
         np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
-    normalizer = fit_normalizer(
-        batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
-    )
-    norm_all = normalizer.apply(batch)
-    train_batch = norm_all.subset(train_idx)
-    val_batch = norm_all.subset(val_idx) if val_idx.size else None
+    train_batch = batch.subset(train_idx)
+    normalizer = fit_normalizer(train_batch, fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer))
+    train_batch = normalizer.apply(train_batch)  # elementwise: the rows of the normalized whole batch
+    val_batch = normalizer.apply(batch.subset(val_idx)) if val_idx.size else None
 
     model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
     probes = (
@@ -413,7 +411,9 @@ def cmd_eval(args, cfg):
 def cmd_predict(args, cfg):
     model, normalizer, batch = _load_for_inference(args)
     pred = _predict(model, normalizer, batch)
-    write_rows(os.path.join(args.out, "predictions.csv"), ["row", "prediction"], enumerate(pred.tolist()))
+    # one formatting pass, byte for byte what write_rows gives the header row,prediction and these rows
+    with open(os.path.join(args.out, "predictions.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(["row,prediction\r\n"] + ["%d,%.17g\r\n" % row for row in enumerate(pred.tolist())]))
     print(f"predict: {batch.n} predictions -> {args.out}")
     return 0
 

@@ -287,20 +287,25 @@ class NormalizationSpec:
     fitted_on: str
 
     def _apply_group(self, x, key):
-        lo, hi = self.mins[key], self.maxs[key]
-        span = hi - lo
-        out = np.zeros_like(x, dtype=float)
-        nz = span != 0.0
-        out[..., nz] = (x[..., nz] - lo[nz]) / span[nz]
+        """(x - lo) / span of (B, D) rows, column by column, and 0.0 in the constant columns.
+
+        A constant column is computed as (x - 0) / 1, which raises no
+        floating-point error, and then set to 0.0; every other column
+        gets the same two operations the mask-based form gave it.
+        """
+        lo = self.mins[key].copy()
+        span = self.maxs[key] - lo
+        const = np.flatnonzero(span == 0.0)
+        lo[const], span[const] = 0.0, 1.0
+        out = np.subtract(x, lo)
+        out /= span
+        out[:, const] = 0.0
         return out
 
     def apply(self, batch: TensorBatch) -> TensorBatch:
-        groups = batch.groups()
         out = {}
-        for key, x in groups.items():
-            flat = x.reshape(batch.n, -1)
-            normed = self._apply_group(flat, key)
-            out[key] = normed.reshape(x.shape)
+        for key, x in batch.groups().items():
+            out[key] = self._apply_group(x.reshape(batch.n, -1), key).reshape(x.shape)
         y = batch.y
         if self.normalize_targets:
             span = self.y_max - self.y_min

@@ -3,7 +3,10 @@
 Every text file is read as UTF-8, and a file that is not UTF-8, not
 valid JSON or not the expected table raises SampleParseError naming
 it. Writers give floats (``np.float64`` included) 17 significant
-digits, which read back exactly, and sort JSON keys.
+digits, which read back exactly, and sort JSON keys. Four tables are
+formatted by hand in one pass, byte for byte what ``write_rows`` would
+write: the feature cache's y.csv, meta.csv and features_points.csv
+(``wingcp.data``) and predict's predictions.csv (``wingcp.cli``).
 """
 
 import csv

@@ -24,16 +24,20 @@ layout both are the layer's own arrays: its output is the product's
 (out_ch, B, ho, wo) result and the gradient it receives is that shape,
 so neither is transposed or copied. OpenBLAS rounds a product
 differently for a C- or an F-contiguous operand, so fixing the layouts
-makes a conv call's bits depend only on its input values. Dense
-products with a narrow output run on the calling thread only (see
-``_matmul``), so their time does not hang on a second free CPU and their
-bits do not depend on the thread count. On one BLAS build and CPU kernel
-every output of the pipeline is therefore the same at any BLAS thread
-count; the test suite compares 1 and 2 OpenBLAS threads byte for byte.
-One exception is known: a product whose inner dimension exceeds 384
-(OpenBLAS's K block on its Haswell kernels) rounds differently when
-OpenBLAS splits it over threads, and mlp's weight gradients at a batch
-above 384 samples are such products.
+makes a conv call's bits depend only on its input values.
+
+Every product goes through one rule, ``_matmul``: from OpenBLAS's split
+size on, a product whose output is at most 16 rows tall (conv forward
+and kernel gradients) runs in column blocks and one at most 64 columns
+wide in row blocks, each below the split, so it stays on the calling
+thread and its bits do not depend on the thread count; only wider and
+taller products (mlp's 128-wide ones) are taken whole. On one BLAS
+build and CPU kernel every output of the pipeline is therefore the same
+at any BLAS thread count; the test suite compares 1 and 2 OpenBLAS
+threads byte for byte. One exception is known: a whole product whose
+inner dimension exceeds 384 (OpenBLAS's K block on its Haswell kernels)
+rounds differently when OpenBLAS splits it over threads, and mlp's
+weight gradients at a batch above 384 samples are such products.
 
 LeakyReLU caches its output, not a mask: for finite x and a slope in
 [0, 1], y > 0 exactly where x > 0, so ``max(y > 0, slope) * dy`` is the
@@ -96,30 +100,68 @@ class LeakyReLU(Layer):
 
 # 2 threads x OpenBLAS's GEMM_MULTITHREAD_THRESHOLD (4) x 65536 multiply-adds
 _BLAS_SPLIT = 2 * 4 * 65536
-_NARROW = 32
+_ROW_BLOCKED = 64  # widest output taken in row blocks
+_COLUMN_BLOCKED = 16  # tallest output taken in column blocks (a conv layer's out-channels)
+_TILE = 8  # a block's rows or columns are a multiple of this
 
 
 def _matmul(a, b):
-    """``a @ b``, kept on the calling thread when the output is narrow.
+    """``a @ b`` on the calling thread, unless its output is both wide and tall.
 
-    OpenBLAS splits a product over threads from ``_BLAS_SPLIT``
-    multiply-adds on. For an output at most ``_NARROW`` columns wide a
-    second thread saves little (5-25 us of 30-90 us at 470-1080 x 147 x 16),
-    and the call must wait for a second free CPU: with one of two CPUs
-    busy, rgfil training spent 7x longer in its dense products. Such a
-    product is taken in row blocks below ``_BLAS_SPLIT``, whatever the
-    thread count. The blocks also decide bits: split over two threads,
-    rgfil's narrow products round differently than on one.
+    Every product ``nn`` makes goes through here. OpenBLAS splits a
+    product over threads from ``_BLAS_SPLIT`` multiply-adds on. Such a
+    product is taken in column blocks when its output is at most
+    ``_COLUMN_BLOCKED`` rows tall (a conv layer's out-channels: its
+    forward and its weight gradient), else in row blocks when it is at
+    most ``_ROW_BLOCKED`` columns wide, each block below ``_BLAS_SPLIT``
+    and none cutting the inner dimension; any other product, such as
+    mlp's 128-wide ones, is taken whole.
+
+    On a 2-CPU host a second thread saves little on the blocked products
+    (5-25 us of 30-90 us at 470-1080 x 147 x 16), and it costs: the call
+    must wait for a second free CPU (with one of two CPUs busy, rgfil
+    training spent 7x longer in its dense products), and a worker once
+    woken spins for 1-2 s, on the caller's CPU when both are scheduled
+    on one, which made the first ~20 paper-default predicts of a
+    benchmark round take 23-47 ms instead of 8-10 ms. Blocks also fix
+    the bits: a blocked product rounds the same at any thread count.
     """
     m, k = a.shape
     n = b.shape[1]
-    rows = max(1, (_BLAS_SPLIT - 1) // max(k * n, 1))
-    if n > _NARROW or m <= rows:
-        return a @ b
+    if m * k * n < _BLAS_SPLIT or (n > _ROW_BLOCKED and m > _COLUMN_BLOCKED):
+        return np.matmul(a, b)
     out = np.empty((m, n))
-    for i in range(0, m, rows):
-        np.matmul(a[i : i + rows], b, out=out[i : i + rows])
+    if m <= _COLUMN_BLOCKED:
+        for i, j in _blocks(n, m * k):
+            np.matmul(a, b[:, i:j], out=out[:, i:j])
+    else:
+        for i, j in _blocks(m, k * n):
+            np.matmul(a[i:j], b, out=out[i:j])
     return out
+
+
+def _blocks(size, per_unit):
+    """(start, stop) of the blocks that cut ``size`` rows or columns of ``per_unit`` multiply-adds each.
+
+    A block holds a multiple of ``_TILE`` units (as many as fit when
+    fewer than ``_TILE + 1`` do), which keeps OpenBLAS's micro-tiles
+    where the whole product has them, with room below the split for one
+    more: a single last unit joins the block before it,
+    since numpy hands a one-row or one-column product to gemv, which
+    sums in another order. On OpenBLAS 0.3.31's SkylakeX kernels every
+    product of the benchmark workloads then has the whole product's
+    bits. Elsewhere a block can move the last bit, mostly where the
+    whole product's bits depend on the thread count: an inner dimension
+    past OpenBLAS's K block (a weight gradient at a training batch above
+    about 800), or a ragged edge tile (conv forward at a batch above 976
+    that is not a multiple of 8).
+    """
+    most = max(1, (_BLAS_SPLIT - 1) // per_unit)
+    step = (most - 1) // _TILE * _TILE or most
+    starts = list(range(0, size, step))
+    if step < most and len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [size])
 
 
 class Dense(Layer):
@@ -185,7 +227,7 @@ class Conv2d(Layer):
             for j in range(min(kw, w)):
                 cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw]
         cols = cols.reshape(c * kh * kw, b * ho * wo)
-        out = (self.k.reshape(o, -1) @ cols).reshape(o, b, ho, wo)
+        out = _matmul(self.k.reshape(o, -1), cols).reshape(o, b, ho, wo)
         out += self.b[:, None, None, None]
         return out, (x.shape, cols)
 
@@ -195,11 +237,11 @@ class Conv2d(Layer):
         _, b, h, w = x_shape
         _, _, ho, wo = dy.shape
         dy_t = np.ascontiguousarray(dy).reshape(o, -1)
-        dk = (dy_t @ cols.T).reshape(self.k.shape)
+        dk = _matmul(dy_t, cols.T).reshape(self.k.shape)
         db = np.add.reduce(dy_t, axis=1)
         if not need_dx:
             return None, [dk, db]
-        dwin = (dy_t.T @ self.k.reshape(o, -1)).reshape(b, ho, wo, c, kh, kw)
+        dwin = _matmul(dy_t.T, self.k.reshape(o, -1)).reshape(b, ho, wo, c, kh, kw)
         dx = np.empty(x_shape)
         dx[:, :, ho * kh :] = 0.0  # the remainder rows and columns no window reaches
         dx[:, :, :, wo * kw :] = 0.0

@@ -33,6 +33,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from wingcp.bezier import ControlGrid, SurfacePoint, bernstein_row, eval_patch
+from wingcp.data import TensorBatch
 from wingcp.errors import DegenerateMetric, StencilOutOfPatch, TrainingDiverged
 from wingcp.model import loss_mse
 
@@ -800,6 +801,32 @@ def tensordot_conv2d_backward(k, cache, dy):
     dxp = np.zeros((b, c, max(x_shape[2], kh), max(x_shape[3], kw)))
     dxp[:, :, : ho * kh, : wo * kw].reshape(b, c, ho, kh, wo, kw)[...] = dwin.transpose(0, 3, 1, 4, 2, 5)
     return np.ascontiguousarray(dxp[:, :, : x_shape[2], : x_shape[3]]), dk, db
+
+
+# ---------------------------------------------------------------------------
+# Normalization oracle: max-min scaling by boolean masks, gathering the
+# columns with a nonzero span and scattering their (x - lo) / span into
+# zeros. The package computes every column in place and sets the constant
+# ones to 0.0; the bits must match.
+# ---------------------------------------------------------------------------
+
+
+def mask_normalize(spec, batch):
+    """``spec.apply(batch)`` by boolean-mask gathers and scatters."""
+    out = {}
+    for key, x in batch.groups().items():
+        flat = x.reshape(batch.n, -1)
+        lo, hi = spec.mins[key], spec.maxs[key]
+        span = hi - lo
+        normed = np.zeros_like(flat, dtype=float)
+        nz = span != 0.0
+        normed[..., nz] = (flat[..., nz] - lo[nz]) / span[nz]
+        out[key] = normed.reshape(x.shape)
+    y = batch.y
+    if spec.normalize_targets:
+        span = spec.y_max - spec.y_min
+        y = (y - spec.y_min) / span if span != 0.0 else np.zeros_like(y)
+    return TensorBatch(y=y, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from wingcp.bezier import load_manifold
+from wingcp import cli
 from wingcp.cli import main, parse_config
 from wingcp.data import load_samples
 from wingcp.errors import WingcpError
+from wingcp.files import write_rows
 from wingcp.stencil import build_stencil
 
 from oracles import sample_points
@@ -258,6 +260,24 @@ class TestTrainEvalPredictCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2  # epochs x probes
         assert "c0" in rows[0]
+
+
+# floats at the edges of the format; None keeps the trained model's predictions
+EDGE_PREDICTIONS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, -2.5e-7, 1e16, 123.0, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("values", [None, EDGE_PREDICTIONS], ids=["model", "edge-floats"])
+def test_predictions_csv_is_what_write_rows_writes(every_command, tmp_path, monkeypatch, values):
+    """predict formats its table itself; the bytes are those write_rows gives the same rows."""
+    argv, _ = every_command["predict"]
+    if values is not None:
+        monkeypatch.setattr(cli, "_predict", lambda *args: np.array(values))
+    out = tmp_path / "predict"
+    assert main([*argv[:-1], str(out)]) == 0
+    preds = [float(row[1]) for row in _csv_rows(out / "predictions.csv")]
+    assert len(preds) == (24 if values is None else len(values))
+    write_rows(tmp_path / "want.csv", ["row", "prediction"], enumerate(preds))
+    assert (out / "predictions.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _csv_rows(path):

@@ -30,7 +30,7 @@ from wingcp.data import (
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
 from wingcp.shapes import flat_grid, paraboloid_grid
 
-from oracles import loop_meta_rows, sample_points, write_features_points_rows, write_meta_rows
+from oracles import loop_meta_rows, mask_normalize, sample_points, write_features_points_rows, write_meta_rows
 from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 
@@ -282,6 +282,15 @@ class TestNormalizer:
         out = spec.apply(batch)
         np.testing.assert_array_equal(out.x1[:, 0], [0.0, 0.0, 0.0])
 
+    def test_constant_column_raises_no_error(self):
+        """A constant column is not scaled, so a value far from its bound there overflows nothing."""
+        batch = self._toy_batch([1.7e308, 1.7e308])
+        spec = fit_normalizer(batch)
+        batch.x1[:, 0] = -1.7e308
+        with np.errstate(all="raise"):
+            out = spec.apply(batch)
+        assert out.x1[:, 0].tobytes() == np.zeros(2).tobytes()
+
     def test_outputs_in_unit_interval_on_train(self):
         rng = np.random.default_rng(34)
         batch = self._toy_batch(rng.uniform(-5, 5, 8))
@@ -310,6 +319,35 @@ class TestNormalizer:
         out_a = spec.apply(batch)
         out_b = back.apply(batch)
         np.testing.assert_array_equal(out_a.x1, out_b.x1)
+
+
+def _normalizer_batch(data, n):
+    """A drawn batch of n rows in which each column of a group is constant with probability about 1/2."""
+    groups = {}
+    for key, shape in GROUP_SHAPES.items():
+        width = math.prod(shape)
+        flat = data.draw(arrays(np.float64, (n, width), elements=FINITE))
+        const = data.draw(arrays(np.bool_, width))
+        flat[:, const] = flat[0, const]
+        groups[key] = flat.reshape(n, *shape)
+    return TensorBatch(y=data.draw(arrays(np.float64, n, elements=FINITE)), **groups)
+
+
+class TestNormalizerAgainstMasks:
+    """``NormalizationSpec.apply`` equals the boolean-mask form of tests/oracles.py bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), normalize_targets=st.booleans())
+    def test_bitwise_on_fitted_and_other_batches(self, data, normalize_targets):
+        """Applied to its own batch and to another, whose values lie outside the fitted bounds and in constant columns."""
+        fitted = _normalizer_batch(data, data.draw(st.integers(1, 4)))
+        spec = fit_normalizer(fitted, normalize_targets=normalize_targets)
+        for batch in (fitted, _normalizer_batch(data, data.draw(st.integers(1, 4)))):
+            with np.errstate(all="ignore"):  # x - lo and the division overflow at +-1.7e308
+                got, want = spec.apply(batch), mask_normalize(spec, batch)
+            for key, x in {**want.groups(), "y": want.y}.items():
+                assert getattr(got, key).shape == x.shape
+                assert getattr(got, key).tobytes() == x.tobytes(), key
 
 
 class TestFoldSplit:

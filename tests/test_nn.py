@@ -9,7 +9,8 @@ from oracles import (
     tensordot_conv2d_forward,
 )
 
-from wingcp.model import input_shapes, preset
+from wingcp.data import GROUP_SHAPES, TensorBatch
+from wingcp.model import build_model, input_shapes, preset
 from wingcp import nn
 from wingcp.nn import ChannelFlatten, Conv2d, Dense, LeakyReLU, conv_stack, dense_stack
 
@@ -32,8 +33,13 @@ PRESET_CONV_LAYERS = [
 # presets have one output column; this has three, and a remainder row and column
 WIDE_CONV_LAYER = ((3, 5, 7), 2)
 LOOP_REL_TOL = 1e-13
-# one sample, a mini-batch remainder, the default validation split, train batch and whole cache
-BATCH_SIZES = (1, 32, 108, 470, 972)
+# one sample, a mini-batch remainder, the default validation split, train batch, training set and whole cache
+BATCH_SIZES = (1, 32, 108, 470, 972, 1080)
+# (in_shape, out_ch, batch) whose weight gradient, taken whole, rounds differently at one and at two
+# OpenBLAS threads: (8, 4, 1) -> 16 at 1080 is a 16 x 2160 x 32 product, its inner dimension past
+# OpenBLAS's K block. The layer takes it in column blocks, which round the same at any thread count,
+# so no bit pattern of the whole product is the layer's to match.
+WHOLE_DK_DEPENDS_ON_THREADS = {((8, 4, 1), 16, 1080)}
 
 
 def channel_major(a):
@@ -174,7 +180,9 @@ class TestConvTensordotBits:
     (C, B, H, W) view of C-order (B, C, H, W) memory). The output is the
     oracle's (O, B, ho, wo) product itself, and the output and dx are
     C-contiguous channel-major, so the next layer gets the same operands
-    too.
+    too. At 972 and 1080 the forward product is taken in column blocks
+    (``nn._matmul``), so equal bits there also mean the blocks sum each
+    output element as the whole product does.
     """
 
     @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
@@ -186,7 +194,13 @@ class TestConvTensordotBits:
         out, dx, dk, db = conv_pass(conv, to_conv(x), to_conv(dy))
         ref_out, ref_cache = tensordot_conv2d_forward(conv.k, conv.b, x)
         ref_dx, ref_dk, ref_db = tensordot_conv2d_backward(conv.k, ref_cache, dy)
-        for got, ref in ((batch_major(out), ref_out), (batch_major(dx), ref_dx), (dk, ref_dk), (db, ref_db)):
+        exact = [(batch_major(out), ref_out), (batch_major(dx), ref_dx), (db, ref_db)]
+        if (in_shape, out_ch, batch) in WHOLE_DK_DEPENDS_ON_THREADS:
+            assert dk.shape == ref_dk.shape
+            assert np.max(rel_err(dk, ref_dk, floor=1.0)) <= LOOP_REL_TOL
+        else:
+            exact.append((dk, ref_dk))
+        for got, ref in exact:
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
         assert out.flags.c_contiguous and dx.flags.c_contiguous
@@ -236,7 +250,7 @@ class TestDense:
 
 
 class TestMatmul:
-    """Narrow products run in blocks that OpenBLAS keeps on one thread; wide ones are ``a @ b``."""
+    """Products from ``_BLAS_SPLIT`` on run in blocks that OpenBLAS keeps on one thread, unless wide and tall."""
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -272,7 +286,76 @@ class TestMatmul:
         a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
         blocks = self.spy_blocks(monkeypatch)
         assert nn._matmul(a, b).tobytes() == (a @ b).tobytes()
-        assert blocks == []
+        assert blocks == [(m, k, n)]
+
+    # conv forward k @ cols of rgfil's x2 and x3/x4 stacks at predict's batch, and the 16 x 2160 x 32
+    # weight gradient of (8, 4, 1) -> 16 at batch 1080; the output's rows stay whole
+    @pytest.mark.parametrize("m,k,n", [(8, 16, 4320), (16, 32, 1080), (16, 32, 2160), (16, 2160, 32)])
+    def test_short_in_column_blocks_below_split(self, monkeypatch, m, k, n):
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        blocks = self.spy_blocks(monkeypatch)
+        got = nn._matmul(a, b)
+        assert len(blocks) > 1
+        assert all(mb * kb * c < nn._BLAS_SPLIT and (mb, kb) == (m, k) for mb, kb, c in blocks)
+        assert [c % nn._TILE for _, _, c in blocks[:-1]] == [0] * (len(blocks) - 1)
+        assert sum(c for _, _, c in blocks) == n
+        exact = a.astype(np.longdouble) @ b.astype(np.longdouble)
+        assert np.max(rel_err(got, exact, floor=1.0)) <= LOOP_REL_TOL
+
+    # rgfil's 40-wide context head at the first batch past the split and at twice the most rows
+    # below it, plus one; conv forward products at twice a column block, plus one. The column cases
+    # exceed OpenBLAS's small-matrix size with a ragged edge tile, where blocks need not give the
+    # whole product's last bit.
+    @pytest.mark.parametrize("m,k,n,whole_bits", [
+        (820, 16, 40, True), (1639, 16, 40, True), (16, 32, 2033, False), (8, 16, 8177, False),
+    ])
+    def test_no_block_of_one_row_or_column(self, monkeypatch, m, k, n, whole_bits):
+        """numpy hands a one-row or one-column product to gemv, which sums in another order."""
+        rng = np.random.default_rng(16)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        blocks = self.spy_blocks(monkeypatch)
+        got = nn._matmul(a, b)
+        assert len(blocks) > 1
+        assert all(mb > 1 and c > 1 and mb * kb * c < nn._BLAS_SPLIT for mb, kb, c in blocks)
+        exact = a.astype(np.longdouble) @ b.astype(np.longdouble)
+        assert np.max(rel_err(got, exact, floor=1.0)) <= LOOP_REL_TOL
+        if whole_bits:
+            assert got.tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    @pytest.mark.parametrize("name", ("rgfil", "mdf", "mtl", "mlp"))
+    def test_model_products(self, monkeypatch, name, batch):
+        """Every product of a forward and a training step reaches BLAS below the split, mlp's 128-wide ones whole."""
+        model = build_model(preset(name, seed=3))
+        rng = np.random.default_rng(batch)
+        groups = {key: rng.normal(size=(batch, *shape)) for key, shape in GROUP_SHAPES.items()}
+        inputs = model.inputs(TensorBatch(y=rng.normal(size=batch), **groups))
+        products = []
+        real_product, real_matmul = nn._matmul, np.matmul
+
+        def product(a, b):
+            products.append((a.shape + (b.shape[1],), []))
+            return real_product(a, b)
+
+        def matmul(a, b, out=None):
+            assert products, "a product made outside nn._matmul"
+            products[-1][1].append(a.shape + (b.shape[1],))
+            return real_matmul(a, b, out=out)
+
+        monkeypatch.setattr(nn, "_matmul", product)
+        monkeypatch.setattr(nn.np, "matmul", matmul)
+        model.forward(inputs)
+        model.loss_and_grads(inputs)
+        monkeypatch.undo()
+        assert products and all(calls for _, calls in products)
+        for (m, k, n), calls in products:
+            if name == "mlp" and n == 128:
+                assert calls == [(m, k, n)]
+            else:
+                assert all(mb * kb * nb < nn._BLAS_SPLIT for mb, kb, nb in calls), (m, k, n, calls)
+        if name == "mlp" and batch >= 32:
+            assert any(n == 128 and m * k * n >= nn._BLAS_SPLIT for (m, k, n), _ in products)
 
 
 # signed zeros, subnormals, the largest finite values and a nan
