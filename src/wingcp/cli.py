@@ -16,6 +16,7 @@ the BLAS thread count (``wingcp.nn`` names the one known exception).
 """
 
 import argparse
+import functools
 import hashlib
 import inspect
 import os
@@ -224,14 +225,13 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
     )
     train_batch = batch.subset(train_idx)
     normalizer = fit_normalizer(train_batch, fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer))
-    train_batch = normalizer.apply(train_batch)  # elementwise: the rows of the normalized whole batch
-    val_batch = normalizer.apply(batch.subset(val_idx)) if val_idx.size else None
+    val_batch = batch.subset(val_idx) if val_idx.size else None
 
     model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
     probes = (
         np.unique(np.linspace(0, train_batch.n - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
-    result = train(model, train_batch, val_batch, train_cfg, probe_indices=probes)
+    result = train(model, train_batch, val_batch, train_cfg, probe_indices=probes, normalizer=normalizer)
 
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(
@@ -250,7 +250,7 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
 
 def _predict(model, normalizer, batch):
     """Denormalized predictions for every row of ``batch``."""
-    return normalizer.invert_targets(model.forward(model.inputs(normalizer.apply(batch))))
+    return normalizer.invert_targets(model.forward(model.inputs(batch, normalizer)))
 
 
 def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):
@@ -453,7 +453,9 @@ def cmd_report(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wingcp",
         description=(

@@ -22,7 +22,9 @@ Geometry is computed patch by patch over arrays: each distinct stencil
 centre is calibrated once and each distinct stencil point's chain runs
 once, whatever the number of samples that share them.
 Normalization is componentwise max-min to [0, 1], fit on training data
-only; constant columns map to 0.0. Cross-validation folds are
+only; constant columns map to 0.0. A fitted normalizer covers every
+column of the five groups, and applying it normalizes only the columns a
+model reads (``NormalizationSpec.apply``). Cross-validation folds are
 leave-one-AoA-out.
 """
 
@@ -67,8 +69,24 @@ FOLD_AOAS_DEFAULT = (7.0, 12.0, 16.0, 18.0, 18.5, 19.0, 20.0)
 SAMPLE_HEADER = ["patch_id", "u", "v", "Ma", "AoA", "Re", "span", "cp"]
 
 GROUP_SHAPES = {"x1": (3,), "x2": (1, 9, 3), "x3": (1, 18, 2), "x4": (2, 18, 2), "x5": (9,)}
-# the centre-slot layout of TensorBatch.pointwise, which single-point models take
+# the centre-slot layout of POINTWISE_COLUMNS, which single-point models take
 POINTWISE_SHAPES = {"x1": (3,), "x2": (3,), "x3": (1, 2, 2), "x4": (2, 2, 2), "x5": (1,)}
+
+
+def _centre_columns():
+    """Each group's flat columns at the stencil centre (slot 4: rows 8-9 of x3 and x4), in POINTWISE_SHAPES order."""
+    index = {key: np.arange(math.prod(shape)).reshape(shape) for key, shape in GROUP_SHAPES.items()}
+    centre = {
+        "x1": index["x1"],
+        "x2": index["x2"][0, 4, :],
+        "x3": index["x3"][:, 8:10, :],
+        "x4": index["x4"][:, 8:10, :],
+        "x5": index["x5"][4:5],
+    }
+    return {key: cols.reshape(-1) for key, cols in centre.items()}
+
+
+POINTWISE_COLUMNS = _centre_columns()
 
 
 @dataclass
@@ -127,16 +145,16 @@ class TensorBatch:
             self.x1[idx], self.x2[idx], self.x3[idx], self.x4[idx], self.x5[idx], self.y[idx]
         )
 
-    def pointwise(self):
-        """Center-slot view for single-point models, in the ``POINTWISE_SHAPES`` layout."""
-        return TensorBatch(
-            x1=self.x1,
-            x2=self.x2[:, 0, 4, :],
-            x3=self.x3[:, :, 8:10, :].reshape(self.n, *POINTWISE_SHAPES["x3"]),
-            x4=self.x4[:, :, 8:10, :].reshape(self.n, *POINTWISE_SHAPES["x4"]),
-            x5=self.x5[:, 4:5],
-            y=self.y,
-        )
+    def columns(self, columns):
+        """The selected ``columns`` side by side, (B, total), un-normalized.
+
+        ``columns`` pairs group keys with flat columns of that group, as
+        for :meth:`NormalizationSpec.apply`.
+        """
+        groups = self.groups()
+        parts = [groups[key].reshape(self.n, -1)[:, cols] for key, cols in columns]
+        # C order, whatever order numpy gives a gather of columns
+        return np.concatenate(parts, axis=1, out=np.empty((self.n, sum(x.shape[1] for x in parts))))
 
 
 @dataclass
@@ -286,31 +304,38 @@ class NormalizationSpec:
     normalize_targets: bool
     fitted_on: str
 
-    def _apply_group(self, x, key):
-        """(x - lo) / span of (B, D) rows, column by column, and 0.0 in the constant columns.
+    def apply(self, batch: TensorBatch, columns):
+        """The normalized ``columns`` of ``batch`` side by side, and its targets: (xi, y).
 
-        A constant column is computed as (x - 0) / 1, which raises no
-        floating-point error, and then set to 0.0; every other column
-        gets the same two operations the mask-based form gave it.
+        ``columns`` pairs group keys with flat columns of that group (an
+        index array or a slice), in xi's order: the columns a model reads
+        (``model.columns``). Each column is (x - lo) / span by its own
+        bounds, and 0.0 where the span is 0 (a constant column), which is
+        computed as (x - 0) / 1, so it raises no floating-point error, and
+        then set to 0.0. Columns do not interact, so xi holds bit for bit
+        these columns of the whole batch normalized. y is normalized when
+        ``normalize_targets`` is set.
         """
-        lo = self.mins[key].copy()
-        span = self.maxs[key] - lo
-        const = np.flatnonzero(span == 0.0)
-        lo[const], span[const] = 0.0, 1.0
-        out = np.subtract(x, lo)
-        out /= span
-        out[:, const] = 0.0
-        return out
-
-    def apply(self, batch: TensorBatch) -> TensorBatch:
-        out = {}
-        for key, x in batch.groups().items():
-            out[key] = self._apply_group(x.reshape(batch.n, -1), key).reshape(x.shape)
+        groups = batch.groups()
+        parts = [
+            (groups[key].reshape(batch.n, -1)[:, cols], self.mins[key][cols], self.maxs[key][cols])
+            for key, cols in columns
+        ]
+        xi = np.empty((batch.n, sum(x.shape[1] for x, _, _ in parts)))
+        at = 0
+        for x, lo, hi in parts:
+            span = hi - lo
+            const = span == 0.0
+            out = xi[:, at : at + x.shape[1]]
+            np.subtract(x, np.where(const, 0.0, lo), out=out)
+            out /= np.where(const, 1.0, span)
+            out[:, const] = 0.0
+            at += x.shape[1]
         y = batch.y
         if self.normalize_targets:
             span = self.y_max - self.y_min
             y = (y - self.y_min) / span if span != 0.0 else np.zeros_like(y)
-        return TensorBatch(y=y, **out)
+        return xi, y
 
     def invert_targets(self, y: np.ndarray) -> np.ndarray:
         if not self.normalize_targets:
@@ -333,8 +358,9 @@ class NormalizationSpec:
         """Rebuild from :meth:`to_dict` output.
 
         ConfigError names a missing or unknown key, a group other than
-        x1..x5, bounds whose length is not the group's flattened size and
-        a value that is not a finite number.
+        x1..x5, bounds whose length is not the group's flattened size, a
+        bound that is not a finite number, a ``normalize_targets`` that is
+        not a JSON bool and a ``fitted_on`` that is not a string.
         """
         check_keys(d, cls, "normalizer", optional=("constant_column_policy",))
         bounds = {}
@@ -345,12 +371,16 @@ class NormalizationSpec:
                 k: _finite(d[name][k], f"normalizer {name}.{k}", (math.prod(shape),))
                 for k, shape in GROUP_SHAPES.items()
             }
+        if not isinstance(d["normalize_targets"], bool):
+            raise ConfigError(f"normalizer normalize_targets must be true or false, got {d['normalize_targets']!r}")
+        if not isinstance(d["fitted_on"], str):
+            raise ConfigError(f"normalizer fitted_on must be a string, got {d['fitted_on']!r}")
         return cls(
             **bounds,
             y_min=float(_finite(d["y_min"], "normalizer y_min", ())),
             y_max=float(_finite(d["y_max"], "normalizer y_max", ())),
-            normalize_targets=bool(d["normalize_targets"]),
-            fitted_on=str(d["fitted_on"]),
+            normalize_targets=d["normalize_targets"],
+            fitted_on=d["fitted_on"],
         )
 
 

@@ -13,14 +13,18 @@ the flattened groups through a single dense stack to one output.
 From construction, a model's parameter arrays are views of one flat
 float64 buffer, ``model.params.flat``, which the Adam step updates in
 place and a checkpoint's ``weights.bin`` holds byte for byte.
+Construction lays the buffer out with zeros; ``build_model`` then draws
+the initial weights into it, and ``load_checkpoint`` copies
+``weights.bin`` into it and draws nothing.
 
 ``forward`` and ``loss_and_grads`` take a batch in the form
-``model.inputs(batch)`` prepares: each group a function network takes,
-as a view of xi in the shape its stack reads (conv groups
-channel-major), then xi, then y. ``train`` prepares its training and
-validation batches once per call, and each minibatch and probe set is
-``model.rows`` of them, so a step copies the rows of xi and y and no
-other feature array.
+``model.inputs(batch, normalizer)`` prepares: each group a function
+network takes, as a view of xi in the shape its stack reads (conv groups
+channel-major), then xi, then y. xi holds only ``model.columns``, the
+columns the model reads, and a normalizer normalizes only those.
+``train`` prepares its training and validation batches once per call,
+and each minibatch and probe set is ``model.rows`` of them, so a step
+copies the rows of xi and y and no other feature array.
 
 Training is full reverse-mode gradient descent with Adam, seeded and
 bitwise deterministic for a fixed configuration and data order on one
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .data import GROUP_SHAPES, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
+from .data import GROUP_SHAPES, POINTWISE_COLUMNS, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
 from .errors import ConfigError, TrainingDiverged, check_int, check_keys
 from .files import read_json, write_json
 from .nn import Stack, conv_stack, dense_stack
@@ -205,56 +209,63 @@ def input_shapes(neighbor_mode: str) -> dict:
     return {z: layouts[neighbor_mode][f"x{z}"] for z in GROUP_IDS}
 
 
-def _build_stack(rng, spec: NetSpec, in_shape, out_dim, slope) -> Stack:
+def _build_stack(spec: NetSpec, in_shape, out_dim, slope) -> Stack:
     if spec.kind == "dense":
-        return dense_stack(rng, int(np.prod(in_shape)), spec.widths, out_dim, slope)
+        return dense_stack(int(np.prod(in_shape)), spec.widths, out_dim, slope)
     if len(in_shape) != 3:
         raise ConfigError(f"conv network needs a (C, H, W) feature group, got shape {in_shape}")
-    return conv_stack(rng, in_shape, spec.channels, out_dim, spec.kernel, slope)
+    return conv_stack(in_shape, spec.channels, out_dim, spec.kernel, slope)
 
 
 class _Model:
     """Named stacks over the active feature groups, trained on the MSE loss.
 
     ``stacks`` maps each stack's name to it, in parameter order. Their
-    layers' parameter arrays are bound here, once, as consecutive views
-    of one :class:`FlatParams` buffer, ``params``. ``groups`` lists, for
-    each group a stack of the model takes on its own, in xi's order, the
-    group's per-sample shape and whether its stack is a conv stack. A
-    subclass supplies ``_forward(inputs, keep) -> (yhat, weights, cache)``
-    on :meth:`inputs` output and ``_backward(dyhat, cache) -> grads`` in
-    ``params`` order.
+    layers' parameter arrays are replaced here, once, by consecutive
+    views of one zeroed :class:`FlatParams` buffer, ``params``, which
+    :func:`build_model` or :func:`load_checkpoint` then fills. ``columns`` pairs each active
+    group's key with the flat columns of it the model reads (all of them,
+    or the centre slot's for a 1-point model), in xi's order. ``groups``
+    lists, for each group a stack of the model takes on its own, in xi's
+    order, the group's per-sample shape and whether its stack is a conv
+    stack. A subclass supplies ``_forward(inputs, keep) -> (yhat,
+    weights, cache)`` on :meth:`inputs` output and ``_backward(dyhat,
+    cache) -> grads`` in ``params`` order.
     """
 
     def __init__(self, config: ModelConfig, stacks: dict, groups=()):
         self.config = config
         self.stacks = stacks
+        pointwise = config.neighbor_mode == "1-point"
+        self.columns = tuple(
+            (f"x{z}", POINTWISE_COLUMNS[f"x{z}"] if pointwise else slice(None)) for z in config.active
+        )
         ends = np.cumsum([0] + [math.prod(shape) for shape, _ in groups]).tolist()
         # each group's columns of xi, and its (C, H, W) if its stack takes it channel-major
         self._views = [(lo, hi, shape if conv else None) for (shape, conv), lo, hi in zip(groups, ends, ends[1:])]
         layers = [layer for stack in stacks.values() for layer in stack.layers]
         slots = [(layer, name) for layer in layers for name in layer.param_attrs]
-        self.params = FlatParams([getattr(layer, name) for layer, name in slots])
+        self.params = FlatParams.zeros([getattr(layer, name).shape for layer, name in slots])
         for (layer, name), view in zip(slots, self.params):
             setattr(layer, name, view)
 
     def param_names(self):
         return [f"{name}.p{i}" for name, stack in self.stacks.items() for i in range(len(stack.params))]
 
-    def inputs(self, batch: TensorBatch):
+    def inputs(self, batch: TensorBatch, normalizer: NormalizationSpec | None = None):
         """The arrays the model's layers read, prepared once per batch.
 
         A tuple: for a fusion model each active group in the shape its
         stack takes (dense: (B, D) rows; conv: channel-major (C, B, H, W)),
-        then for either model xi, the active groups flattened and
-        concatenated as (B, sum D), and last the targets y (B,). Each
-        group is a view of its columns of xi, so xi and y are the only
-        arrays :meth:`rows` copies.
+        then for either model xi, the :attr:`columns` side by side as
+        (B, sum D), and last the targets y (B,). With a ``normalizer``, xi
+        and y are normalized, and only these columns are. Each group is a
+        view of its columns of xi, so xi and y are the only arrays
+        :meth:`rows` copies.
         """
-        view = batch if self.config.neighbor_mode == "9-point" else batch.pointwise()
-        groups = view.groups()
-        xi = np.concatenate([groups[f"x{z}"].reshape(batch.n, -1) for z in self.config.active], axis=1)
-        return self._prepare(xi, batch.y)
+        if normalizer is None:
+            return self._prepare(batch.columns(self.columns), batch.y)
+        return self._prepare(*normalizer.apply(batch, self.columns))
 
     def rows(self, inputs, indices):
         """Samples ``indices`` of prepared ``inputs``: the arrays ``inputs(batch.subset(indices))`` holds."""
@@ -291,15 +302,12 @@ class FusionModel(_Model):
         if config.arch != "fusion":
             raise ConfigError("FusionModel requires arch='fusion'")
         shapes = input_shapes(config.neighbor_mode)
-        rng = np.random.default_rng([config.seed, 7])
         stacks = {}
         for z in config.active:
             spec = config.nets.get(z, _DENSE16())
-            stacks[f"f{z}"] = _build_stack(rng, spec, shapes[z], config.k_outputs, config.leaky_slope)
+            stacks[f"f{z}"] = _build_stack(spec, shapes[z], config.k_outputs, config.leaky_slope)
         xi_dim = sum(int(np.prod(shapes[z])) for z in config.active)
-        stacks["context"] = dense_stack(
-            rng, xi_dim, config.context.widths, config.context_width, config.leaky_slope
-        )
+        stacks["context"] = dense_stack(xi_dim, config.context.widths, config.context_width, config.leaky_slope)
         groups = [(shapes[z], config.nets.get(z, _DENSE16()).kind == "conv") for z in config.active]
         super().__init__(config, stacks, groups)
 
@@ -334,8 +342,7 @@ class ConcatModel(_Model):
             raise ConfigError("ConcatModel requires arch='concat'")
         shapes = input_shapes(config.neighbor_mode)
         in_dim = sum(int(np.prod(shapes[z])) for z in config.active)
-        rng = np.random.default_rng([config.seed, 7])
-        stack = dense_stack(rng, in_dim, config.concat.widths, 1, config.leaky_slope)
+        stack = dense_stack(in_dim, config.concat.widths, 1, config.leaky_slope)
         super().__init__(config, {"concat": stack})
 
     def _forward(self, inputs, keep=False):
@@ -346,8 +353,22 @@ class ConcatModel(_Model):
         return self.stacks["concat"].backward(dyhat[:, None], caches)
 
 
-def build_model(config: ModelConfig):
+def _construct(config: ModelConfig):
+    """The model ``config`` describes, with zero parameters."""
     return FusionModel(config) if config.arch == "fusion" else ConcatModel(config)
+
+
+def build_model(config: ModelConfig):
+    """The model ``config`` describes, with its initial weights.
+
+    One generator seeded by ``config.seed`` draws the weights stack by
+    stack in parameter order (biases start at zero).
+    """
+    model = _construct(config)
+    rng = np.random.default_rng([config.seed, 7])
+    for stack in model.stacks.values():
+        stack.init(rng)
+    return model
 
 
 def loss_mse(yhat, y) -> float:
@@ -389,12 +410,27 @@ class TrainConfig:
 
 
 class FlatParams(list):
-    """Copies of parameter arrays as consecutive views of one flat float64 buffer, ``flat``."""
+    """Parameter arrays as consecutive views of one flat float64 buffer, ``flat``.
+
+    ``FlatParams(arrays)`` holds copies of ``arrays``; ``FlatParams.zeros(shapes)`` zeros of ``shapes``.
+    """
 
     def __init__(self, arrays):
-        self.flat = np.concatenate([np.ravel(a) for a in arrays])
-        ends = np.cumsum([a.size for a in arrays])[:-1]
-        super().__init__(part.reshape(a.shape) for part, a in zip(np.split(self.flat, ends), arrays))
+        self._bind(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def zeros(cls, shapes):
+        params = cls.__new__(cls)
+        params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+        return params
+
+    def _bind(self, flat, shapes):
+        self.flat = flat
+        at = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            self.append(flat[at : at + size].reshape(shape))
+            at += size
 
 
 ADAM_CHUNK = 1 << 14  # elements per pass of the update, the size of its scratch buffer
@@ -483,12 +519,16 @@ def train(
     val_batch: TensorBatch | None = None,
     cfg: TrainConfig | None = None,
     probe_indices=(),
+    normalizer: NormalizationSpec | None = None,
 ) -> TrainResult:
     """Seeded mini-batch Adam training with per-epoch loss bookkeeping.
 
     ``probe_indices`` select training samples whose context weight
-    vectors are recorded every epoch (fusion models only). Divergence
-    raises TrainingDiverged carrying the last finite parameter set.
+    vectors are recorded every epoch (fusion models only). With a
+    ``normalizer``, the model trains on both batches normalized by it
+    (see :meth:`_Model.inputs`) and the losses are on normalized targets.
+    Divergence raises TrainingDiverged carrying the last finite parameter
+    set.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -498,8 +538,8 @@ def train(
     n = train_batch.n
     probes = np.asarray(probe_indices, dtype=int)
     log_weights = probes.size > 0 and isinstance(model, FusionModel)
-    data = model.inputs(train_batch)
-    val = model.inputs(val_batch) if val_batch is not None else None
+    data = model.inputs(train_batch, normalizer)
+    val = model.inputs(val_batch, normalizer) if val_batch is not None else None
     probe_data = model.rows(data, probes) if log_weights else None
 
     train_curve, val_curve, weight_frames = [], [], []
@@ -513,7 +553,7 @@ def train(
                 _, grads, _ = model.loss_and_grads(model.rows(data, chunk))
                 t += 1
                 adam_step(params, grads, state, t, cfg)
-            train_mse = loss_mse(model.forward(data), train_batch.y)
+            train_mse = loss_mse(model.forward(data), data[-1])
             if not np.isfinite(train_mse):
                 raise TrainingDiverged("training loss became non-finite")
         except TrainingDiverged as exc:
@@ -525,7 +565,7 @@ def train(
                 val_curve=np.array(val_curve),
             ) from None
 
-        val_mse = loss_mse(model.forward(val), val_batch.y) if val is not None else float("nan")
+        val_mse = loss_mse(model.forward(val), val[-1]) if val is not None else float("nan")
         train_curve.append(train_mse)
         val_curve.append(val_mse)
         if log_weights:
@@ -574,7 +614,8 @@ def save_checkpoint(outdir, model, normalizer: NormalizationSpec | None = None, 
 def load_checkpoint(ckptdir):
     """Rebuild (model, normalizer, manifest) from a checkpoint directory.
 
-    Raises SampleParseError, naming ``model.json``, for text that is not a
+    The model's parameter buffer is filled from ``weights.bin``; no
+    initial weights are drawn. Raises SampleParseError, naming ``model.json``, for text that is not a
     JSON object, and ConfigError for another ``format`` tag, a missing
     manifest key, a layout that differs in any name or shape from the model
     its config builds, or a weight blob of the wrong size or with a value
@@ -587,7 +628,7 @@ def load_checkpoint(ckptdir):
     if manifest["format"] != CHECKPOINT_FORMAT:
         raise ConfigError(f"{ckptdir}: format {manifest['format']!r} is not {CHECKPOINT_FORMAT!r}")
     try:
-        model = build_model(ModelConfig.from_dict(manifest["config"]))
+        model = _construct(ModelConfig.from_dict(manifest["config"]))
         normalizer = NormalizationSpec.from_dict(manifest["normalizer"]) if manifest["normalizer"] else None
     except ConfigError as exc:
         raise ConfigError(f"{ckptdir}: {exc}") from None

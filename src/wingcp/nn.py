@@ -46,7 +46,9 @@ input gradient, bit for bit the masked select it replaces.
 Layers only read their parameter arrays, the attributes each layer class
 names in ``param_attrs``. A ``wingcp.model`` model binds them from
 construction as views of one flat float64 buffer, which the Adam step
-updates in place.
+updates in place. The stack builders lay layers out with zero
+parameters; ``init(rng)`` draws a layer's or a stack's initial weights in
+place, so a model loaded from a checkpoint draws none.
 """
 
 import numpy as np
@@ -78,6 +80,9 @@ class Layer:
     @property
     def params(self):
         return [getattr(self, name) for name in self.param_attrs]
+
+    def init(self, rng):
+        """Draw the initial parameters in place (a layer without parameters draws nothing)."""
 
 
 class LeakyReLU(Layer):
@@ -174,8 +179,13 @@ class Dense(Layer):
         self.b = b
 
     @classmethod
-    def create(cls, rng, in_dim, out_dim):
-        return cls(uniform_init(rng, (in_dim, out_dim), in_dim), np.zeros(out_dim))
+    def zeros(cls, in_dim, out_dim):
+        return cls(np.zeros((in_dim, out_dim)), np.zeros(out_dim))
+
+    def init(self, rng):
+        """w from U(-1/sqrt(in_dim), 1/sqrt(in_dim)), b zero, in place."""
+        self.w[...] = uniform_init(rng, self.w.shape, self.w.shape[0])
+        self.b[...] = 0.0
 
     def forward(self, x):
         y = _matmul(x, self.w)
@@ -205,10 +215,14 @@ class Conv2d(Layer):
         self.b = b
 
     @classmethod
-    def create(cls, rng, in_ch, out_ch, kernel=(2, 2)):
-        fan_in = in_ch * kernel[0] * kernel[1]
-        k = uniform_init(rng, (out_ch, in_ch) + tuple(kernel), fan_in)
-        return cls(k, np.zeros(out_ch))
+    def zeros(cls, in_ch, out_ch, kernel=(2, 2)):
+        return cls(np.zeros((out_ch, in_ch) + tuple(kernel)), np.zeros(out_ch))
+
+    def init(self, rng):
+        """Kernels from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), fan_in = in_ch*kh*kw, b zero, in place."""
+        _, c, kh, kw = self.k.shape
+        self.k[...] = uniform_init(rng, self.k.shape, c * kh * kw)
+        self.b[...] = 0.0
 
     @staticmethod
     def output_shape(in_shape, out_ch, kernel):
@@ -274,6 +288,11 @@ class Stack:
     def params(self):
         return [p for layer in self.layers for p in layer.params]
 
+    def init(self, rng):
+        """Draw every layer's initial parameters in place, in layer order."""
+        for layer in self.layers:
+            layer.init(rng)
+
     def forward(self, x, keep=True):
         """Output and, if ``keep``, each layer's cache for backward (None otherwise)."""
         caches = [] if keep else None
@@ -292,20 +311,20 @@ class Stack:
         return grads
 
 
-def dense_stack(rng, in_dim, widths, out_dim, slope=0.01) -> Stack:
-    """Hidden Dense+LeakyReLU layers followed by an affine head."""
+def dense_stack(in_dim, widths, out_dim, slope=0.01) -> Stack:
+    """Hidden Dense+LeakyReLU layers followed by an affine head, all parameters zero."""
     layers = []
     d = in_dim
     for w in widths:
-        layers.append(Dense.create(rng, d, w))
+        layers.append(Dense.zeros(d, w))
         layers.append(LeakyReLU(slope))
         d = w
-    layers.append(Dense.create(rng, d, out_dim))
+    layers.append(Dense.zeros(d, out_dim))
     return Stack(layers)
 
 
-def conv_stack(rng, in_shape, channels, out_dim, kernel=(2, 2), slope=0.01) -> Stack:
-    """Conv+LeakyReLU layers, then flatten and one affine map to out_dim.
+def conv_stack(in_shape, channels, out_dim, kernel=(2, 2), slope=0.01) -> Stack:
+    """Conv+LeakyReLU layers, then flatten and one affine map to out_dim, all parameters zero.
 
     ``in_shape`` is one sample's (C, H, W); the stack takes its input
     channel-major, (C, B, H, W), and returns (B, out_dim).
@@ -313,10 +332,10 @@ def conv_stack(rng, in_shape, channels, out_dim, kernel=(2, 2), slope=0.01) -> S
     layers = []
     shape = tuple(in_shape)
     for out_ch in channels:
-        layers.append(Conv2d.create(rng, shape[0], out_ch, kernel))
+        layers.append(Conv2d.zeros(shape[0], out_ch, kernel))
         layers.append(LeakyReLU(slope))
         shape = Conv2d.output_shape(shape, out_ch, kernel)
     layers.append(ChannelFlatten())
     flat = int(np.prod(shape))
-    layers.append(Dense.create(rng, flat, out_dim))
+    layers.append(Dense.zeros(flat, out_dim))
     return Stack(layers)

@@ -804,15 +804,20 @@ def tensordot_conv2d_backward(k, cache, dy):
 
 
 # ---------------------------------------------------------------------------
-# Normalization oracle: max-min scaling by boolean masks, gathering the
-# columns with a nonzero span and scattering their (x - lo) / span into
-# zeros. The package computes every column in place and sets the constant
-# ones to 0.0; the bits must match.
+# Normalization oracles: max-min scaling of the whole batch by boolean
+# masks, gathering the columns with a nonzero span and scattering their
+# (x - lo) / span into zeros, and the centre-slot view a single-point
+# model reads. The package normalizes only the columns a model reads, in
+# place, and sets the constant ones to 0.0; the bits must match.
 # ---------------------------------------------------------------------------
 
 
 def mask_normalize(spec, batch):
-    """``spec.apply(batch)`` by boolean-mask gathers and scatters."""
+    """The whole ``batch`` normalized by ``spec``, every column of every group, by boolean-mask gathers and scatters.
+
+    ``spec.apply`` over some columns must give bit for bit those columns
+    of this batch.
+    """
     out = {}
     for key, x in batch.groups().items():
         flat = x.reshape(batch.n, -1)
@@ -827,6 +832,19 @@ def mask_normalize(spec, batch):
         span = spec.y_max - spec.y_min
         y = (y - spec.y_min) / span if span != 0.0 else np.zeros_like(y)
     return TensorBatch(y=y, **out)
+
+
+def pointwise_batch(batch):
+    """The stencil-centre view of ``batch`` a single-point model reads, by slicing each group's array."""
+    n = batch.n
+    return TensorBatch(
+        x1=batch.x1,
+        x2=batch.x2[:, 0, 4, :],
+        x3=batch.x3[:, :, 8:10, :].reshape(n, 1, 2, 2),
+        x4=batch.x4[:, :, 8:10, :].reshape(n, 2, 2, 2),
+        x5=batch.x5[:, 4:5],
+        y=batch.y,
+    )
 
 
 # ---------------------------------------------------------------------------

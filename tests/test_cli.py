@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wingcp
 from wingcp.bezier import load_manifold
 from wingcp import cli
 from wingcp.cli import main, parse_config
@@ -73,6 +76,63 @@ class TestParserBasics:
             assert e.value.code == 0
             out = capsys.readouterr().out
             assert "--out" in out and "--seed" in out
+
+
+def _outputs(root):
+    """Every file under ``root`` with ``root`` masked in its text, by relative path; no elapsed time in run_manifest.json."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                data = fh.read().replace(root.encode(), b"<root>")
+            if name == "run_manifest.json":
+                manifest = json.loads(data)
+                assert manifest.pop("elapsed_seconds") >= 0.0
+                data = manifest
+            out[os.path.relpath(path, root)] = data
+    return out
+
+
+def test_parser_reuse_leaks_nothing_between_calls(synth_dir, tmp_path, tiny_conf, capsys):
+    """Commands run one after another in this process write what each writes in a fresh interpreter."""
+    manifold, samples = str(synth_dir / "manifold.csv"), str(synth_dir / "samples.csv")
+
+    def commands(root):
+        feat, run = f"{root}/features", f"{root}/run"
+        return [
+            ["predict", "--checkpoint", f"{root}/missing", "--features", feat, "--out", f"{root}/refused"],
+            ["extract", "--manifold", manifold, "--samples", samples, "--out", feat],
+            ["train", "--features", feat, "--model", "mtl", "--config", tiny_conf, "--seed", "2", "--out", run],
+            ["predict", "--checkpoint", f"{run}/checkpoint", "--features", feat, "--out", f"{root}/predict"],
+            ["eval", "--checkpoint", f"{run}/checkpoint", "--features", feat, "--out", f"{root}/eval"],
+            ["--version"],
+        ]
+
+    here, fresh = str(tmp_path / "here"), str(tmp_path / "fresh")
+    ran_here = []
+    capsys.readouterr()
+    for argv in commands(here):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        ran_here.append((rc, out.replace(here, "<root>"), err.replace(here, "<root>")))
+    assert [rc for rc, _, _ in ran_here] == [1, 0, 0, 0, 0, 0]
+    refused = ran_here[0][2].splitlines()
+    assert len(refused) == 1 and refused[0].startswith("error: ")
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingcp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ran_fresh = []
+    for argv in commands(fresh):
+        proc = subprocess.run([sys.executable, "-m", "wingcp.cli", *argv], capture_output=True, text=True, env=env)
+        ran_fresh.append((proc.returncode, proc.stdout.replace(fresh, "<root>"), proc.stderr.replace(fresh, "<root>")))
+    assert ran_here == ran_fresh
+    got, want = _outputs(here), _outputs(fresh)
+    assert sorted(got) == sorted(want) and "predict/predictions.csv" in got and "eval/err_map.csv" in got
+    assert [rel for rel in sorted(got) if got[rel] != want[rel]] == []
 
 
 class TestConfigFile:
@@ -675,6 +735,11 @@ BAD_CHECKPOINTS = [
     ("normalizer-without-mins", "predict", None, _model_json(lambda m: m["normalizer"].pop("mins")), "mins"),
     ("short-x3-mins", "eval", None, _model_json(lambda m: m["normalizer"]["mins"]["x3"].pop()), "mins.x3"),
     ("text-y-min", "predict", None, _model_json(lambda m: m["normalizer"].update(y_min="abc")), "y_min"),
+    ("text-normalize-targets", "predict", None,
+     _model_json(lambda m: m["normalizer"].update(normalize_targets="false")),
+     "normalizer normalize_targets must be true or false, got 'false'"),
+    ("number-fitted-on", "eval", None, _model_json(lambda m: m["normalizer"].update(fitted_on=7)),
+     "normalizer fitted_on must be a string, got 7"),
     ("leaky-slope-two", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=2.0)),
      "leaky_slope"),
     ("text-k-outputs", "predict", None, _model_json(lambda m: m["config"].update(k_outputs="abc")),
@@ -715,6 +780,7 @@ class TestCheckpointRejected:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and text in err[0]
+        assert str(ckpt) in err[0]  # the line names the checkpoint
 
 
 def _report_json(change):

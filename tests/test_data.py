@@ -13,6 +13,8 @@ from wingcp.data import (
     FEATURE_POINTS_HEADER,
     FOLD_AOAS_DEFAULT,
     GROUP_SHAPES,
+    POINTWISE_COLUMNS,
+    POINTWISE_SHAPES,
     AssembleResult,
     Samples,
     TensorBatch,
@@ -30,7 +32,9 @@ from wingcp.data import (
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
 from wingcp.shapes import flat_grid, paraboloid_grid
 
-from oracles import loop_meta_rows, mask_normalize, sample_points, write_features_points_rows, write_meta_rows
+from oracles import (
+    loop_meta_rows, mask_normalize, pointwise_batch, sample_points, write_features_points_rows, write_meta_rows,
+)
 from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
 
@@ -258,6 +262,20 @@ class TestAssemble:
             assemble(manifold, Samples.from_rows(good[:2] + bad), d=0.01)  # 1 of 3 > 10%
 
 
+ALL_COLUMNS = [(key, slice(None)) for key in GROUP_SHAPES]
+
+
+def apply_all(spec, batch):
+    """``spec.apply`` over every column of every group, split back into the groups of a TensorBatch."""
+    xi, y = spec.apply(batch, ALL_COLUMNS)
+    ends = np.cumsum([0] + [math.prod(shape) for shape in GROUP_SHAPES.values()]).tolist()
+    groups = {
+        key: xi[:, lo:hi].reshape(batch.n, *shape)
+        for (key, shape), lo, hi in zip(GROUP_SHAPES.items(), ends, ends[1:])
+    }
+    return TensorBatch(y=y, **groups)
+
+
 class TestNormalizer:
     def _toy_batch(self, x1_col):
         n = len(x1_col)
@@ -273,13 +291,13 @@ class TestNormalizer:
     def test_simple_column(self):
         batch = self._toy_batch([0.0, 5.0, 10.0])
         spec = fit_normalizer(batch)
-        out = spec.apply(batch)
+        out = apply_all(spec, batch)
         np.testing.assert_allclose(out.x1[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_constant_column_maps_to_zero(self):
         batch = self._toy_batch([0.175, 0.175, 0.175])
         spec = fit_normalizer(batch)
-        out = spec.apply(batch)
+        out = apply_all(spec, batch)
         np.testing.assert_array_equal(out.x1[:, 0], [0.0, 0.0, 0.0])
 
     def test_constant_column_raises_no_error(self):
@@ -288,19 +306,19 @@ class TestNormalizer:
         spec = fit_normalizer(batch)
         batch.x1[:, 0] = -1.7e308
         with np.errstate(all="raise"):
-            out = spec.apply(batch)
+            out = apply_all(spec, batch)
         assert out.x1[:, 0].tobytes() == np.zeros(2).tobytes()
 
     def test_outputs_in_unit_interval_on_train(self):
         rng = np.random.default_rng(34)
         batch = self._toy_batch(rng.uniform(-5, 5, 8))
-        out = fit_normalizer(batch).apply(batch)
+        out = apply_all(fit_normalizer(batch), batch)
         assert out.x1.min() >= 0.0 and out.x1.max() <= 1.0
 
     def test_targets_flag(self):
         batch = self._toy_batch([0.0, 5.0, 10.0])
         spec = fit_normalizer(batch, normalize_targets=True)
-        out = spec.apply(batch)
+        out = apply_all(spec, batch)
         assert out.y.min() == 0.0 and out.y.max() == 1.0
         np.testing.assert_allclose(spec.invert_targets(out.y), batch.y, atol=1e-15)
 
@@ -316,8 +334,8 @@ class TestNormalizer:
         batch = self._toy_batch([0.0, 5.0, 10.0])
         spec = fit_normalizer(batch)
         back = NormalizationSpec.from_dict(spec.to_dict())
-        out_a = spec.apply(batch)
-        out_b = back.apply(batch)
+        out_a = apply_all(spec, batch)
+        out_b = apply_all(back, batch)
         np.testing.assert_array_equal(out_a.x1, out_b.x1)
 
 
@@ -334,7 +352,7 @@ def _normalizer_batch(data, n):
 
 
 class TestNormalizerAgainstMasks:
-    """``NormalizationSpec.apply`` equals the boolean-mask form of tests/oracles.py bit for bit."""
+    """``NormalizationSpec.apply`` over every column equals the boolean-mask form of tests/oracles.py bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), normalize_targets=st.booleans())
@@ -344,7 +362,7 @@ class TestNormalizerAgainstMasks:
         spec = fit_normalizer(fitted, normalize_targets=normalize_targets)
         for batch in (fitted, _normalizer_batch(data, data.draw(st.integers(1, 4)))):
             with np.errstate(all="ignore"):  # x - lo and the division overflow at +-1.7e308
-                got, want = spec.apply(batch), mask_normalize(spec, batch)
+                got, want = apply_all(spec, batch), mask_normalize(spec, batch)
             for key, x in {**want.groups(), "y": want.y}.items():
                 assert getattr(got, key).shape == x.shape
                 assert getattr(got, key).tobytes() == x.tobytes(), key
@@ -560,12 +578,12 @@ class TestFeatureCache:
         assert meta_rows(result) == loop_meta_rows(result, samples)
 
     def test_pointwise_view(self, paraboloid_manifold):
-        samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6)])
+        """POINTWISE_COLUMNS take the centre slot of each group, in the POINTWISE_SHAPES layout."""
+        samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6), sample_row("paraboloid", 0.5, 0.3)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
-        pw = batch.pointwise()
-        assert pw.x2.shape == (1, 3)
-        assert pw.x3.shape == (1, 1, 2, 2)
-        assert pw.x4.shape == (1, 2, 2, 2)
-        assert pw.x5.shape == (1, 1)
-        np.testing.assert_array_equal(pw.x2[0], batch.x2[0, 0, 4, :])
-        np.testing.assert_array_equal(pw.x5[0, 0], batch.x5[0, 4])
+        want = pointwise_batch(batch)
+        for key, shape in POINTWISE_SHAPES.items():
+            got = batch.columns([(key, POINTWISE_COLUMNS[key])]).reshape(batch.n, *shape)
+            assert got.tobytes() == np.ascontiguousarray(want.groups()[key]).tobytes(), key
+        np.testing.assert_array_equal(want.x2[0], batch.x2[0, 0, 4, :])
+        np.testing.assert_array_equal(want.x5[0, 0], batch.x5[0, 4])

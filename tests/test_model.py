@@ -1,12 +1,14 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 import wingcp.model
-from oracles import fd_model_gradients, loop_adam_step, rel_err
+import wingcp.nn
+from oracles import fd_model_gradients, loop_adam_step, mask_normalize, rel_err
 
-from wingcp.data import TensorBatch
+from wingcp.data import Samples, TensorBatch, assemble, fit_normalizer
 from wingcp.errors import ConfigError, TrainingDiverged
 from wingcp.model import (
     AdamState,
@@ -568,3 +570,92 @@ class TestCheckpoint:
         total = sum(int(np.prod(e["shape"])) for e in manifest["layout"])
         blob = (tmp_path / "ckpt" / "weights.bin").read_bytes()
         assert len(blob) == 8 * total
+
+
+# sha256 of build_model(preset(name, seed=seed)).params.flat.tobytes(), recorded when each model drew its
+# initial weights while its stacks were built; drawing them after construction must give the same bits
+INIT_DIGESTS = {
+    ("rgfil", 0): "0c1ecce8a431f673d688c47bcf358c20245c747a0820ac050b4adf1846f43183",
+    ("rgfil", 7): "5de06a9d5face9e883c1a82fb63a17ce944b2b67366d03829cc240238ec64ad8",
+    ("mdf", 0): "82507e98468473e6559f67f69bbaf07c13633cf0cb726a70dd8eaf5d9eaf5f58",
+    ("mdf", 7): "c44089c256c4ca00ab32ec7f28e85cc3ce585de55c4c7a0e5d285ef6f2d141bf",
+    ("mtl", 0): "bcd41e9b6dc5a37aa9b48fc4b68896e52f2a6f0e25ed5740c0634ef6060bc145",
+    ("mtl", 7): "0f4d94c66c10c18bcf614b221097d69f88539bef039cd143464321c155655d6d",
+    ("mlp", 0): "bfe17315eeeca671e2d9162f9bb6f3597f4b8817153f857f9b6103e1e690c3d8",
+    ("mlp", 7): "a620fd3fd232d8ae3ef2e7222d247586214b9b37d1040236bb3d03b19055dc61",
+}
+
+
+class TestInitialWeights:
+    @pytest.mark.parametrize("name,seed", sorted(INIT_DIGESTS))
+    def test_pinned(self, name, seed):
+        flat = build_model(preset(name, seed=seed)).params.flat
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == INIT_DIGESTS[name, seed]
+
+    def test_checkpoint_load_draws_nothing(self, tmp_path, monkeypatch):
+        """With every initial-weight draw made to raise, each preset still loads and predicts the same bytes."""
+        batch = random_batch(np.random.default_rng(32), 9)
+        want = {}
+        for name in ("rgfil", "mdf", "mtl", "mlp"):
+            model = build_model(preset(name, seed=4))
+            save_checkpoint(tmp_path / name, model, fit_normalizer(batch))
+            want[name] = model.forward(model.inputs(batch)).tobytes()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an initial weight was drawn")
+
+        monkeypatch.setattr(wingcp.nn, "uniform_init", no_draw)
+        monkeypatch.setattr(wingcp.nn.Stack, "init", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for name, prediction in want.items():
+            loaded, _, _ = load_checkpoint(tmp_path / name)
+            assert loaded.forward(loaded.inputs(batch)).tobytes() == prediction
+
+    def test_construction_lays_out_zeros(self):
+        for name in ("rgfil", "mdf", "mtl", "mlp"):
+            model = wingcp.model._construct(preset(name, seed=3))
+            assert_params_are_views(model)
+            assert not model.params.flat.any()
+            assert model.param_names() == build_model(preset(name, seed=3)).param_names()
+
+
+def _tiny_wing():
+    """The tiny CLI wing (3 AoAs, 2 stations, 4 points a section) and its samples."""
+    from wingcp.synth import SynthConfig, generate_synthetic
+
+    res = generate_synthetic(SynthConfig(seed=3, stations=2, points_per_section=4, aoa_set=(0.0, 6.0, 12.0)))
+    return res.manifold, res.samples
+
+
+def _scattered(manifold, n=90):
+    """n samples, each at its own random (patch, u, v), at the synth's one Ma and Re."""
+    rng = np.random.default_rng(41)
+    pids = manifold.patch_ids
+    return Samples.from_rows([
+        (pids[i % len(pids)], *rng.uniform(0.05, 0.95, 2), 0.175, float(rng.choice([0.0, 7.0, 12.0])),
+         1.35e6, np.nan, rng.uniform(-1.0, 1.0))
+        for i in range(n)
+    ])
+
+
+class TestNarrowedNormalization:
+    """Normalizing only the columns a model reads gives the bits of normalizing the whole batch."""
+
+    @pytest.mark.parametrize("normalize_targets", [False, True])
+    @pytest.mark.parametrize("layout", ["tiny-wing", "scattered"])
+    @pytest.mark.parametrize("name", ["rgfil", "mdf", "mtl", "mlp"])
+    def test_bitwise_equal_to_full_batch(self, name, layout, normalize_targets):
+        manifold, samples = _tiny_wing()
+        if layout == "scattered":
+            samples = _scattered(manifold)
+        batch = assemble(manifold, samples, d=0.005).batch
+        fitted = fit_normalizer(batch.subset(np.arange(0, batch.n, 2)), normalize_targets=normalize_targets)
+        assert (fitted.maxs["x1"] == fitted.mins["x1"]).tolist() == [True, False, True]  # constant Ma and Re
+        model = build_model(preset(name, seed=2))
+        got, want = model.inputs(batch, fitted), model.inputs(mask_normalize(fitted, batch))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+        width = {"rgfil": 147, "mdf": 19, "mtl": 6, "mlp": 147}[name]
+        assert got[-2].shape == (batch.n, width)
+        assert model.forward(got).tobytes() == model.forward(want).tobytes()

@@ -42,6 +42,13 @@ BATCH_SIZES = (1, 32, 108, 470, 972, 1080)
 WHOLE_DK_DEPENDS_ON_THREADS = {((8, 4, 1), 16, 1080)}
 
 
+def drawn(rng, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a layer or stack laid out with zeros, with its initial weights drawn from ``rng``."""
+    layer = make(*args, **kwargs)
+    layer.init(rng)
+    return layer
+
+
 def channel_major(a):
     """``a`` (B, C, H, W) as the C-contiguous (C, B, H, W) array a conv layer takes and hands on."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
@@ -56,13 +63,13 @@ class TestConv2d:
     def test_output_shape_18x2(self):
         # floor((18-2)/2)+1 = 9 rows, floor((2-2)/2)+1 = 1 column
         rng = np.random.default_rng(0)
-        conv = Conv2d.create(rng, in_ch=1, out_ch=4)
+        conv = drawn(rng, Conv2d.zeros, in_ch=1, out_ch=4)
         out, _ = conv.forward(rng.normal(size=(1, 3, 18, 2)))
         assert out.shape == (4, 3, 9, 1)
 
     def test_output_shape_9x3(self):
         rng = np.random.default_rng(0)
-        conv = Conv2d.create(rng, in_ch=1, out_ch=4)
+        conv = drawn(rng, Conv2d.zeros, in_ch=1, out_ch=4)
         out, _ = conv.forward(rng.normal(size=(1, 2, 9, 3)))
         assert out.shape == (4, 2, 4, 1)
 
@@ -80,13 +87,13 @@ class TestConv2d:
 
     def test_small_dim_zero_padded(self):
         rng = np.random.default_rng(2)
-        conv = Conv2d.create(rng, in_ch=2, out_ch=3)
+        conv = drawn(rng, Conv2d.zeros, in_ch=2, out_ch=3)
         out, _ = conv.forward(rng.normal(size=(2, 2, 1, 1)))  # both dims < kernel
         assert out.shape == (3, 2, 1, 1)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(3)
-        conv = Conv2d.create(rng, in_ch=2, out_ch=3)
+        conv = drawn(rng, Conv2d.zeros, in_ch=2, out_ch=3)
         x = rng.normal(size=(2, 2, 5, 3))  # (C, B, H, W)
         target = rng.normal(size=conv.forward(x)[0].shape)
 
@@ -113,7 +120,7 @@ class TestConv2d:
 def conv_case(in_shape, out_ch, batch):
     """A Conv2d with random bias, a C-order (B, C, H, W) input and a C-order output gradient for it."""
     rng = np.random.default_rng([batch, *in_shape, out_ch])
-    conv = Conv2d.create(rng, in_shape[0], out_ch)
+    conv = drawn(rng, Conv2d.zeros, in_shape[0], out_ch)
     conv.b = rng.normal(size=out_ch)
     x = rng.normal(size=(batch,) + in_shape)
     dy = rng.normal(size=(batch,) + Conv2d.output_shape(in_shape, out_ch, conv.k.shape[2:]))
@@ -224,7 +231,7 @@ class TestDense:
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(4)
-        layer = Dense.create(rng, 3, 2)
+        layer = drawn(rng, Dense.zeros, 3, 2)
         x = rng.normal(size=(4, 3))
         target = rng.normal(size=(4, 2))
         out, cache = layer.forward(x)
@@ -243,7 +250,7 @@ class TestDense:
 
     def test_forward_is_matmul_plus_bias_bitwise(self):
         rng = np.random.default_rng(11)
-        layer = Dense.create(rng, 7, 5)
+        layer = drawn(rng, Dense.zeros, 7, 5)
         layer.b = rng.normal(size=5)
         x = rng.normal(size=(9, 7))
         assert layer.forward(x)[0].tobytes() == (x @ layer.w + layer.b).tobytes()
@@ -400,7 +407,7 @@ class TestLeakyReLU:
 class TestStacks:
     def test_dense_stack_shapes(self):
         rng = np.random.default_rng(5)
-        stack = dense_stack(rng, in_dim=7, widths=(16, 16, 16), out_dim=8)
+        stack = drawn(rng, dense_stack, in_dim=7, widths=(16, 16, 16), out_dim=8)
         out, _ = stack.forward(rng.normal(size=(3, 7)))
         assert out.shape == (3, 8)
         # 4 Dense layers, 2 params each
@@ -408,20 +415,20 @@ class TestStacks:
 
     def test_conv_stack_on_stencil_metric_block(self):
         rng = np.random.default_rng(6)
-        stack = conv_stack(rng, in_shape=(1, 18, 2), channels=(4, 8, 16), out_dim=8)
+        stack = drawn(rng, conv_stack, in_shape=(1, 18, 2), channels=(4, 8, 16), out_dim=8)
         out, _ = stack.forward(rng.normal(size=(1, 2, 18, 2)))
         assert out.shape == (2, 8)
 
     def test_conv_stack_on_single_metric(self):
         rng = np.random.default_rng(7)
-        stack = conv_stack(rng, in_shape=(1, 2, 2), channels=(4, 8, 16), out_dim=8)
+        stack = drawn(rng, conv_stack, in_shape=(1, 2, 2), channels=(4, 8, 16), out_dim=8)
         out, _ = stack.forward(rng.normal(size=(1, 5, 2, 2)))
         assert out.shape == (5, 8)
 
     def test_backward_returns_parameter_gradients(self):
         """Stack.backward gives each layer's own parameter gradients, bit for bit, in params order."""
         rng = np.random.default_rng(9)
-        stack = conv_stack(rng, in_shape=(2, 18, 2), channels=(4, 8), out_dim=3)
+        stack = drawn(rng, conv_stack, in_shape=(2, 18, 2), channels=(4, 8), out_dim=3)
         out, caches = stack.forward(rng.normal(size=(2, 6, 18, 2)))
         dy = rng.normal(size=out.shape)
         grads = stack.backward(dy, caches)
@@ -436,7 +443,7 @@ class TestStacks:
 
     def test_forward_without_caches(self):
         rng = np.random.default_rng(10)
-        stack = conv_stack(rng, in_shape=(1, 9, 3), channels=(4, 8), out_dim=2)
+        stack = drawn(rng, conv_stack, in_shape=(1, 9, 3), channels=(4, 8), out_dim=2)
         x = rng.normal(size=(1, 4, 9, 3))
         out, caches = stack.forward(x)
         bare, none = stack.forward(x, keep=False)
