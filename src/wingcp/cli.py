@@ -223,15 +223,18 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
     train_idx, val_idx = train_val_split(
         np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
-    train_batch = batch.subset(train_idx)
-    normalizer = fit_normalizer(train_batch, fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer))
-    val_batch = batch.subset(val_idx) if val_idx.size else None
+    normalizer = fit_normalizer(
+        batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
+    )
 
     model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
+    # only the normalized columns the model reads stay alive while it trains
+    data = model.inputs(batch.subset(train_idx), normalizer)
+    val = model.inputs(batch.subset(val_idx), normalizer) if val_idx.size else None
     probes = (
-        np.unique(np.linspace(0, train_batch.n - 1, n_probe).astype(int)) if n_probe > 0 else ()
+        np.unique(np.linspace(0, train_idx.size - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
-    result = train(model, train_batch, val_batch, train_cfg, probe_indices=probes, normalizer=normalizer)
+    result = train(model, data, val, train_cfg, probe_indices=probes)
 
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(

@@ -74,7 +74,7 @@ POINTWISE_SHAPES = {"x1": (3,), "x2": (3,), "x3": (1, 2, 2), "x4": (2, 2, 2), "x
 
 
 def _centre_columns():
-    """Each group's flat columns at the stencil centre (slot 4: rows 8-9 of x3 and x4), in POINTWISE_SHAPES order."""
+    """Each group's flat columns at the stencil centre (slot 4; rows 8-9 of x3, x4), in POINTWISE_SHAPES order."""
     index = {key: np.arange(math.prod(shape)).reshape(shape) for key, shape in GROUP_SHAPES.items()}
     centre = {
         "x1": index["x1"],
@@ -372,7 +372,8 @@ class NormalizationSpec:
                 for k, shape in GROUP_SHAPES.items()
             }
         if not isinstance(d["normalize_targets"], bool):
-            raise ConfigError(f"normalizer normalize_targets must be true or false, got {d['normalize_targets']!r}")
+            got = d["normalize_targets"]
+            raise ConfigError(f"normalizer normalize_targets must be true or false, got {got!r}")
         if not isinstance(d["fitted_on"], str):
             raise ConfigError(f"normalizer fitted_on must be a string, got {d['fitted_on']!r}")
         return cls(

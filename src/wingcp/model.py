@@ -22,9 +22,9 @@ the initial weights into it, and ``load_checkpoint`` copies
 network takes, as a view of xi in the shape its stack reads (conv groups
 channel-major), then xi, then y. xi holds only ``model.columns``, the
 columns the model reads, and a normalizer normalizes only those.
-``train`` prepares its training and validation batches once per call,
-and each minibatch and probe set is ``model.rows`` of them, so a step
-copies the rows of xi and y and no other feature array.
+``train`` takes its training and validation batches in that form, and
+each minibatch and probe set is ``model.rows`` of them, so a step copies
+the rows of xi and y and no other feature array.
 
 Training is full reverse-mode gradient descent with Adam, seeded and
 bitwise deterministic for a fixed configuration and data order on one
@@ -513,33 +513,24 @@ class TrainResult:
         return float(self.train_curve[-1])
 
 
-def train(
-    model,
-    train_batch: TensorBatch,
-    val_batch: TensorBatch | None = None,
-    cfg: TrainConfig | None = None,
-    probe_indices=(),
-    normalizer: NormalizationSpec | None = None,
-) -> TrainResult:
+def train(model, data, val=None, cfg: TrainConfig | None = None, probe_indices=()) -> TrainResult:
     """Seeded mini-batch Adam training with per-epoch loss bookkeeping.
 
-    ``probe_indices`` select training samples whose context weight
-    vectors are recorded every epoch (fusion models only). With a
-    ``normalizer``, the model trains on both batches normalized by it
-    (see :meth:`_Model.inputs`) and the losses are on normalized targets.
-    Divergence raises TrainingDiverged carrying the last finite parameter
-    set.
+    ``data`` and ``val`` are training and validation batches as
+    ``model.inputs`` prepares them, so training holds only the arrays the
+    model reads; the losses are on their targets. ``probe_indices``
+    select training samples whose context weight vectors are recorded
+    every epoch (fusion models only). Divergence raises TrainingDiverged
+    carrying the last finite parameter set.
     """
     if cfg is None:
         cfg = TrainConfig()
     params = model.params
     state = AdamState.init(params)
     rng = np.random.default_rng([cfg.seed, 3])
-    n = train_batch.n
+    n = data[-1].shape[0]
     probes = np.asarray(probe_indices, dtype=int)
     log_weights = probes.size > 0 and isinstance(model, FusionModel)
-    data = model.inputs(train_batch, normalizer)
-    val = model.inputs(val_batch, normalizer) if val_batch is not None else None
     probe_data = model.rows(data, probes) if log_weights else None
 
     train_curve, val_curve, weight_frames = [], [], []

@@ -19,7 +19,11 @@ inputs.
 Conv2d has one operand layout, whatever the input's memory layout: a
 C-contiguous (C*kh*kw, B*ho*wo) window matrix filled by ``kh * kw``
 block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
-which dk, db and the window gradients are all taken. In the channel-major
+which dk, db and the window gradients are all taken. Conv2d caches its
+input, not the window matrix, and builds the matrix again in backward:
+the input is already held (it is the previous LeakyReLU's cached output
+or a view of the model's prepared inputs), so a training step keeps one
+array per conv layer where it kept two. In the channel-major
 layout both are the layer's own arrays: its output is the product's
 (out_ch, B, ho, wo) result and the gradient it receives is that shape,
 so neither is transposed or copied. OpenBLAS rounds a product
@@ -229,8 +233,9 @@ class Conv2d(Layer):
         c, h, w = in_shape
         return (out_ch, max(h, kernel[0]) // kernel[0], max(w, kernel[1]) // kernel[1])
 
-    def forward(self, x):
-        o, c, kh, kw = self.k.shape
+    def _windows(self, x):
+        """The (C*kh*kw, B*ho*wo) window matrix of ``x``."""
+        _, c, kh, kw = self.k.shape
         _, b, h, w = x.shape
         ho, wo = max(h, kh) // kh, max(w, kw) // kw
         # kernel offset (i, j) of every window is one strided block; blocks in the padding are 0
@@ -240,13 +245,18 @@ class Conv2d(Layer):
         for i in range(min(kh, h)):
             for j in range(min(kw, w)):
                 cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw]
-        cols = cols.reshape(c * kh * kw, b * ho * wo)
-        out = _matmul(self.k.reshape(o, -1), cols).reshape(o, b, ho, wo)
+        return cols.reshape(c * kh * kw, b * ho * wo)
+
+    def forward(self, x):
+        o, _, kh, kw = self.k.shape
+        _, b, h, w = x.shape
+        out = _matmul(self.k.reshape(o, -1), self._windows(x))
+        out = out.reshape(o, b, max(h, kh) // kh, max(w, kw) // kw)
         out += self.b[:, None, None, None]
-        return out, (x.shape, cols)
+        return out, x
 
     def backward(self, dy, cache, need_dx=True):
-        x_shape, cols = cache
+        x_shape, cols = cache.shape, self._windows(cache)
         o, c, kh, kw = self.k.shape
         _, b, h, w = x_shape
         _, _, ho, wo = dy.shape

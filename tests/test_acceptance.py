@@ -166,7 +166,7 @@ def test_overfit_capability():
     assert batch.n == 50
     normalizer = fit_normalizer(batch)
     model = build_model(preset("rgfil", seed=0))
-    result = train(model, batch, cfg=TrainConfig(epochs=2000, seed=0), normalizer=normalizer)
+    result = train(model, model.inputs(batch, normalizer), cfg=TrainConfig(epochs=2000, seed=0))
     elapsed = time.perf_counter() - start
     assert result.final_train_mse < 1e-3, f"final MSE {result.final_train_mse:.2e}"
     assert elapsed < 120.0, f"took {elapsed:.0f}s"
@@ -188,7 +188,7 @@ def test_directional_ablation():
             train_b = batch.subset(train_idx)
             normalizer = fit_normalizer(train_b)
             model = build_model(preset(model_name, seed=seed + k))
-            train(model, train_b, cfg=TrainConfig(epochs=250, seed=seed + k), normalizer=normalizer)
+            train(model, model.inputs(train_b, normalizer), cfg=TrainConfig(epochs=250, seed=seed + k))
             pred = model.forward(model.inputs(batch.subset(test_idx), normalizer))
             mses.append(loss_mse(normalizer.invert_targets(pred), batch.y[test_idx]))
         return float(np.mean(mses))

@@ -302,7 +302,7 @@ class TestTrain:
         model = build_model(tiny_config())
         rng = np.random.default_rng(12)
         result = train(
-            model, random_batch(rng, 10), random_batch(rng, 4),
+            model, model.inputs(random_batch(rng, 10)), model.inputs(random_batch(rng, 4)),
             TrainConfig(epochs=7, batch_size=4, seed=0),
         )
         assert len(result.train_curve) == 7
@@ -315,7 +315,7 @@ class TestTrain:
         curves = []
         for _ in range(2):
             model = build_model(tiny_config(seed=21))
-            result = train(model, batch, cfg=TrainConfig(epochs=5, batch_size=5, seed=21))
+            result = train(model, model.inputs(batch), cfg=TrainConfig(epochs=5, batch_size=5, seed=21))
             curves.append(result.train_curve)
         np.testing.assert_array_equal(curves[0], curves[1])
 
@@ -326,8 +326,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
         m1 = build_model(tiny_config(seed=2))
         m2 = build_model(tiny_config(seed=2))
-        train(m1, batch, cfg=cfg)
-        train(m2, permuted, cfg=cfg)
+        train(m1, m1.inputs(batch), cfg=cfg)
+        train(m2, m2.inputs(permuted), cfg=cfg)
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -339,7 +339,7 @@ class TestTrain:
             y=batch.x1[:, 0] + 0.5 * batch.x5[:, 4],
         )
         model = build_model(tiny_config(seed=1))
-        result = train(model, batch, cfg=TrainConfig(epochs=200, batch_size=32, seed=1))
+        result = train(model, model.inputs(batch), cfg=TrainConfig(epochs=200, batch_size=32, seed=1))
         assert result.train_curve[-1] < 0.05 * result.train_curve[0]
 
     def test_weight_log_shape(self):
@@ -347,7 +347,7 @@ class TestTrain:
         model = build_model(cfg)
         batch = random_batch(np.random.default_rng(16), 10)
         result = train(
-            model, batch, cfg=TrainConfig(epochs=4, batch_size=10, seed=0), probe_indices=[0, 3]
+            model, model.inputs(batch), cfg=TrainConfig(epochs=4, batch_size=10, seed=0), probe_indices=[0, 3]
         )
         assert result.weight_log.shape == (4, 2, len(cfg.active) * cfg.k_outputs)
 
@@ -357,7 +357,7 @@ class TestTrain:
         batch = random_batch(np.random.default_rng(17), 8)
         batch.y[0] = np.nan
         with pytest.raises(TrainingDiverged) as excinfo:
-            train(model, batch, cfg=TrainConfig(epochs=3, batch_size=8, seed=0))
+            train(model, model.inputs(batch), cfg=TrainConfig(epochs=3, batch_size=8, seed=0))
         assert excinfo.value.last_good is not None
         for p, q in zip(model.params, init):
             np.testing.assert_array_equal(p, q)
@@ -381,9 +381,9 @@ class TestTrain:
         monkeypatch.setattr(model, "loss_and_grads", poisoned)
         batch = random_batch(np.random.default_rng(18), 8)
         with pytest.raises(TrainingDiverged, match=re.escape("parameter 2 (shape (16, 16)) at step 3 (epoch 2)")):
-            train(model, batch, cfg=TrainConfig(epochs=3, batch_size=4, seed=0))
+            train(model, model.inputs(batch), cfg=TrainConfig(epochs=3, batch_size=4, seed=0))
         epoch_1 = build_model(preset("mtl", seed=3))
-        train(epoch_1, batch, cfg=TrainConfig(epochs=1, batch_size=4, seed=0))
+        train(epoch_1, epoch_1.inputs(batch), cfg=TrainConfig(epochs=1, batch_size=4, seed=0))
         for restored, want in zip(model.params, epoch_1.params):
             assert restored.tobytes() == want.tobytes()
         assert any(a.tobytes() != b.tobytes() for a, b in zip(model.params, init))
@@ -428,8 +428,8 @@ class TestPreparedInputs:
         for epochs, batch_size in ((1, 20), (3, 20), (3, 6)):
             calls.clear()
             model = build_model(tiny_config())
-            train(model, batch, val, TrainConfig(epochs=epochs, batch_size=batch_size, seed=0),
-                  probe_indices=[0, 5])
+            train(model, model.inputs(batch), model.inputs(val),
+                  TrainConfig(epochs=epochs, batch_size=batch_size, seed=0), probe_indices=[0, 5])
             counts.append(len(calls))
         assert counts == [counts[0]] * 3
 
@@ -445,7 +445,7 @@ class TestTrainOracles:
 
         def run():
             model = build_model(preset(name, seed=5))
-            result = train(model, batch, val, cfg)
+            result = train(model, model.inputs(batch), model.inputs(val), cfg)
             return result, model.params
 
         got, got_params = run()
@@ -532,7 +532,7 @@ class TestCheckpoint:
         model = build_model(preset(name, seed=5))
         assert_params_are_views(model)
         batch = random_batch(np.random.default_rng(19), 6)
-        train(model, batch, cfg=TrainConfig(epochs=2, batch_size=6, seed=5))
+        train(model, model.inputs(batch), cfg=TrainConfig(epochs=2, batch_size=6, seed=5))
         normalizer = fit_normalizer(batch)
         save_checkpoint(tmp_path / "first", model, normalizer, extra={"model": name})
         loaded, norm_back, manifest = load_checkpoint(tmp_path / "first")
