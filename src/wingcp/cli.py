@@ -22,6 +22,7 @@ import inspect
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,38 +210,58 @@ def _extract(args, cfg):
     return assemble(manifold, samples, d=args.d, convention=args.convention)
 
 
-def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
-    """Split by the batch's AoA column, normalize, fit and checkpoint.
+class _Prepared(NamedTuple):
+    """A model ready to train: its settings, normalizer and normalized inputs (see ``_prepare``)."""
 
-    ``settings`` holds the feature-cache settings (``_CACHE_KEYS``) that
-    the checkpoint records. Returns (model, normalizer, result,
-    train_idx, val_idx).
+    train_cfg: TrainConfig
+    model: object
+    normalizer: object
+    data: tuple
+    val: tuple | None
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+
+
+def _prepare(batch, model_name, cfg, seed, fold_note) -> _Prepared:
+    """Split by the batch's AoA column, fit the normalizer and build the model.
+
+    ``data`` and ``val`` are the training and validation rows as
+    ``model.inputs`` prepares them, normalized (``val`` is None without
+    validation rows). They are all the features training needs, so a
+    caller need not keep ``batch`` while the model trains.
     """
     train_cfg = TrainConfig(seed=seed, **_given(cfg, TrainConfig))
-    n_probe = cfg.get("probe_points", 0)
-    if n_probe < 0:
-        raise ConfigError(f"probe_points must be >= 0, got {n_probe}")
+    if cfg.get("probe_points", 0) < 0:
+        raise ConfigError(f"probe_points must be >= 0, got {cfg['probe_points']}")
     train_idx, val_idx = train_val_split(
         np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
     normalizer = fit_normalizer(
         batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
     )
-
     model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
-    # only the normalized columns the model reads stay alive while it trains
     data = model.inputs(batch.subset(train_idx), normalizer)
     val = model.inputs(batch.subset(val_idx), normalizer) if val_idx.size else None
+    return _Prepared(train_cfg, model, normalizer, data, val, train_idx, val_idx)
+
+
+def _train_once(prepared: _Prepared, model_name, cfg, seed, outdir, fold_note, settings):
+    """Fit a prepared model, checkpoint it and write its logs; returns the TrainResult.
+
+    ``settings`` holds the feature-cache settings (``_CACHE_KEYS``) that
+    the checkpoint records.
+    """
+    model, n_probe = prepared.model, cfg.get("probe_points", 0)
     probes = (
-        np.unique(np.linspace(0, train_idx.size - 1, n_probe).astype(int)) if n_probe > 0 else ()
+        np.unique(np.linspace(0, prepared.train_idx.size - 1, n_probe).astype(int)) if n_probe > 0 else ()
     )
-    result = train(model, data, val, train_cfg, probe_indices=probes)
+    result = train(model, prepared.data, prepared.val, prepared.train_cfg, probe_indices=probes)
 
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(
         os.path.join(outdir, "checkpoint"),
         model,
-        normalizer,
+        prepared.normalizer,
         extra={
             "model": model_name, "seed": seed, "fold": fold_note, "epochs": result.epochs_run, **settings
         },
@@ -248,7 +269,7 @@ def _train_once(batch, model_name, cfg, seed, outdir, fold_note, settings):
     _write_losses(os.path.join(outdir, "losses.csv"), result)
     if result.weight_log is not None:
         _write_weight_log(os.path.join(outdir, "weight_log.csv"), result, probes)
-    return model, normalizer, result, train_idx, val_idx
+    return result
 
 
 def _predict(model, normalizer, batch):
@@ -358,15 +379,15 @@ def cmd_extract(args, cfg):
 def cmd_train(args, cfg):
     batch, cache_manifest = load_feature_cache(args.features)
     settings = {key: cache_manifest.get(key) for key in _CACHE_KEYS}
-    _, _, result, train_idx, val_idx = _train_once(
-        batch, args.model, cfg, args.seed, args.out, "full-dataset", settings
-    )
+    prepared = _prepare(batch, args.model, cfg, args.seed, "full-dataset")
+    del batch  # the model trains on the prepared inputs alone
+    result = _train_once(prepared, args.model, cfg, args.seed, args.out, "full-dataset", settings)
     summary = {
         "model": args.model,
         "final_train_mse": result.final_train_mse,
         "final_val_mse": float(result.val_curve[-1]),
-        "n_train": int(train_idx.size),
-        "n_val": int(val_idx.size),
+        "n_train": int(prepared.train_idx.size),
+        "n_val": int(prepared.val_idx.size),
         **settings,
     }
     write_json(os.path.join(args.out, "train_summary.json"), summary)
@@ -385,11 +406,10 @@ def cmd_crossval(args, cfg):
     for k, (train_idx, test_idx) in enumerate(folds):
         label = format(fold_aoas[k], "g")
         fold_dir = os.path.join(args.out, f"fold_{label}")
-        model, normalizer, _, _, _ = _train_once(
-            batch.subset(train_idx), args.model, cfg, args.seed + k, fold_dir, f"fold={label}",
-            settings,
-        )
-        mse = _evaluate(fold_dir, model, normalizer, batch, meta, test_idx, fold=label)
+        note, seed = f"fold={label}", args.seed + k
+        prepared = _prepare(batch.subset(train_idx), args.model, cfg, seed, note)
+        _train_once(prepared, args.model, cfg, seed, fold_dir, note, settings)
+        mse = _evaluate(fold_dir, prepared.model, prepared.normalizer, batch, meta, test_idx, fold=label)
         fold_mse[label] = mse
         fold_n[label] = int(test_idx.size)
         print(f"crossval fold {label}: test MSE {mse:.6g} ({test_idx.size} samples)")
