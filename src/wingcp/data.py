@@ -316,21 +316,13 @@ class NormalizationSpec:
         these columns of the whole batch normalized. y is normalized when
         ``normalize_targets`` is set.
         """
-        groups = batch.groups()
-        parts = [
-            (groups[key].reshape(batch.n, -1)[:, cols], self.mins[key][cols], self.maxs[key][cols])
-            for key, cols in columns
-        ]
-        xi = np.empty((batch.n, sum(x.shape[1] for x, _, _ in parts)))
-        at = 0
-        for x, lo, hi in parts:
-            span = hi - lo
-            const = span == 0.0
-            out = xi[:, at : at + x.shape[1]]
-            np.subtract(x, np.where(const, 0.0, lo), out=out)
-            out /= np.where(const, 1.0, span)
-            out[:, const] = 0.0
-            at += x.shape[1]
+        xi = batch.columns(columns)
+        lo = np.concatenate([self.mins[key][cols] for key, cols in columns])
+        span = np.concatenate([self.maxs[key][cols] for key, cols in columns]) - lo
+        const = span == 0.0
+        xi -= np.where(const, 0.0, lo)
+        xi /= np.where(const, 1.0, span)
+        xi[:, const] = 0.0
         y = batch.y
         if self.normalize_targets:
             span = self.y_max - self.y_min

@@ -19,16 +19,16 @@ inputs.
 Conv2d has one operand layout, whatever the input's memory layout: a
 C-contiguous (C*kh*kw, B*ho*wo) window matrix filled by ``kh * kw``
 block copies, and a C-contiguous (out_ch, B*ho*wo) output gradient from
-which dk, db and the window gradients are all taken. Conv2d caches its
-input, not the window matrix, and builds the matrix again in backward:
-the input is already held (it is the previous LeakyReLU's cached output
-or a view of the model's prepared inputs), so a training step keeps one
-array per conv layer where it kept two. In the channel-major
+which dk, db and the window gradients are all taken. In the channel-major
 layout both are the layer's own arrays: its output is the product's
 (out_ch, B, ho, wo) result and the gradient it receives is that shape,
 so neither is transposed or copied. OpenBLAS rounds a product
 differently for a C- or an F-contiguous operand, so fixing the layouts
-makes a conv call's bits depend only on its input values.
+makes a conv call's bits depend only on its input values. Conv2d caches
+its input, not the window matrix, and builds the matrix again in
+backward: the input is held anyway (it is the previous LeakyReLU's
+cached output or a view of the model's prepared inputs), so a training
+step keeps one array per conv layer where it would keep two.
 
 Every product goes through one rule, ``_matmul``: from OpenBLAS's split
 size on, a product whose output is at most 16 rows tall (conv forward
