@@ -308,7 +308,7 @@ def loop_contract(riem, g_inv, convention):
 
 
 # ---------------------------------------------------------------------------
-# Gauss equation in 50-digit arithmetic, and the curvature scales
+# Gauss equation in 50-digit arithmetic, and the curvature scale
 # ---------------------------------------------------------------------------
 
 
@@ -330,12 +330,8 @@ def mp_gauss_curvature(ctrl, u, v, dps=50):
 
     R^s_ijk = g^sl (h_lj h_ik - h_li h_jk) with h_ij = <d_i d_j F, N> and
     N = (F_u x F_v) / sqrt(det g); S = 2K = 2 (h_11 h_22 - h_12^2) / det g,
-    the standard convention. ``scale`` is the conditioned curvature scale
-    (|h_11| + |h_12| + |h_22|) (|F_uu| + |F_uv| + |F_vv|) / det g: a float64
-    chain resolves each h_ij only to rounding error times |F_ij|, which the
-    curvature scale (|h_11| + |h_12| + |h_22|)^2 / det g does not bound where
-    the second derivatives lie nearly in the tangent plane. Only the results
-    are rounded to float.
+    the standard convention. ``scale`` is the curvature scale
+    (|h_11| + |h_12| + |h_22|)^2 / det g. Only the results are rounded to float.
     """
     with mp.workdps(dps):
         net = [[[mpf(float(c)) for c in pt] for pt in row] for row in np.asarray(ctrl, dtype=float)]
@@ -355,8 +351,7 @@ def mp_gauss_curvature(ctrl, u, v, dps=50):
             terms = (g_inv[s][l] * (h[l][j] * h[i][k] - h[l][i] * h[j][k]) for l in range(2))
             riem[s, i, j, k] = float(sum(terms))
         scalar = 2 * (h[0][0] * h[1][1] - h[0][1] * h[1][0]) / det
-        f2_norm = sum(mp.sqrt(dot(f2[i][j], f2[i][j])) for i, j in ((0, 0), (0, 1), (1, 1)))
-        scale = (abs(h[0][0]) + abs(h[0][1]) + abs(h[1][1])) * f2_norm / det
+        scale = (abs(h[0][0]) + abs(h[0][1]) + abs(h[1][1])) ** 2 / det
         return riem, float(scalar), float(scale)
 
 

@@ -214,9 +214,6 @@ LOOP_REL_TOL = 1e-13
 # R^s_ijk = K (delta^s_j g_ik - delta^s_i g_jk) grows with the metric, so R's errors
 # are taken in units of the scale times tr g
 CURVATURE_LOOP_TOL = 1e-13
-# in units of the conditioned scale (|L| + |M| + |N|)(|F_uu| + |F_uv| + |F_vv|) / det g
-# (see mp_gauss_curvature): random patches include nearly planar ones, whose
-# second derivatives are nearly tangent
 CURVATURE_MP_TOL = 1e-12
 
 
