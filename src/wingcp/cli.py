@@ -236,11 +236,11 @@ def _prepare(batch, model_name, cfg, seed, fold_note) -> _Prepared:
     train_idx, val_idx = train_val_split(
         np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
-    normalizer = fit_normalizer(
-        batch.subset(train_idx), fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer)
-    )
+    train_batch = batch.subset(train_idx)
+    normalizer = fit_normalizer(train_batch, fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer))
     model = build_model(preset(model_name, seed=seed, **_given(cfg, ModelConfig)))
-    data = model.inputs(batch.subset(train_idx), normalizer)
+    data = model.inputs(train_batch, normalizer)
+    del train_batch
     val = model.inputs(batch.subset(val_idx), normalizer) if val_idx.size else None
     return _Prepared(train_cfg, model, normalizer, data, val, train_idx, val_idx)
 

@@ -245,7 +245,7 @@ class _Model:
         self._views = [(lo, hi, shape if conv else None) for (shape, conv), lo, hi in zip(groups, ends, ends[1:])]
         layers = [layer for stack in stacks.values() for layer in stack.layers]
         slots = [(layer, name) for layer in layers for name in layer.param_attrs]
-        self.params = FlatParams.zeros([getattr(layer, name).shape for layer, name in slots])
+        self.params = FlatParams([getattr(layer, name) for layer, name in slots])
         for (layer, name), view in zip(slots, self.params):
             setattr(layer, name, view)
 
@@ -410,27 +410,12 @@ class TrainConfig:
 
 
 class FlatParams(list):
-    """Parameter arrays as consecutive views of one flat float64 buffer, ``flat``.
-
-    ``FlatParams(arrays)`` holds copies of ``arrays``; ``FlatParams.zeros(shapes)`` zeros of ``shapes``.
-    """
+    """Copies of parameter arrays as consecutive views of one flat float64 buffer, ``flat``."""
 
     def __init__(self, arrays):
-        self._bind(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
-
-    @classmethod
-    def zeros(cls, shapes):
-        params = cls.__new__(cls)
-        params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
-        return params
-
-    def _bind(self, flat, shapes):
-        self.flat = flat
-        at = 0
-        for shape in shapes:
-            size = math.prod(shape)
-            self.append(flat[at : at + size].reshape(shape))
-            at += size
+        self.flat = np.concatenate([np.ravel(a) for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        super().__init__(part.reshape(a.shape) for part, a in zip(np.split(self.flat, ends), arrays))
 
 
 ADAM_CHUNK = 1 << 14  # elements per pass of the update, the size of its scratch buffer

@@ -24,11 +24,7 @@ layout both are the layer's own arrays: its output is the product's
 (out_ch, B, ho, wo) result and the gradient it receives is that shape,
 so neither is transposed or copied. OpenBLAS rounds a product
 differently for a C- or an F-contiguous operand, so fixing the layouts
-makes a conv call's bits depend only on its input values. Conv2d caches
-its input, not the window matrix, and builds the matrix again in
-backward: the input is held anyway (it is the previous LeakyReLU's
-cached output or a view of the model's prepared inputs), so a training
-step keeps one array per conv layer where it would keep two.
+makes a conv call's bits depend only on its input values.
 
 Every product goes through one rule, ``_matmul``: from OpenBLAS's split
 size on, a product whose output is at most 16 rows tall (conv forward
@@ -233,9 +229,8 @@ class Conv2d(Layer):
         c, h, w = in_shape
         return (out_ch, max(h, kernel[0]) // kernel[0], max(w, kernel[1]) // kernel[1])
 
-    def _windows(self, x):
-        """The (C*kh*kw, B*ho*wo) window matrix of ``x``."""
-        _, c, kh, kw = self.k.shape
+    def forward(self, x):
+        o, c, kh, kw = self.k.shape
         _, b, h, w = x.shape
         ho, wo = max(h, kh) // kh, max(w, kw) // kw
         # kernel offset (i, j) of every window is one strided block; blocks in the padding are 0
@@ -245,18 +240,13 @@ class Conv2d(Layer):
         for i in range(min(kh, h)):
             for j in range(min(kw, w)):
                 cols[:, i, j] = x[:, :, i : ho * kh : kh, j : wo * kw : kw]
-        return cols.reshape(c * kh * kw, b * ho * wo)
-
-    def forward(self, x):
-        o, _, kh, kw = self.k.shape
-        _, b, h, w = x.shape
-        out = _matmul(self.k.reshape(o, -1), self._windows(x))
-        out = out.reshape(o, b, max(h, kh) // kh, max(w, kw) // kw)
+        cols = cols.reshape(c * kh * kw, b * ho * wo)
+        out = _matmul(self.k.reshape(o, -1), cols).reshape(o, b, ho, wo)
         out += self.b[:, None, None, None]
-        return out, x
+        return out, (x.shape, cols)
 
     def backward(self, dy, cache, need_dx=True):
-        x_shape, cols = cache.shape, self._windows(cache)
+        x_shape, cols = cache
         o, c, kh, kw = self.k.shape
         _, b, h, w = x_shape
         _, _, ho, wo = dy.shape
