@@ -403,8 +403,8 @@ def load_control_grids(path) -> list:
     """Parse a control-grid CSV into a list of ControlGrid.
 
     Rows of a patch must cover the full (m+1) x (n+1) index rectangle;
-    degrees are inferred from the maximum indices. Errors carry the
-    offending row number.
+    degrees are inferred from the maximum indices and must both be at
+    least 1. Errors carry the offending row number, or name the patch.
     """
     per_patch: dict[str, dict] = {}
     for where, row in read_rows(path, _GRID_HEADER):
@@ -431,6 +431,8 @@ def load_control_grids(path) -> list:
             raise SampleParseError(
                 f"{path}: patch {pid!r} covers {len(entry)} of {(m + 1) * (n + 1)} grid slots"
             )
+        if m < 1 or n < 1:
+            raise SampleParseError(f"{path}: patch {pid!r} has degrees ({m}, {n}); both must be >= 1")
         pts = np.empty((m + 1, n + 1, 3))
         for (a, b), xyz in entry.items():
             pts[a, b] = xyz

@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import ConfigError, WingcpError, check_int
 from .files import read_json, read_text, write_json, write_rows
-from .geometry import CONVENTIONS, DEFAULT_CONVENTION
+from .geometry import DEFAULT_CONVENTION
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -207,7 +207,7 @@ def _extract(args, cfg):
     samples = load_samples(args.samples, known_patches=set(manifold.patch_ids))
     if not samples:
         raise WingcpError(f"{args.samples}: no samples to extract")
-    return assemble(manifold, samples, d=args.d, convention=args.convention)
+    return assemble(manifold, samples, d=args.d)
 
 
 class _Prepared(NamedTuple):
@@ -363,7 +363,7 @@ def cmd_extract(args, cfg):
     result = _extract(args, cfg)
     manifest = {
         "d": args.d,
-        "convention": args.convention,
+        "convention": DEFAULT_CONVENTION,
         "source_samples": os.path.abspath(args.samples),
         "source_manifold": os.path.abspath(args.manifold),
         "normalization": "none (fit at training time)",
@@ -385,7 +385,7 @@ def cmd_train(args, cfg):
     summary = {
         "model": args.model,
         "final_train_mse": result.final_train_mse,
-        "final_val_mse": float(result.val_curve[-1]),
+        "final_val_mse": float(result.val_curve[-1]) if prepared.val_idx.size else None,  # JSON has no NaN
         "n_train": int(prepared.train_idx.size),
         "n_val": int(prepared.val_idx.size),
         **settings,
@@ -398,7 +398,7 @@ def cmd_train(args, cfg):
 def cmd_crossval(args, cfg):
     result = _extract(args, cfg)
     batch, meta = result.batch, meta_rows(result)
-    settings = {key: getattr(args, key) for key in _CACHE_KEYS}
+    settings = {"d": args.d, "convention": DEFAULT_CONVENTION}
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
     folds = fold_split(batch.x1[:, 1], fold_aoas)
 
@@ -505,8 +505,6 @@ def build_parser():
     p.add_argument("--manifold", required=True, help="control-grid CSV")
     p.add_argument("--samples", required=True, help="sample CSV")
     p.add_argument("--d", type=float, choices=D_CHOICES, default=0.005, help="stencil chord spacing")
-    p.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION,
-                   help="Ricci contraction convention")
     common(p)
 
     p = sub.add_parser("train", help="train one model on a feature cache")
@@ -519,7 +517,6 @@ def build_parser():
     p.add_argument("--samples", required=True)
     p.add_argument("--model", choices=MODEL_CHOICES, default="rgfil")
     p.add_argument("--d", type=float, choices=D_CHOICES, default=0.005)
-    p.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
     common(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a feature cache")

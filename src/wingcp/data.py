@@ -189,11 +189,11 @@ def _distinct(uv: np.ndarray):
     return keys.view(float), inverse.reshape(-1)
 
 
-def _drop_reason(manifold, center: SurfacePoint, d: float, convention: str) -> str:
+def _drop_reason(manifold, center: SurfacePoint, d: float) -> str:
     """The error the one-point calls raise for the stencil of a sample that ``assemble`` drops."""
     try:
         for point in build_stencil(manifold, center, d).points:
-            feature_bundle(manifold, point, convention)
+            feature_bundle(manifold, point)
     except (StencilOutOfPatch, DegenerateMetric) as exc:
         return f"{type(exc).__name__}: {exc}"
     raise AssertionError(f"assemble dropped the sample at {center}, the one-point calls keep it")
@@ -203,7 +203,6 @@ def assemble(
     manifold: PiecewiseManifold,
     samples: Samples,
     d: float,
-    convention: str = DEFAULT_CONVENTION,
     max_drop_fraction: float = 0.10,
 ) -> AssembleResult:
     """Expand samples into one batch of stencil feature tensors, in input order.
@@ -236,7 +235,7 @@ def assemble(
         st_uv, clamped, extent = stencil_points(grid, centres[:, 0], centres[:, 1], d)
         fits = (d <= extent).all(axis=1)
         points, point_of = _distinct(st_uv[fits].reshape(-1, 2))
-        f = point_features(grid, points[:, 0], points[:, 1], convention)
+        f = point_features(grid, points[:, 0], points[:, 1])
         slots = np.zeros((len(centres), 9), dtype=int)  # distinct point of each slot
         slots[fits] = point_of.reshape(-1, 9)
         ok = fits.copy()
@@ -261,7 +260,7 @@ def assemble(
 
         for i in rows[~mine].tolist():
             center = SurfacePoint(pid, samples.u[i].item(), samples.v[i].item())
-            reasons[i] = _drop_reason(manifold, center, d, convention)
+            reasons[i] = _drop_reason(manifold, center, d)
     chords = np.concatenate(chords)
     counts["axial_chord_min"] = float(chords.min()) if chords.size else None
     counts["axial_chord_max"] = float(chords.max()) if chords.size else None
@@ -634,10 +633,16 @@ def load_feature_cache(cachedir):
 
     Each ``.npy`` file must hold a finite float64 array of shape
     (n_samples, *group shape), n_samples from ``manifest.json``;
-    SampleParseError names the first file that does not. No CSV file is
-    opened: ``meta.csv`` is read by :func:`load_meta`.
+    SampleParseError names the first file that does not, and a manifest
+    whose ``convention`` is not ``geometry.DEFAULT_CONVENTION`` (the one
+    sign of S). No CSV file is opened: ``meta.csv`` is read by
+    :func:`load_meta`.
     """
-    manifest = read_json(os.path.join(cachedir, "manifest.json"))
+    path = os.path.join(cachedir, "manifest.json")
+    manifest = read_json(path)
+    convention = manifest.get("convention")
+    if convention != DEFAULT_CONVENTION:
+        raise SampleParseError(f"{path}: convention {convention!r}, not {DEFAULT_CONVENTION!r}")
     n = manifest.get("n_samples")
     shapes = {**GROUP_SHAPES, "y": ()}
     arrays = {k: _load_array(os.path.join(cachedir, f"{k}.npy"), (n, *shape)) for k, shape in shapes.items()}

@@ -23,29 +23,22 @@ Gamma^l_ik Gamma^s_jl - Gamma^l_jk Gamma^s_il + d_j Gamma^s_ik
 derivatives of F only: no third derivatives and no derivative of Gamma.
 The test suite keeps the intrinsic formula as its reference. The
 coefficients are stored in index order [s][i][j][k] (antisymmetric in
-i, j). Two Ricci contractions are supported; in two dimensions they
-differ by sign only:
-
-    "standard"     R_ij = sum_k R^k_ikj   (spheres get positive scalar curvature)
-    "first-index"  R_ij = sum_k R^k_kij   (the opposite sign)
-
-Scalar curvature is S = g^ij R_ij = +2K ("standard") or -2K
-("first-index"), K the Gauss curvature. Only S reaches the model, but
-``riemann_tensor`` and ``contract`` stay separate steps: the tensor
-and the Ricci tensor are part of ``RiemannianFeatures``, the
-convention is a contraction of the tensor, and the pipeline
-benchmark times each step of the chain by its name.
+i, j). The Ricci tensor is the contraction R_ij = sum_k R^k_ikj, and the
+scalar curvature S = g^ij R_ij = 2K, K the Gauss curvature, so spheres
+get positive S. Only S reaches the model, but ``riemann_tensor`` and
+``contract`` stay separate steps: the pipeline benchmark times each step
+of the chain by its name.
 
 Each formula above is evaluated as one array contraction (einsum) over
 index-ordered arrays of the jet partials, with leading axes ``...`` for
 any number of points: one point and N points run the same code.
-"first-index" is computed as the exact negation of "standard".
 ``point_features`` runs the chain for N points of one patch at once,
 evaluating the jet and the metric once and flagging degenerate points
 in a mask; feature assembly (``data.assemble``) and the synthetic
 generator (``synth``) compute their features with it. ``feature_bundle``
 is its one-point call, which raises DegenerateMetric instead;
 ``data.assemble`` calls it only to give a dropped sample its reason.
+``DEFAULT_CONVENTION`` names this sign in feature caches and checkpoints.
 """
 
 from dataclasses import dataclass
@@ -56,7 +49,6 @@ from .bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from .errors import DegenerateMetric
 
 __all__ = [
-    "CONVENTIONS",
     "DEFAULT_CONVENTION",
     "RiemannianFeatures",
     "metric",
@@ -67,8 +59,7 @@ __all__ = [
     "feature_bundle",
 ]
 
-CONVENTIONS = ("standard", "first-index")
-DEFAULT_CONVENTION = "standard"
+DEFAULT_CONVENTION = "standard"  # the tag of S = +2K in cache manifests and checkpoints
 
 # det(g) threshold is scale-aware: singular values of g scale with
 # geometry size squared, so compare against (trace g)^2.
@@ -90,10 +81,7 @@ class RiemannianFeatures:
     det_g: np.ndarray  # (...)
     degenerate: np.ndarray  # (...), det(g) <= 1e-12 (trace g)^2
     gamma: np.ndarray  # (..., 2, 2, 2), [k][i][j]
-    riemann: np.ndarray  # (..., 2, 2, 2, 2), [s][i][j][k]
-    ricci: np.ndarray  # (..., 2, 2)
-    scalar: np.ndarray  # (...)
-    convention: str
+    scalar: np.ndarray  # (...), S = 2K
 
 
 # _U_COUNT[s][i1, ..., is] = number of u-indices among (i1, ..., is)
@@ -160,23 +148,13 @@ def riemann_tensor(jet_: np.ndarray, g_inv: np.ndarray, det: np.ndarray, degener
     return a - a.swapaxes(-3, -2)
 
 
-def contract(riemann: np.ndarray, g_inv: np.ndarray, convention: str = DEFAULT_CONVENTION):
-    """Ricci tensor and scalar curvature from the curvature coefficients.
-
-    Only the standard contraction R_ij = sum_k R^k_ikj is evaluated;
-    "first-index" is its exact negation, which equals sum_k R^k_kij
-    because the curvature coefficients are antisymmetric in (i, j). The
-    test suite checks that identity; nothing asserts it at runtime.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
+def contract(riemann: np.ndarray, g_inv: np.ndarray):
+    """Ricci tensor R_ij = sum_k R^k_ikj and scalar curvature S = g^ij R_ij = 2K."""
     ricci = np.einsum("...aiaj->...ij", riemann)
-    if convention == "first-index":
-        ricci = -ricci
     return ricci, np.einsum("...ij,...ij->...", g_inv, ricci)
 
 
-def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION) -> RiemannianFeatures:
+def point_features(grid: ControlGrid, u, v) -> RiemannianFeatures:
     """Jet -> metric -> connection -> curvature at the points (u, v) of one patch.
 
     u and v broadcast; their shape leads every returned field. One
@@ -187,8 +165,7 @@ def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION
     jet_ = jet(grid, u, v, order=2)
     g, dg = metric(jet_)
     g_inv, det, degenerate = _inverse(g)
-    riem = riemann_tensor(jet_, g_inv, det, degenerate)
-    ricci, scalar = contract(riem, g_inv, convention)
+    _, scalar = contract(riemann_tensor(jet_, g_inv, det, degenerate), g_inv)
     return RiemannianFeatures(
         position=jet_[..., 0, 0, :],
         g=g,
@@ -196,18 +173,11 @@ def point_features(grid: ControlGrid, u, v, convention: str = DEFAULT_CONVENTION
         det_g=det,
         degenerate=degenerate,
         gamma=christoffel(g_inv, dg),
-        riemann=riem,
-        ricci=ricci,
         scalar=scalar,
-        convention=convention,
     )
 
 
-def feature_bundle(
-    manifold: PiecewiseManifold,
-    point: SurfacePoint,
-    convention: str = DEFAULT_CONVENTION,
-) -> RiemannianFeatures:
+def feature_bundle(manifold: PiecewiseManifold, point: SurfacePoint) -> RiemannianFeatures:
     """:func:`point_features` at one point of the manifold.
 
     The point's patch must have passed (or been exempted from) the
@@ -215,7 +185,7 @@ def feature_bundle(
     point attached.
     """
     manifold.assert_ready(point.patch_id)
-    f = point_features(manifold.grid(point.patch_id), point.u, point.v, convention)
+    f = point_features(manifold.grid(point.patch_id), point.u, point.v)
     if f.degenerate:
         raise DegenerateMetric(f.det_g, point)
     return f

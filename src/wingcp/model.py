@@ -108,13 +108,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.active = tuple(sorted(self.active))
+        active = self.active
+        ids = isinstance(active, (list, tuple)) and all(type(z) is int and z in GROUP_IDS for z in active)
+        if not ids or not active or len(set(active)) < len(active):
+            raise ConfigError(f"active groups must be a nonempty list of distinct group ids {GROUP_IDS}, got {active!r}")
+        self.active = tuple(sorted(active))
         if self.arch not in ("fusion", "concat"):
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.neighbor_mode not in ("9-point", "1-point"):
             raise ConfigError(f"unknown neighbor mode {self.neighbor_mode!r}")
-        if not self.active or any(z not in GROUP_IDS for z in self.active):
-            raise ConfigError(f"active groups must be a nonempty subset of {GROUP_IDS}")
         check_int(self.k_outputs, "k_outputs", 1)
         check_int(self.seed, "seed", 0)
         slope = self.leaky_slope
@@ -142,7 +144,6 @@ class ModelConfig:
         d["nets"] = {groups[str(z)]: NetSpec.from_dict(spec) for z, spec in d["nets"].items()}
         d["context"] = NetSpec.from_dict(d["context"])
         d["concat"] = NetSpec.from_dict(d["concat"])
-        d["active"] = tuple(d["active"])
         return cls(**d)
 
 

@@ -6,8 +6,8 @@ monomials u^p v^q. Conversion to the Bernstein basis is exact:
     u^p = sum_{a>=p} C(a,p)/C(m,p) B_{a,m}(u)
 
 so a degree-(m, n) grid reproduces any polynomial with deg_u <= m and
-deg_v <= n to machine precision. These builders back the test
-geometries and the synthetic wing generator.
+deg_v <= n to machine precision. These builders back the synthetic
+wing generator; the test suite builds its canned surfaces with them.
 """
 
 import math
@@ -48,44 +48,6 @@ def surface_from_polynomials(cx, cy, cz, m: int, n: int, patch_id: str = "poly")
         axis=-1,
     )
     return ControlGrid(patch_id, pts)
-
-
-def graph_surface_grid(f_coeffs, m: int, n: int, patch_id: str = "graph") -> ControlGrid:
-    """Exact grid for the graph surface F = (u, v, f(u,v))."""
-    cu = np.array([[0.0], [1.0]])  # u
-    cv = np.array([[0.0, 1.0]])  # v
-    return surface_from_polynomials(cu, cv, f_coeffs, m, n, patch_id)
-
-
-def flat_grid(m: int = 1, n: int = 1, patch_id: str = "flat") -> ControlGrid:
-    """Unit square in the z=0 plane, P_ab = (a/m, b/n, 0)."""
-    a = np.arange(m + 1) / m
-    b = np.arange(n + 1) / n
-    pts = np.zeros((m + 1, n + 1, 3))
-    pts[:, :, 0] = a[:, None]
-    pts[:, :, 1] = b[None, :]
-    return ControlGrid(patch_id, pts)
-
-
-def affine_grid(origin, eu, ev, m: int = 2, n: int = 2, patch_id: str = "plane") -> ControlGrid:
-    """Affinely parametrized planar patch F = origin + u*eu + v*ev.
-
-    Control points sit on a regular lattice, so all second and higher
-    derivatives vanish identically.
-    """
-    origin = np.asarray(origin, dtype=float)
-    eu = np.asarray(eu, dtype=float)
-    ev = np.asarray(ev, dtype=float)
-    a = (np.arange(m + 1) / m)[:, None, None]
-    b = (np.arange(n + 1) / n)[None, :, None]
-    pts = origin[None, None, :] + a * eu[None, None, :] + b * ev[None, None, :]
-    return ControlGrid(patch_id, pts)
-
-
-def paraboloid_grid(patch_id: str = "paraboloid") -> ControlGrid:
-    """Degree-(2,2) grid exactly representing F = (u, v, u^2 + v^2)."""
-    f = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    return graph_surface_grid(f, 2, 2, patch_id)
 
 
 def poly_substitute_affine_v(coeffs, a: float, b: float) -> np.ndarray:

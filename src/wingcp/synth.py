@@ -20,7 +20,7 @@ from .bezier import PiecewiseManifold, SurfacePoint, save_control_grids
 from .data import Samples, save_samples
 from .errors import ConfigError, DegenerateMetric, check_int
 from .files import write_json
-from .geometry import point_features
+from .geometry import DEFAULT_CONVENTION, point_features
 from .shapes import poly_substitute_affine_v, surface_from_polynomials
 
 __all__ = ["SynthConfig", "SynthResult", "generate_synthetic", "cp_formula", "CP_FORMULA_TEXT"]
@@ -171,7 +171,7 @@ def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
         k, v = _locate(cfg, w)
         pid = grids[k].patch_id
         manifold.assert_ready(pid)
-        f = point_features(manifold.grid(pid), chord_us, v, "standard")
+        f = point_features(manifold.grid(pid), chord_us, v)
         if f.degenerate.any():
             i = int(np.argmax(f.degenerate))
             raise DegenerateMetric(f.det_g[i], SurfacePoint(pid, float(chord_us[i]), v))
@@ -194,7 +194,7 @@ def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
         "formula": CP_FORMULA_TEXT,
         "coefficients": dict(cfg.coefficients),
         "noise_sigma": cfg.noise_sigma,
-        "convention": "standard",
+        "convention": DEFAULT_CONVENTION,
         "flight_condition": {"Ma": cfg.ma, "Re": cfg.reynolds},
         "aoa_set": list(cfg.aoa_set),
         "station_span_fractions": station_ws,

@@ -1,7 +1,8 @@
 import pytest
 
+from oracles import flat_grid, paraboloid_grid
+
 from wingcp.bezier import PiecewiseManifold
-from wingcp.shapes import flat_grid, paraboloid_grid
 
 
 @pytest.fixture

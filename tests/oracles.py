@@ -36,6 +36,7 @@ from wingcp.bezier import ControlGrid, SurfacePoint, bernstein_row, eval_patch
 from wingcp.data import TensorBatch
 from wingcp.errors import DegenerateMetric, StencilOutOfPatch, TrainingDiverged
 from wingcp.model import loss_mse
+from wingcp.shapes import surface_from_polynomials
 
 # ---------------------------------------------------------------------------
 # de Casteljau evaluation and finite-difference jets
@@ -184,6 +185,50 @@ def mono_partial(coeffs, du, dv):
 
 
 # ---------------------------------------------------------------------------
+# Canned test surfaces (inputs, not references: graph surfaces use the
+# package's exact monomial-to-Bezier conversion)
+# ---------------------------------------------------------------------------
+
+
+def graph_surface_grid(f_coeffs, m: int, n: int, patch_id: str = "graph") -> ControlGrid:
+    """Exact grid for the graph surface F = (u, v, f(u,v))."""
+    cu = np.array([[0.0], [1.0]])  # u
+    cv = np.array([[0.0, 1.0]])  # v
+    return surface_from_polynomials(cu, cv, f_coeffs, m, n, patch_id)
+
+
+def flat_grid(m: int = 1, n: int = 1, patch_id: str = "flat") -> ControlGrid:
+    """Unit square in the z=0 plane, P_ab = (a/m, b/n, 0)."""
+    a = np.arange(m + 1) / m
+    b = np.arange(n + 1) / n
+    pts = np.zeros((m + 1, n + 1, 3))
+    pts[:, :, 0] = a[:, None]
+    pts[:, :, 1] = b[None, :]
+    return ControlGrid(patch_id, pts)
+
+
+def affine_grid(origin, eu, ev, m: int = 2, n: int = 2, patch_id: str = "plane") -> ControlGrid:
+    """Affinely parametrized planar patch F = origin + u*eu + v*ev.
+
+    Control points sit on a regular lattice, so all second and higher
+    derivatives vanish identically.
+    """
+    origin = np.asarray(origin, dtype=float)
+    eu = np.asarray(eu, dtype=float)
+    ev = np.asarray(ev, dtype=float)
+    a = (np.arange(m + 1) / m)[:, None, None]
+    b = (np.arange(n + 1) / n)[None, :, None]
+    pts = origin[None, None, :] + a * eu[None, None, :] + b * ev[None, None, :]
+    return ControlGrid(patch_id, pts)
+
+
+def paraboloid_grid(patch_id: str = "paraboloid") -> ControlGrid:
+    """Degree-(2,2) grid exactly representing F = (u, v, u^2 + v^2)."""
+    f = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return graph_surface_grid(f, 2, 2, patch_id)
+
+
+# ---------------------------------------------------------------------------
 # Closed-form features of a graph surface F = (u, v, f(u, v))
 # ---------------------------------------------------------------------------
 
@@ -296,13 +341,13 @@ def loop_riemann_tensor(gamma, dgamma):
     return riem
 
 
-def loop_contract(riem, g_inv, convention):
-    """Ricci tensor and scalar; each convention summed as its own index pattern."""
+def loop_contract(riem, g_inv):
+    """Ricci tensor R_ij = sum_k R^k_ikj and scalar S = g^ij R_ij, one term at a time."""
     ricci = np.zeros((2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                ricci[i, j] += riem[k, i, k, j] if convention == "standard" else riem[k, k, i, j]
+                ricci[i, j] += riem[k, i, k, j]
     scalar = sum(g_inv[i, j] * ricci[i, j] for i in range(2) for j in range(2))
     return ricci, float(scalar)
 
@@ -326,12 +371,16 @@ def _mp_partial(ctrl_mp, u, v, p, q):
 
 
 def mp_gauss_curvature(ctrl, u, v, dps=50):
-    """(R[s][i][j][k], S, scale) at one point, by the Gauss equation in dps-digit arithmetic.
+    """(R[s][i][j][k], S, scale, s_unit) at one point, by the Gauss equation in dps-digit arithmetic.
 
     R^s_ijk = g^sl (h_lj h_ik - h_li h_jk) with h_ij = <d_i d_j F, N> and
-    N = (F_u x F_v) / sqrt(det g); S = 2K = 2 (h_11 h_22 - h_12^2) / det g,
-    the standard convention. ``scale`` is the curvature scale
-    (|h_11| + |h_12| + |h_22|)^2 / det g. Only the results are rounded to float.
+    N = (F_u x F_v) / sqrt(det g); S = 2K = 2 (h_11 h_22 - h_12^2) / det g.
+    ``scale`` is the curvature scale (|h_11| + |h_12| + |h_22|)^2 / det g.
+    ``s_unit`` is (|h_11| + |h_12| + |h_22|)(|F_uu| + |F_uv| + |F_vv|) / det g,
+    the unit a float64 S can meet: each h_ij = <F_ij, N> is resolved only to
+    rounding error times |F_ij|, which the curvature scale does not allow
+    for when the second derivatives lie nearly in the tangent plane. Only
+    the results are rounded to float.
     """
     with mp.workdps(dps):
         net = [[[mpf(float(c)) for c in pt] for pt in row] for row in np.asarray(ctrl, dtype=float)]
@@ -351,8 +400,9 @@ def mp_gauss_curvature(ctrl, u, v, dps=50):
             terms = (g_inv[s][l] * (h[l][j] * h[i][k] - h[l][i] * h[j][k]) for l in range(2))
             riem[s, i, j, k] = float(sum(terms))
         scalar = 2 * (h[0][0] * h[1][1] - h[0][1] * h[1][0]) / det
-        scale = (abs(h[0][0]) + abs(h[0][1]) + abs(h[1][1])) ** 2 / det
-        return riem, float(scalar), float(scale)
+        h_sum = abs(h[0][0]) + abs(h[0][1]) + abs(h[1][1])
+        f2_sum = sum(mp.sqrt(dot(f2[i][j], f2[i][j])) for i, j in ((0, 0), (0, 1), (1, 1)))
+        return riem, float(scalar), float(h_sum**2 / det), float(h_sum * f2_sum / det)
 
 
 def curvature_scale(jet_):
@@ -518,7 +568,7 @@ def scalar_stencil(points, center, d):
     return pts, (cw or cn, cn, ce or cn, cw, ce, cw or cs, cs, ce or cs)
 
 
-def loop_point_features(points, point, convention):
+def loop_point_features(points, point):
     """(position, g, gamma, S) at one point from scalar_jet and the index-loop chain.
 
     Raises DegenerateMetric(det, point) where the package's tolerance calls g singular.
@@ -530,7 +580,7 @@ def loop_point_features(points, point, convention):
     if det <= 1e-12 * tr * tr:
         raise DegenerateMetric(det, point)
     gamma, dgamma = loop_christoffel(j)
-    _, scalar = loop_contract(loop_riemann_tensor(gamma, dgamma), _inverse_2x2(g), convention)
+    _, scalar = loop_contract(loop_riemann_tensor(gamma, dgamma), _inverse_2x2(g))
     return j[0, 0], g, gamma, scalar
 
 
@@ -539,7 +589,7 @@ def sample_points(samples):
     return [SurfacePoint(*row) for row in zip(samples.patch_id.tolist(), samples.u.tolist(), samples.v.tolist())]
 
 
-def loop_assemble(manifold, samples, d, convention="standard"):
+def loop_assemble(manifold, samples, d):
     """One sample at a time: stencil, then the chain at each of its nine points.
 
     Returns (kept, dropped, uv (k, 9, 2), pos (k, 9, 3), g (k, 9, 2, 2),
@@ -551,7 +601,7 @@ def loop_assemble(manifold, samples, d, convention="standard"):
         points = manifold.grid(center.patch_id).points
         try:
             stencil, _ = scalar_stencil(points, center, d)
-            feats = [loop_point_features(points, p, convention) for p in stencil]
+            feats = [loop_point_features(points, p) for p in stencil]
         except (DegenerateMetric, StencilOutOfPatch) as exc:
             dropped.append((idx, f"{type(exc).__name__}: {exc}"))
             continue

@@ -14,12 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import fd_jet, fd_model_gradients, graph_surface_features, rel_err
+from oracles import (
+    affine_grid, fd_jet, fd_model_gradients, graph_surface_features, graph_surface_grid, paraboloid_grid, rel_err,
+)
 
 import wingcp
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from wingcp.data import assemble, fit_normalizer, fold_split
-from wingcp.geometry import feature_bundle
+from wingcp.geometry import _inverse, feature_bundle, metric, riemann_tensor
 from wingcp.model import (
     AdamState,
     FlatParams,
@@ -31,7 +33,6 @@ from wingcp.model import (
     train,
 )
 from wingcp.report import reduction
-from wingcp.shapes import affine_grid, graph_surface_grid, paraboloid_grid
 from wingcp.stencil import NEIGHBOR_SLOTS, build_stencil
 from wingcp.synth import SynthConfig, generate_synthetic
 
@@ -94,8 +95,9 @@ def test_flat_manifold_annihilation():
         pid = ids[int(rng.integers(0, 3))]
         u, v = rng.uniform(0.0, 1.0, 2)
         f = feature_bundle(manifold, SurfacePoint(pid, u, v))
+        j = jet(manifold.grid(pid), u, v)
         assert np.max(np.abs(f.gamma)) <= 1e-10
-        assert np.max(np.abs(f.riemann)) <= 1e-10
+        assert np.max(np.abs(riemann_tensor(j, *_inverse(metric(j)[0])))) <= 1e-10
         assert abs(f.scalar) <= 1e-10
 
 

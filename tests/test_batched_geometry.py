@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     elevate_degree,
+    flat_grid,
     loop_assemble,
     rel_err,
     sample_points,
@@ -33,7 +34,6 @@ import wingcp.stencil as stencil
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, eval_patch
 from wingcp.data import Samples, _csv_field, assemble
 from wingcp.errors import StencilOutOfPatch
-from wingcp.shapes import flat_grid
 from wingcp.stencil import AXIAL, build_stencil, calibrate_offset, stencil_points
 from wingcp.synth import SynthConfig, generate_synthetic
 
@@ -233,9 +233,9 @@ def _axial_chords(grid, uv):
     return np.linalg.norm(pos[:, [5, 3, 1, 7]] - pos[:, 4:5], axis=-1)
 
 
-def _assert_matches_loop_assembly(manifold, samples, d, convention="standard"):
-    result = assemble(manifold, samples, d=d, convention=convention, max_drop_fraction=1.0)
-    kept, dropped, uv, pos, g, gamma, scalar = loop_assemble(manifold, samples, d, convention)
+def _assert_matches_loop_assembly(manifold, samples, d):
+    result = assemble(manifold, samples, d=d, max_drop_fraction=1.0)
+    kept, dropped, uv, pos, g, gamma, scalar = loop_assemble(manifold, samples, d)
     assert result.kept == kept
     assert result.dropped == dropped
     assert result.uv.tobytes() == uv.tobytes()
@@ -252,10 +252,9 @@ def _assert_matches_loop_assembly(manifold, samples, d, convention="standard"):
 
 
 class TestAssembleAgainstPerSampleLoop:
-    @pytest.mark.parametrize("convention", ["standard", "first-index"])
-    def test_default_wing(self, convention):
+    def test_default_wing(self):
         wing = generate_synthetic(SynthConfig(seed=7, aoa_set=(0.0,)))
-        result = _assert_matches_loop_assembly(wing.manifold, wing.samples, 0.005, convention)
+        result = _assert_matches_loop_assembly(wing.manifold, wing.samples, 0.005)
         assert len(result.kept) == 120 and result.counts["clamped_stencils"] == 40
 
     def test_general_patches(self):

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    affine_grid,
     brute_force_close_pairs,
     eval_surface_dc,
+    flat_grid,
+    paraboloid_grid,
     svd_check_patch,
     svd_jacobians,
     svd_singular_values,
@@ -30,7 +33,7 @@ from wingcp.bezier import (
     save_control_grids,
 )
 from wingcp.errors import InvalidPatch, SampleParseError
-from wingcp.shapes import flat_grid, paraboloid_grid, surface_from_polynomials
+from wingcp.shapes import surface_from_polynomials
 from wingcp.synth import SynthConfig, _build_patches
 
 # closed-form margin against LAPACK's, in units of the node's largest singular value
@@ -388,8 +391,6 @@ class TestManifold:
         assert m.invalid_patches() == ["deg"]
 
     def test_seam_detection(self):
-        from wingcp.shapes import affine_grid
-
         a = affine_grid([0, 0, 0], [1, 0, 0], [0, 1, 0], m=2, n=2, patch_id="a")
         b = affine_grid([0, 1, 0], [1, 0, 0], [0, 1, 0], m=2, n=2, patch_id="b")
         m = PiecewiseManifold([a, b])

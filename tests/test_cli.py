@@ -1,8 +1,11 @@
+import argparse
 import builtins
 import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -68,6 +71,14 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as e:
             main(["extract", "--manifold", "m", "--samples", "s", "--d", "0.5", "--out", str(tmp_path)])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("command", ["extract", "crossval"])
+    def test_convention_flag_is_gone(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--manifold", "m", "--samples", "s", "--convention", "standard", "--out", str(tmp_path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wingcp ") and "unrecognized arguments: --convention" in err
 
     def test_every_subcommand_has_help(self, capsys):
         for cmd in ("synth", "check-geometry", "extract", "train", "crossval", "eval", "predict", "report"):
@@ -309,6 +320,23 @@ class TestTrainEvalPredictCli:
             pred_rows = list(csv.DictReader(fh))
         assert len(pred_rows) == 24
 
+    def test_summary_without_validation_rows_is_strict_json(self, tmp_path):
+        """One sample per AoA group leaves no validation rows: final_val_mse is null, not NaN."""
+        conf = tmp_path / "one.conf"
+        conf.write_text("stations = 1\npoints_per_section = 1\nepochs = 2\n")
+        data, features, run = (str(tmp_path / name) for name in ("data", "features", "run"))
+        assert main(["synth", "--config", str(conf), "--out", data]) == 0
+        assert main(["extract", "--manifold", f"{data}/manifold.csv", "--samples", f"{data}/samples.csv",
+                     "--out", features]) == 0
+        assert main(["train", "--features", features, "--model", "mtl", "--config", str(conf), "--out", run]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads((tmp_path / "run" / "train_summary.json").read_text(), parse_constant=no_constant)
+        assert summary["n_val"] == 0 and summary["n_train"] == 9
+        assert summary["final_val_mse"] is None and np.isfinite(summary["final_train_mse"])
+
     def test_weight_log_written_when_requested(self, features_dir, tmp_path):
         conf = tmp_path / "probe.conf"
         conf.write_text("epochs = 3\nprobe_points = 2\n")
@@ -531,10 +559,17 @@ def _non_utf8(path):
     path.write_bytes(data[:cut] + b"\xff" + data[cut:])
 
 
-def _n_samples_plus_one(path):
-    manifest = json.loads(path.read_text())
-    manifest["n_samples"] += 1
-    path.write_text(json.dumps(manifest))
+def _manifest_json(change):
+    """A cache edit: apply ``change`` to the parsed manifest.json."""
+    def edit(path):
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+_FIRST_INDEX = _manifest_json(lambda m: m.update(convention="first-index"))
+_NO_CONVENTION = _manifest_json(lambda m: m.pop("convention"))
 
 
 # (file edited, edit); the error names the file. train reads the arrays, eval also meta.csv.
@@ -545,7 +580,10 @@ BAD_FEATURE_CACHES = [
     pytest.param("x1.npy", _npy(lambda x: x.astype(np.float32)), id="x1.npy-float32"),
     pytest.param("y.npy", _npy(lambda x: x.astype(object)), id="y.npy-object-dtype"),
     pytest.param("x5.npy", _npy(_first_nan), id="x5.npy-nan"),
-    pytest.param("manifest.json", _n_samples_plus_one, id="manifest.json-n_samples-off"),
+    pytest.param("manifest.json", _manifest_json(lambda m: m.update(n_samples=m["n_samples"] + 1)),
+                 id="manifest.json-n_samples-off"),
+    pytest.param("manifest.json", _FIRST_INDEX, id="manifest.json-first-index"),
+    pytest.param("manifest.json", _NO_CONVENTION, id="manifest.json-no-convention"),
     pytest.param("manifest.json", lambda path: path.write_text("[]"), id="manifest.json-not-an-object"),
     ("meta.csv", lambda path: _edit_rows(path, lambda rows: rows[:-1])),
     ("meta.csv", lambda path: _edit_rows(path, lambda rows: [r[:-1] for r in rows])),  # no cp column
@@ -576,6 +614,22 @@ class TestFeatureCacheRejected:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("change", [_FIRST_INDEX, _NO_CONVENTION], ids=["first-index", "no-convention"])
+    def test_convention_refused_by_inference(self, every_command, tmp_path, capsys, command, change):
+        """S has one sign; a cache that records another, or none, is refused before a checkpoint is matched."""
+        _, features = every_command["extract"]
+        _, run = every_command["train"]
+        cache = tmp_path / "cache"
+        shutil.copytree(features, cache)
+        change(cache / "manifest.json")
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", f"{run}/checkpoint", "--features", str(cache),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cache}/manifest.json: convention ")
 
 
 @pytest.fixture(scope="module")
@@ -667,13 +721,10 @@ def test_crossval_on_empty_sample_file_exits_one(synth_dir, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def other_caches(every_command):
-    """Caches of the tiny data at d = 0.01 and with the first-index convention."""
+    """A cache of the tiny data at d = 0.01."""
     argv, features = every_command["extract"]
-    base = argv[: argv.index("--d")]
-    caches = {}
-    for name, extra in (("d0.01", ["--d", "0.01"]), ("first-index", ["--convention", "first-index"])):
-        caches[name] = f"{features}_{name}"
-        assert main([*base, *extra, "--out", caches[name]]) == 0
+    caches = {"d0.01": f"{features}_d0.01"}
+    assert main([*argv[: argv.index("--d")], "--d", "0.01", "--out", caches["d0.01"]]) == 0
     return caches
 
 
@@ -731,7 +782,8 @@ BAD_CHECKPOINTS = [
     ("infinite-weight", "eval", None, _weight(-np.inf), "weights.bin"),
     ("no-recorded-d", "predict", None, _model_json(lambda m: m["extra"].pop("d")), "d = None"),
     ("cache-d", "predict", "d0.01", lambda ckpt: None, "d = 0.01"),
-    ("cache-convention", "eval", "first-index", lambda ckpt: None, "convention = 'first-index'"),
+    ("cache-convention", "eval", None, _model_json(lambda m: m["extra"].update(convention="first-index")),
+     "convention = 'first-index'"),
     ("normalizer-without-mins", "predict", None, _model_json(lambda m: m["normalizer"].pop("mins")), "mins"),
     ("short-x3-mins", "eval", None, _model_json(lambda m: m["normalizer"]["mins"]["x3"].pop()), "mins.x3"),
     ("text-y-min", "predict", None, _model_json(lambda m: m["normalizer"].update(y_min="abc")), "y_min"),
@@ -754,6 +806,8 @@ BAD_CHECKPOINTS = [
      "widths"),
     ("one-number-kernel", "predict", None, _model_json(lambda m: m["config"]["nets"]["2"].update(kernel=3)),
      "kernel"),
+    ("int-active", "predict", None, _model_json(lambda m: m["config"].update(active=5)), "active"),
+    ("text-in-active", "predict", None, _model_json(lambda m: m["config"].update(active=[1, "a"])), "active"),
     ("bool-leaky-slope", "predict", None, _model_json(lambda m: m["config"].update(leaky_slope=True)),
      "leaky_slope"),
     ("model.json-not-utf8", "predict", None, lambda ckpt: _non_utf8(ckpt / "model.json"), "model.json"),
@@ -853,6 +907,14 @@ def _edited_copy(name, edit):
     return make
 
 
+def _degree_zero_patch(path):
+    """Keep only the a = 0 rows of the first patch: a patch of degree 0 along u."""
+    def change(rows):
+        first = rows[1][0]
+        return [rows[0]] + [r for r in rows[1:] if r[0] != first or r[1] == "0"]
+    _edit_rows(path, change)
+
+
 def _bad_config(tmp_path, given):
     path = tmp_path / "bad.conf"
     path.write_bytes(b"epochs = 2\n\xff\n")
@@ -876,6 +938,8 @@ UNREADABLE_INPUTS = [
     ("samples.csv-not-utf8", "extract", "--samples", _edited_copy("samples.csv", _non_utf8)),
     ("manifold.csv-not-utf8", "check-geometry", "--manifold", _edited_copy("manifold.csv", _non_utf8)),
     ("config-not-utf8", "check-geometry", "--config", _bad_config),
+    ("degree-0-patch", "check-geometry", "--manifold", _edited_copy("manifold.csv", _degree_zero_patch)),
+    ("degree-0-patch-extract", "extract", "--manifold", _edited_copy("manifold.csv", _degree_zero_patch)),
     ("samples-is-a-directory", "crossval", "--samples", _directory),
     ("features-is-a-file", "predict", "--features", _plain_file),
 ]
@@ -901,3 +965,28 @@ class TestUnreadableInputRejected:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestReadmeMatchesParser:
+    """README's flags and usage lines against the parser, so that no removed option lingers in the docs."""
+
+    def test_backticked_flags_are_options(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        known = {flag for parser in sub.choices.values() for a in parser._actions for flag in a.option_strings}
+        named = set(re.findall(r"`(--[a-z][a-z-]*)", _readme()))
+        assert "--d" in named and named <= known, sorted(named - known)
+
+    def test_usage_block_parses(self):
+        block = _readme().split("## Command-line pipeline", 1)[1].split("```")[1]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("wingcp ")]
+        assert len(lines) == 8
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line)[1:])

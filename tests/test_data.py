@@ -30,10 +30,10 @@ from wingcp.data import (
     train_val_split,
 )
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
-from wingcp.shapes import flat_grid, paraboloid_grid
 
 from oracles import (
-    loop_meta_rows, mask_normalize, pointwise_batch, sample_points, write_features_points_rows, write_meta_rows,
+    flat_grid, loop_meta_rows, mask_normalize, paraboloid_grid, pointwise_batch, sample_points,
+    write_features_points_rows, write_meta_rows,
 )
 from strategies import FINITE, PATCH_IDS, set_non_finite_field
 
@@ -190,8 +190,7 @@ class TestAssemble:
         for key, x in a.batch.groups().items():
             assert np.array_equal(x, b.batch.groups()[key])
 
-    @pytest.mark.parametrize("convention", ["standard", "first-index"])
-    def test_batch_is_bundles_stacked_in_slot_order(self, paraboloid_manifold, convention):
+    def test_batch_is_bundles_stacked_in_slot_order(self, paraboloid_manifold):
         from wingcp.geometry import feature_bundle
         from wingcp.stencil import build_stencil
         from wingcp.synth import SynthConfig, generate_synthetic
@@ -203,14 +202,14 @@ class TestAssemble:
             (wing.manifold, wing.samples),  # includes stencils clamped at patch seams
         ]
         for manifold, samples in cases:
-            result = assemble(manifold, samples, d=0.005, convention=convention)
+            result = assemble(manifold, samples, d=0.005)
             b = result.batch
             assert result.kept == list(range(len(samples))) and b.n == len(samples)
             for r, point in enumerate(sample_points(samples)):
                 assert b.x1[r].tolist() == [samples.ma[r], samples.aoa[r], samples.re[r]]
                 assert b.y[r] == samples.cp[r]
                 stencil = build_stencil(manifold, point, 0.005)
-                f = [feature_bundle(manifold, p, convention) for p in stencil.points]
+                f = [feature_bundle(manifold, p) for p in stencil.points]
                 stacked = {
                     "x2": np.stack([x.position for x in f])[None],
                     "x3": np.concatenate([x.g for x in f])[None],
@@ -440,7 +439,7 @@ def _save_batch(cache, batch):
     """``save_feature_cache`` of a batch with placeholder sample metadata."""
     samples = Samples.from_rows([sample_row("p", 0.5, 0.5)] * batch.n)
     result = AssembleResult(batch, samples, list(range(batch.n)), [], np.zeros((batch.n, 9, 2)), {})
-    save_feature_cache(cache, result, {"d": 0.005})
+    save_feature_cache(cache, result, {"d": 0.005, "convention": "standard"})
 
 
 class TestFeatureCache:

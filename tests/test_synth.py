@@ -49,7 +49,7 @@ class TestGenerator:
         coeffs = res.manifest["coefficients"]
         s = res.samples
         for point, aoa, span, cp in zip(sample_points(s), s.aoa.tolist(), s.span.tolist(), s.cp.tolist()):
-            bundle = feature_bundle(res.manifold, point, "standard")
+            bundle = feature_bundle(res.manifold, point)
             gnorm = float(np.sqrt(np.sum(bundle.gamma**2)))
             w = span / 100.0
             expected = cp_formula(coeffs, aoa, point.u, w, bundle.scalar, gnorm)
