@@ -80,6 +80,12 @@ class TestParserBasics:
         err = capsys.readouterr().err
         assert err.startswith("usage: wingcp ") and "unrecognized arguments: --convention" in err
 
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_model_choices_in_order(self, command):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        option = next(a for a in sub.choices[command]._actions if "--model" in a.option_strings)
+        assert tuple(option.choices) == ("rgfil", "mlp", "mtl", "mdf") and option.default == "rgfil"
+
     def test_every_subcommand_has_help(self, capsys):
         for cmd in ("synth", "check-geometry", "extract", "train", "crossval", "eval", "predict", "report"):
             with pytest.raises(SystemExit) as e:

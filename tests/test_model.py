@@ -466,6 +466,59 @@ class TestTrainOracles:
             assert a.tobytes() == b.tobytes()
 
 
+_DENSE16 = {"kind": "dense", "widths": (16, 16, 16), "channels": (4, 8, 16), "kernel": (2, 2)}
+_CONV = {"kind": "conv", "widths": (16, 16, 16), "channels": (4, 8, 16), "kernel": (2, 2)}
+_CONCAT = {"kind": "dense", "widths": (128,) * 6, "channels": (4, 8, 16), "kernel": (2, 2)}
+
+# preset(name).to_dict() of each preset, every field written out
+GOLDEN_PRESETS = {
+    "rgfil": {
+        "arch": "fusion",
+        "neighbor_mode": "9-point",
+        "active": (1, 2, 3, 4, 5),
+        "k_outputs": 8,
+        "nets": {1: _DENSE16, 2: _CONV, 3: _CONV, 4: _CONV, 5: _DENSE16},
+        "context": _DENSE16,
+        "concat": _CONCAT,
+        "leaky_slope": 0.01,
+        "seed": 0,
+    },
+    "mlp": {
+        "arch": "concat",
+        "neighbor_mode": "9-point",
+        "active": (1, 2, 3, 4, 5),
+        "k_outputs": 8,
+        "nets": {},
+        "context": _DENSE16,
+        "concat": _CONCAT,
+        "leaky_slope": 0.01,
+        "seed": 0,
+    },
+    "mtl": {
+        "arch": "fusion",
+        "neighbor_mode": "1-point",
+        "active": (1, 2),
+        "k_outputs": 8,
+        "nets": {1: _DENSE16, 2: _DENSE16},
+        "context": _DENSE16,
+        "concat": _CONCAT,
+        "leaky_slope": 0.01,
+        "seed": 0,
+    },
+    "mdf": {
+        "arch": "fusion",
+        "neighbor_mode": "1-point",
+        "active": (1, 2, 3, 4, 5),
+        "k_outputs": 8,
+        "nets": {1: _DENSE16, 2: _DENSE16, 3: _CONV, 4: _CONV, 5: _DENSE16},
+        "context": {"kind": "dense", "widths": (32, 32, 32), "channels": (4, 8, 16), "kernel": (2, 2)},
+        "concat": _CONCAT,
+        "leaky_slope": 0.01,
+        "seed": 0,
+    },
+}
+
+
 class TestPresets:
     def test_rgfil_topology(self):
         cfg = preset("rgfil")
@@ -494,6 +547,11 @@ class TestPresets:
         cfg = preset("mlp")
         assert cfg.arch == "concat"
         assert cfg.concat.widths == (128,) * 6
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PRESETS))
+    def test_full_config_pinned(self, name):
+        # repr pins key order and tuple types too: model.json writes the config in this order
+        assert repr(preset(name).to_dict()) == repr(GOLDEN_PRESETS[name])
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
