@@ -44,6 +44,7 @@ from .errors import ConfigError, WingcpError, check_int
 from .files import read_json, read_text, write_json, write_rows
 from .geometry import DEFAULT_CONVENTION
 from .model import (
+    PRESETS,
     ModelConfig,
     TrainConfig,
     build_model,
@@ -57,7 +58,6 @@ from .report import EvalReport, error_map
 from .synth import SynthConfig, generate_synthetic
 
 D_CHOICES = (0.01, 0.005, 0.001)
-MODEL_CHOICES = ("rgfil", "mlp", "mtl", "mdf")
 
 
 def _parse_bool(s):
@@ -251,10 +251,9 @@ def _train_once(prepared: _Prepared, model_name, cfg, seed, outdir, fold_note, s
     ``settings`` holds the feature-cache settings (``_CACHE_KEYS``) that
     the checkpoint records.
     """
-    model, n_probe = prepared.model, cfg.get("probe_points", 0)
-    probes = (
-        np.unique(np.linspace(0, prepared.train_idx.size - 1, n_probe).astype(int)) if n_probe > 0 else ()
-    )
+    model, n_probe, n = prepared.model, cfg.get("probe_points", 0), prepared.train_idx.size
+    # at most one probe per training row: every row is a probe once probe_points reaches n
+    probes = np.unique(np.linspace(0, n - 1, min(n_probe, n)).astype(int)) if n_probe > 0 else ()
     result = train(model, prepared.data, prepared.val, prepared.train_cfg, probe_indices=probes)
 
     os.makedirs(outdir, exist_ok=True)
@@ -263,7 +262,7 @@ def _train_once(prepared: _Prepared, model_name, cfg, seed, outdir, fold_note, s
         model,
         prepared.normalizer,
         extra={
-            "model": model_name, "seed": seed, "fold": fold_note, "epochs": result.epochs_run, **settings
+            "model": model_name, "seed": seed, "fold": fold_note, "epochs": prepared.train_cfg.epochs, **settings
         },
     )
     _write_losses(os.path.join(outdir, "losses.csv"), result)
@@ -509,13 +508,13 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one model on a feature cache")
     p.add_argument("--features", required=True, help="feature cache directory (from extract)")
-    p.add_argument("--model", choices=MODEL_CHOICES, default="rgfil")
+    p.add_argument("--model", choices=tuple(PRESETS), default="rgfil")
     common(p)
 
     p = sub.add_parser("crossval", help="leave-one-AoA-out cross-validation")
     p.add_argument("--manifold", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--model", choices=MODEL_CHOICES, default="rgfil")
+    p.add_argument("--model", choices=tuple(PRESETS), default="rgfil")
     p.add_argument("--d", type=float, choices=D_CHOICES, default=0.005)
     common(p)
 

@@ -10,6 +10,10 @@ prediction for a sample is the dot product
 where c is the context network's (A*K)-wide raw weight vector (no
 normalization is applied to it). A plain concatenation baseline maps
 the flattened groups through a single dense stack to one output.
+The four model presets (rgfil, and the mlp, mtl and mdf baselines it is
+compared with) are defined once, as the entries of ``PRESETS``:
+``preset`` builds a config from it and ``wingcp --model`` takes its
+choices from it.
 From construction, a model's parameter arrays are views of one flat
 float64 buffer, ``model.params.flat``, which the Adam step updates in
 place and a checkpoint's ``weights.bin`` holds byte for byte.
@@ -35,7 +39,7 @@ and for the one known exception).
 
 import math
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
     "ModelConfig",
     "TrainConfig",
     "TrainResult",
+    "PRESETS",
     "preset",
     "input_shapes",
     "build_model",
@@ -102,7 +107,7 @@ class ModelConfig:
     active: tuple = (1, 2, 3, 4, 5)
     k_outputs: int = 8
     nets: dict = field(default_factory=dict)  # group id -> NetSpec
-    context: NetSpec = field(default_factory=lambda: NetSpec("dense", widths=(16, 16, 16)))
+    context: NetSpec = field(default_factory=lambda: NetSpec("dense"))
     concat: NetSpec = field(default_factory=lambda: NetSpec("dense", widths=(128,) * 6))
     leaky_slope: float = 0.01
     seed: int = 0
@@ -147,67 +152,45 @@ class ModelConfig:
         return cls(**d)
 
 
-_DENSE16 = lambda: NetSpec("dense", widths=(16, 16, 16))
-_CONV = lambda: NetSpec("conv", channels=(4, 8, 16))
+def _nets(active, conv=()):
+    """A NetSpec per active group: a conv stack for the groups in ``conv``, a dense one for the others."""
+    return {z: NetSpec("conv" if z in conv else "dense") for z in active}
+
+
+# The model presets selectable with --model, in the CLI's order; each states what differs from the defaults.
+PRESETS = {
+    "rgfil": lambda: ModelConfig(nets=_nets(GROUP_IDS, conv=(2, 3, 4))),
+    "mlp": lambda: ModelConfig(arch="concat"),
+    "mtl": lambda: ModelConfig(neighbor_mode="1-point", active=(1, 2), nets=_nets((1, 2))),
+    "mdf": lambda: ModelConfig(
+        neighbor_mode="1-point", nets=_nets(GROUP_IDS, conv=(3, 4)), context=NetSpec("dense", widths=(32, 32, 32))
+    ),
+}
 
 
 def preset(name: str, **overrides) -> ModelConfig:
-    """Named model presets selectable from the command line.
+    """The config of a preset of :data:`PRESETS`, with ``overrides`` of its ModelConfig fields.
 
     rgfil  fusion over all five groups with 9-point stencil features and
            conv stacks on x2/x3/x4
-    mdf    fusion over all five groups at the center point only
-    mtl    fusion over flight conditions + coordinates only
     mlp    plain dense stack over the concatenated 9-point features
+    mtl    fusion over flight conditions + coordinates only
+    mdf    fusion over all five groups at the center point only, conv
+           stacks on x3/x4
     """
-    if name == "rgfil":
-        cfg = ModelConfig(
-            arch="fusion",
-            neighbor_mode="9-point",
-            active=(1, 2, 3, 4, 5),
-            nets={1: _DENSE16(), 2: _CONV(), 3: _CONV(), 4: _CONV(), 5: _DENSE16()},
-            context=_DENSE16(),
-        )
-    elif name == "mdf":
-        cfg = ModelConfig(
-            arch="fusion",
-            neighbor_mode="1-point",
-            active=(1, 2, 3, 4, 5),
-            nets={1: _DENSE16(), 2: _DENSE16(), 3: _CONV(), 4: _CONV(), 5: _DENSE16()},
-            context=NetSpec("dense", widths=(32, 32, 32)),
-        )
-    elif name == "mtl":
-        cfg = ModelConfig(
-            arch="fusion",
-            neighbor_mode="1-point",
-            active=(1, 2),
-            nets={1: _DENSE16(), 2: _DENSE16()},
-            context=_DENSE16(),
-        )
-    elif name == "mlp":
-        cfg = ModelConfig(
-            arch="concat",
-            neighbor_mode="9-point",
-            active=(1, 2, 3, 4, 5),
-            concat=NetSpec("dense", widths=(128,) * 6),
-        )
-    else:
+    if name not in PRESETS:
         raise ConfigError(f"unknown model preset {name!r}")
     valid = {f.name for f in fields(ModelConfig)}
-    for key, val in overrides.items():
+    for key in overrides:
         if key not in valid:
             raise ConfigError(f"unknown ModelConfig field {key!r}")
-        setattr(cfg, key, val)
-    cfg.__post_init__()
-    return cfg
+    return replace(PRESETS[name](), **overrides)
 
 
 def input_shapes(neighbor_mode: str) -> dict:
     """Per-group feature shapes (without the batch axis) for a mode, keyed by group id."""
-    layouts = {"9-point": GROUP_SHAPES, "1-point": POINTWISE_SHAPES}
-    if neighbor_mode not in layouts:
-        raise ConfigError(f"unknown neighbor mode {neighbor_mode!r}")
-    return {z: layouts[neighbor_mode][f"x{z}"] for z in GROUP_IDS}
+    layout = {"9-point": GROUP_SHAPES, "1-point": POINTWISE_SHAPES}[neighbor_mode]
+    return {z: layout[f"x{z}"] for z in GROUP_IDS}
 
 
 def _build_stack(spec: NetSpec, in_shape, out_dim, slope) -> Stack:
@@ -300,17 +283,13 @@ class FusionModel(_Model):
     """Function networks ``f1``..``f5`` fused by weights from the ``context`` network."""
 
     def __init__(self, config: ModelConfig):
-        if config.arch != "fusion":
-            raise ConfigError("FusionModel requires arch='fusion'")
         shapes = input_shapes(config.neighbor_mode)
-        stacks = {}
-        for z in config.active:
-            spec = config.nets.get(z, _DENSE16())
-            stacks[f"f{z}"] = _build_stack(spec, shapes[z], config.k_outputs, config.leaky_slope)
+        specs = {z: config.nets.get(z, NetSpec("dense")) for z in config.active}
+        slope = config.leaky_slope
+        stacks = {f"f{z}": _build_stack(spec, shapes[z], config.k_outputs, slope) for z, spec in specs.items()}
         xi_dim = sum(int(np.prod(shapes[z])) for z in config.active)
-        stacks["context"] = dense_stack(xi_dim, config.context.widths, config.context_width, config.leaky_slope)
-        groups = [(shapes[z], config.nets.get(z, _DENSE16()).kind == "conv") for z in config.active]
-        super().__init__(config, stacks, groups)
+        stacks["context"] = dense_stack(xi_dim, config.context.widths, config.context_width, slope)
+        super().__init__(config, stacks, [(shapes[z], spec.kind == "conv") for z, spec in specs.items()])
 
     def _forward(self, inputs, keep=False):
         """yhat, the context weights c, and (f_all, c, per-stack caches) for backward (None caches unless ``keep``)."""
@@ -339,8 +318,6 @@ class ConcatModel(_Model):
     """Single dense stack, ``concat``, over the concatenated flattened feature groups."""
 
     def __init__(self, config: ModelConfig):
-        if config.arch != "concat":
-            raise ConfigError("ConcatModel requires arch='concat'")
         shapes = input_shapes(config.neighbor_mode)
         in_dim = sum(int(np.prod(shapes[z])) for z in config.active)
         stack = dense_stack(in_dim, config.concat.widths, 1, config.leaky_slope)
@@ -492,7 +469,6 @@ class TrainResult:
     train_curve: np.ndarray  # per-epoch MSE on the training set
     val_curve: np.ndarray  # per-epoch MSE on the validation set (NaN if none)
     weight_log: np.ndarray | None  # (epochs, n_probes, A*K) context weights
-    epochs_run: int
 
     @property
     def final_train_mse(self):
@@ -535,12 +511,7 @@ def train(model, data, val=None, cfg: TrainConfig | None = None, probe_indices=(
                 raise TrainingDiverged("training loss became non-finite")
         except TrainingDiverged as exc:
             np.copyto(params.flat, last_good.flat)
-            raise TrainingDiverged(
-                f"{exc} (epoch {epoch})",
-                last_good=last_good,
-                train_curve=np.array(train_curve),
-                val_curve=np.array(val_curve),
-            ) from None
+            raise TrainingDiverged(f"{exc} (epoch {epoch})", last_good=last_good) from None
 
         val_mse = loss_mse(model.forward(val), val[-1]) if val is not None else float("nan")
         train_curve.append(train_mse)
@@ -554,7 +525,6 @@ def train(model, data, val=None, cfg: TrainConfig | None = None, probe_indices=(
         train_curve=np.array(train_curve),
         val_curve=np.array(val_curve),
         weight_log=np.stack(weight_frames) if weight_frames else None,
-        epochs_run=cfg.epochs,
     )
 
 
