@@ -339,9 +339,6 @@ class PiecewiseManifold:
     def patch_ids(self):
         return list(self._grids)
 
-    def __contains__(self, patch_id):
-        return patch_id in self._grids
-
     def grid(self, patch_id) -> ControlGrid:
         try:
             return self._grids[patch_id]

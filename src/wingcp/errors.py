@@ -50,14 +50,11 @@ class AssemblyError(WingcpError):
 class TrainingDiverged(WingcpError):
     """Loss or gradients became non-finite during training.
 
-    ``last_good`` holds a copy of the last finite parameter set,
-    ``train_curve``/``val_curve`` the losses recorded up to the abort.
+    ``last_good`` holds a copy of the last finite parameter set.
     """
 
-    def __init__(self, message, last_good=None, train_curve=None, val_curve=None):
+    def __init__(self, message, last_good=None):
         self.last_good = last_good
-        self.train_curve = train_curve
-        self.val_curve = val_curve
         super().__init__(message)
 
 
