@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -95,6 +96,14 @@ class TestParserBasics:
             assert "--out" in out and "--seed" in out
 
 
+def _run_child(argv, **kwargs):
+    """``wingcp argv`` in a child Python process that imports this package's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingcp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "wingcp.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, **kwargs)
+
+
 def _outputs(root):
     """Every file under ``root`` with ``root`` masked in its text, by relative path; no elapsed time in run_manifest.json."""
     out = {}
@@ -140,11 +149,9 @@ def test_parser_reuse_leaks_nothing_between_calls(synth_dir, tmp_path, tiny_conf
     refused = ran_here[0][2].splitlines()
     assert len(refused) == 1 and refused[0].startswith("error: ")
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wingcp.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     ran_fresh = []
     for argv in commands(fresh):
-        proc = subprocess.run([sys.executable, "-m", "wingcp.cli", *argv], capture_output=True, text=True, env=env)
+        proc = _run_child(argv)
         ran_fresh.append((proc.returncode, proc.stdout.replace(fresh, "<root>"), proc.stderr.replace(fresh, "<root>")))
     assert ran_here == ran_fresh
     got, want = _outputs(here), _outputs(fresh)
@@ -354,6 +361,26 @@ class TestTrainEvalPredictCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2  # epochs x probes
         assert "c0" in rows[0]
+
+    def test_probe_points_beyond_training_rows(self, features_dir, tmp_path):
+        """probe_points above the training set's size logs every training row once per epoch.
+
+        The child's address space is capped, so a probe array sized by probe_points fails
+        there rather than taking the machine's memory.
+        """
+        conf = tmp_path / "probe.conf"
+        conf.write_text("epochs = 2\nprobe_points = 1000000000\n")
+        run = tmp_path / "run"
+        cap = 3 << 30
+        proc = _run_child(
+            ["train", "--features", str(features_dir), "--model", "mtl", "--config", str(conf), "--out", str(run)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        n_train = json.loads((run / "train_summary.json").read_text())["n_train"]
+        with open(run / "weight_log.csv") as fh:
+            rows = [(int(row["epoch"]), int(row["probe_row"])) for row in csv.DictReader(fh)]
+        assert rows == [(epoch, i) for epoch in (1, 2) for i in range(n_train)]
 
 
 # floats at the edges of the format; None keeps the trained model's predictions
