@@ -11,6 +11,10 @@ degree-reduction recursion (d/dt B_{a,m} = m (B_{a-1,m-1} - B_{a,m-1})),
 so jets are exact for polynomial data; derivatives beyond the polynomial
 degree are exactly zero. Evaluation and jets take arrays of parameters:
 one point is the case without leading axes of the same code.
+
+The validity check (:func:`check_patch`) and the seam match
+(:meth:`PiecewiseManifold.detect_seams`) use fixed tolerances, stated
+once as module constants; the check's report records the three it used.
 """
 
 import math
@@ -169,6 +173,11 @@ class ValidityReport:
 
 
 _MAX_REPORTED_PAIRS = 64
+# check_patch's tolerances: rank and self-contact in units of the control-net
+# bounding-box diagonal, the parameter distance of a self-contact absolute
+_RANK_TOL = 1e-8
+_EPS_SPACE = 1e-6
+_DELTA_PARAM = 0.05
 _SWEEP_BLOCK = 256  # points per block of the close-pair sweep
 
 
@@ -213,20 +222,17 @@ def _sigma_min(fu, fv):
     return np.divide(area, sig_max, out=np.zeros_like(area), where=sig_max > 0)
 
 
-def check_patch(
-    grid: ControlGrid,
-    samples_per_axis: int = 64,
-    rank_tol: float | None = None,
-    eps_space: float | None = None,
-    delta_param: float = 0.05,
-) -> ValidityReport:
+def check_patch(grid: ControlGrid, samples_per_axis: int = 64) -> ValidityReport:
     """Sample-based validity check: immersion margin and self-contact scan.
 
-    Tolerances scale with the control-net bounding-box diagonal:
-    rank_tol defaults to 1e-8 * diag, eps_space to 1e-6 * diag. The
-    self-intersection scan is a heuristic over the sample grid, not an
-    exact algebraic test; it reports pairs in order of their sample
-    indices (row-major over the u, v grid).
+    The patch is valid when its immersion margin is at least
+    rank_tol = 1e-8 * diag and no two samples lie within
+    eps_space = 1e-6 * diag in 3D while farther than delta_param = 0.05
+    apart in parameter space, diag the control-net bounding-box
+    diagonal; the report records all three. The self-intersection scan
+    is a heuristic over the sample grid, not an exact algebraic test; it
+    reports pairs in order of their sample indices (row-major over the
+    u, v grid).
 
     The grid is evaluated by separable contractions, and the smallest
     singular value of the Jacobian J = [Fu Fv] in closed form from
@@ -243,10 +249,7 @@ def check_patch(
         raise ValueError("samples_per_axis must be >= 4")
     m, n = grid.degrees
     diag = grid.bbox_diagonal()
-    if rank_tol is None:
-        rank_tol = 1e-8 * diag
-    if eps_space is None:
-        eps_space = 1e-6 * diag
+    rank_tol, eps_space = _RANK_TOL * diag, _EPS_SPACE * diag
 
     ss = np.linspace(0.0, 1.0, samples_per_axis)
     bu, bv = bernstein_row(m, ss), bernstein_row(n, ss)  # (N, m+1), (N, n+1)
@@ -269,7 +272,7 @@ def check_patch(
     count = 0
     if len(pairs):
         pdist = np.linalg.norm(params[pairs[:, 0]] - params[pairs[:, 1]], axis=1)
-        hits = pairs[pdist > delta_param]
+        hits = pairs[pdist > _DELTA_PARAM]
         count = len(hits)
         flat = pts.reshape(-1, 3)
         for i, j in hits[:_MAX_REPORTED_PAIRS]:
@@ -287,11 +290,11 @@ def check_patch(
         valid=(margin >= rank_tol and count == 0),
         immersion_margin=margin,
         margin_location=margin_loc,
-        rank_tol=float(rank_tol),
+        rank_tol=rank_tol,
         intersections=intersections,
         intersection_count=count,
-        eps_space=float(eps_space),
-        delta_param=float(delta_param),
+        eps_space=eps_space,
+        delta_param=_DELTA_PARAM,
         samples_per_axis=samples_per_axis,
         bbox_diagonal=diag,
     )
@@ -307,16 +310,9 @@ class Seam:
     edge_b: str
 
 
-def _boundary_points(grid: ControlGrid, edge: str) -> np.ndarray:
-    if edge == "u0":
-        return grid.points[0, :, :]
-    if edge == "u1":
-        return grid.points[-1, :, :]
-    if edge == "v0":
-        return grid.points[:, 0, :]
-    if edge == "v1":
-        return grid.points[:, -1, :]
-    raise ValueError(f"unknown edge {edge!r}")
+# boundary edge -> its row or column of the control net
+_EDGES = {"u0": (0, slice(None)), "u1": (-1, slice(None)), "v0": (slice(None), 0), "v1": (slice(None), -1)}
+_SEAM_TOL = 1e-9  # largest coordinate difference of two boundaries that form a seam
 
 
 class PiecewiseManifold:
@@ -345,10 +341,10 @@ class PiecewiseManifold:
         except KeyError:
             raise KeyError(f"unknown patch id {patch_id!r}") from None
 
-    def check_all(self, samples_per_axis: int = 64, **kwargs) -> dict:
+    def check_all(self, samples_per_axis: int = 64) -> dict:
         """Run the validity check on every patch; returns the report map."""
         for pid, grid in self._grids.items():
-            self.reports[pid] = check_patch(grid, samples_per_axis, **kwargs)
+            self.reports[pid] = check_patch(grid, samples_per_axis)
         return self.reports
 
     def exempt(self, patch_id):
@@ -373,18 +369,17 @@ class PiecewiseManifold:
     def invalid_patches(self):
         return [pid for pid in self._grids if not self.is_ready(pid)]
 
-    def detect_seams(self, tol: float = 1e-9) -> list:
-        """Match patch boundaries whose control points coincide within tol."""
+    def detect_seams(self) -> list:
+        """Match patch boundaries whose control points coincide within 1e-9 in every coordinate."""
         seams = []
         ids = self.patch_ids
-        edges = ("u0", "u1", "v0", "v1")
         for i, pa in enumerate(ids):
             for pb in ids[i + 1 :]:
-                for ea in edges:
-                    ba = _boundary_points(self.grid(pa), ea)
-                    for eb in edges:
-                        bb = _boundary_points(self.grid(pb), eb)
-                        if ba.shape == bb.shape and np.max(np.abs(ba - bb)) <= tol:
+                for ea, ia in _EDGES.items():
+                    ba = self.grid(pa).points[ia]
+                    for eb, ib in _EDGES.items():
+                        bb = self.grid(pb).points[ib]
+                        if ba.shape == bb.shape and np.max(np.abs(ba - bb)) <= _SEAM_TOL:
                             seams.append(Seam(pa, ea, pb, eb))
         return seams
 

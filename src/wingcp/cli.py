@@ -54,7 +54,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .report import EvalReport, error_map
+from .report import error_map, fold_report
 from .synth import SynthConfig, generate_synthetic
 
 D_CHOICES = (0.01, 0.005, 0.001)
@@ -310,22 +310,29 @@ def _load_for_inference(args):
 
 
 def _read_report(run_dir):
-    """A crossval run's report.json, refused unless it holds a fold_mse table of finite numbers keyed by AoA.
+    """A crossval run's report.json, refused unless it holds a nonempty fold_mse table of finite numbers.
 
+    Its keys must be finite AoAs, no two of one angle (as ``7`` and ``7.0``);
     ``n_samples``, where present, must map folds of ``fold_mse`` to integers >= 0.
     """
     path = os.path.join(run_dir, "report.json")
     run = read_json(path)
-    if not isinstance(run.get("fold_mse"), dict):
-        raise WingcpError(f"{path}: no fold_mse table")
+    if not isinstance(run.get("fold_mse"), dict) or not run["fold_mse"]:
+        raise WingcpError(f"{path}: no fold_mse table with a fold in it")
     n_samples = run.get("n_samples", {})
     if not isinstance(n_samples, dict):
         raise WingcpError(f"{path}: n_samples is not an object")
+    labels = {}  # AoA -> its fold label
     for label, mse in run["fold_mse"].items():
         try:
-            float(label)
+            aoa = float(label)
         except ValueError:
-            raise WingcpError(f"{path}: fold label {label!r} is not an AoA") from None
+            aoa = np.nan
+        if not np.isfinite(aoa):
+            raise WingcpError(f"{path}: fold label {label!r} is not a finite AoA")
+        if aoa in labels:
+            raise WingcpError(f"{path}: fold labels {labels[aoa]!r} and {label!r} are one AoA")
+        labels[aoa] = label
         if isinstance(mse, bool) or not isinstance(mse, (int, float)) or not np.isfinite(mse):
             raise WingcpError(f"{path}: fold {label} MSE {mse!r} is not a finite number")
     for label, n in n_samples.items():
@@ -413,12 +420,12 @@ def cmd_crossval(args, cfg):
         fold_n[label] = int(test_idx.size)
         print(f"crossval fold {label}: test MSE {mse:.6g} ({test_idx.size} samples)")
 
-    report = EvalReport.from_folds(fold_mse, fold_n)
-    write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    report = fold_report(fold_mse, fold_n)
+    write_json(os.path.join(args.out, "report.json"), report)
     rows = [[label, fold_mse[label], fold_n[label]] for label in fold_mse]
-    rows.append(["average", report.average_mse, ""])
+    rows.append(["average", report["average_mse"], ""])
     write_rows(os.path.join(args.out, "report.csv"), ["fold", "test_mse", "n_test"], rows)
-    print(f"crossval: average MSE {report.average_mse:.6g} -> {args.out}")
+    print(f"crossval: average MSE {report['average_mse']:.6g} -> {args.out}")
     return 0
 
 
@@ -444,29 +451,26 @@ def cmd_report(args, cfg):
     run = _read_report(args.run)
     # report.json stores folds key-sorted as strings; list them by numeric AoA
     fold_mse = {label: run["fold_mse"][label] for label in sorted(run["fold_mse"], key=float)}
-    report = EvalReport.from_folds(fold_mse, run.get("n_samples"))
-    baseline_mse = None
-    if args.baseline:
-        baseline_mse = _read_report(args.baseline)["fold_mse"]
-        try:
-            report.attach_baseline(baseline_mse)
-        except ValueError as exc:
-            raise WingcpError(f"baseline {args.baseline}: {exc}") from None
-    write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    baseline_mse = _read_report(args.baseline)["fold_mse"] if args.baseline else None
+    try:
+        report = fold_report(fold_mse, run.get("n_samples"), baseline_mse)
+    except ValueError as exc:  # the baseline's folds do not match, or one of its MSEs is not positive
+        raise WingcpError(f"baseline {args.baseline}: {exc}") from None
+    write_json(os.path.join(args.out, "report.json"), report)
     header = ["fold", "model_mse"]
-    rows = [[label, float(mse)] for label, mse in report.fold_mse.items()]
-    average = ["average", report.average_mse]
+    rows = [[label, float(mse)] for label, mse in fold_mse.items()]
+    average = ["average", report["average_mse"]]
     if baseline_mse is not None:
         header += ["baseline_mse", "reduction_pct"]
         for row in rows:
-            row += [float(baseline_mse[row[0]]), report.reduction_vs_baseline[row[0]]]
-        average += ["", report.average_reduction]
+            row += [float(baseline_mse[row[0]]), report["reduction_pct"][row[0]]]
+        average += ["", report["average_reduction_pct"]]
     note = ["# note: average = unweighted mean of per-fold values"]
     write_rows(os.path.join(args.out, "report.csv"), header, [*rows, average, note])
-    if report.average_reduction is not None:
-        print(f"report: average reduction {report.average_reduction:.2f}% -> {args.out}")
+    if baseline_mse is not None:
+        print(f"report: average reduction {report['average_reduction_pct']:.2f}% -> {args.out}")
     else:
-        print(f"report: average MSE {report.average_mse:.6g} -> {args.out}")
+        print(f"report: average MSE {report['average_mse']:.6g} -> {args.out}")
     return 0
 
 

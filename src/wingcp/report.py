@@ -1,10 +1,8 @@
-"""Per-sample error maps and pairwise MSE-reduction arithmetic."""
-
-from dataclasses import dataclass, field
+"""Per-sample error maps, pairwise MSE-reduction arithmetic and the fold report of a crossval run."""
 
 import numpy as np
 
-__all__ = ["error_map", "reduction", "EvalReport"]
+__all__ = ["error_map", "reduction", "fold_report"]
 
 
 def error_map(predictions, targets) -> np.ndarray:
@@ -37,40 +35,18 @@ def reduction(model_mse_per_fold: dict, baseline_mse_per_fold: dict):
     return etas, average
 
 
-@dataclass
-class EvalReport:
-    """Cross-validation summary: per-fold MSEs on denormalized targets."""
+def fold_report(fold_mse: dict, n_samples: dict | None = None, baseline_mse: dict | None = None) -> dict:
+    """A run's report.json object: per-fold MSEs on denormalized targets and their unweighted mean.
 
-    fold_mse: dict  # fold label -> MSE
-    average_mse: float
-    n_samples: dict = field(default_factory=dict)  # fold label -> test-set size
-    reduction_vs_baseline: dict | None = None
-    average_reduction: float | None = None
-    notes: list = field(default_factory=list)
-
-    @classmethod
-    def from_folds(cls, fold_mse: dict, n_samples: dict | None = None):
-        avg = float(np.mean(list(fold_mse.values())))
-        return cls(
-            fold_mse=dict(fold_mse),
-            average_mse=avg,
-            n_samples=dict(n_samples or {}),
-            notes=["average = unweighted mean of per-fold MSEs"],
-        )
-
-    def attach_baseline(self, baseline_fold_mse: dict):
-        etas, avg = reduction(self.fold_mse, baseline_fold_mse)
-        self.reduction_vs_baseline = etas
-        self.average_reduction = avg
-
-    def to_dict(self):
-        d = {
-            "fold_mse": self.fold_mse,
-            "average_mse": self.average_mse,
-            "n_samples": self.n_samples,
-            "notes": self.notes,
-        }
-        if self.reduction_vs_baseline is not None:
-            d["reduction_pct"] = self.reduction_vs_baseline
-            d["average_reduction_pct"] = self.average_reduction
-        return d
+    Given the baseline's per-fold MSEs, it adds each fold's reduction in
+    percent and their mean (see :func:`reduction`).
+    """
+    report = {
+        "fold_mse": dict(fold_mse),
+        "average_mse": float(np.mean(list(fold_mse.values()))),
+        "n_samples": dict(n_samples or {}),
+        "notes": ["average = unweighted mean of per-fold MSEs"],
+    }
+    if baseline_mse is not None:
+        report["reduction_pct"], report["average_reduction_pct"] = reduction(fold_mse, baseline_mse)
+    return report

@@ -145,9 +145,7 @@ class SynthResult:
     manifold: PiecewiseManifold
     samples: Samples
     manifest: dict
-    manifold_path: str | None = None
     samples_path: str | None = None
-    manifest_path: str | None = None
 
 
 def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
@@ -211,10 +209,8 @@ def generate_synthetic(cfg: SynthConfig, outdir=None) -> SynthResult:
     result = SynthResult(manifold=manifold, samples=samples, manifest=manifest)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        result.manifold_path = os.path.join(outdir, "manifold.csv")
         result.samples_path = os.path.join(outdir, "samples.csv")
-        result.manifest_path = os.path.join(outdir, "dataset_manifest.json")
-        save_control_grids(result.manifold_path, grids)
+        save_control_grids(os.path.join(outdir, "manifold.csv"), grids)
         save_samples(result.samples_path, samples)
-        write_json(result.manifest_path, manifest)
+        write_json(os.path.join(outdir, "dataset_manifest.json"), manifest)
     return result

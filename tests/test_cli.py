@@ -889,6 +889,18 @@ BAD_REPORTS = [
     ("baseline-without-fold-mse", "baseline", _report_json(lambda r: r.pop("fold_mse")), "fold_mse"),
     ("run-with-text-fold-label", "run", _report_json(lambda r: r["fold_mse"].update(abc=0.5)),
      "report.json: fold label 'abc'"),
+    ("run-empty-fold-mse", "run", _report_json(lambda r: r.update(fold_mse={}, n_samples={})),
+     "report.json: no fold_mse table with a fold in it"),
+    ("baseline-empty-fold-mse", "baseline", _report_json(lambda r: r.update(fold_mse={}, n_samples={})),
+     "report.json: no fold_mse table with a fold in it"),
+    ("run-nan-fold-label", "run", _report_json(lambda r: r["fold_mse"].update(nan=1.0)),
+     "report.json: fold label 'nan' is not a finite AoA"),
+    ("baseline-infinite-fold-label", "baseline", _report_json(lambda r: r["fold_mse"].update({"-inf": 1.0})),
+     "report.json: fold label '-inf' is not a finite AoA"),
+    ("run-two-labels-of-one-aoa", "run", _report_json(lambda r: r["fold_mse"].update({"6.0": 1.0})),
+     "report.json: fold labels '6' and '6.0' are one AoA"),
+    ("baseline-two-labels-of-one-aoa", "baseline", _report_json(lambda r: r["fold_mse"].update({"12.": 1.0})),
+     "report.json: fold labels '12' and '12.' are one AoA"),
     ("run-n_samples-not-object", "run", _report_json(lambda r: r.update(n_samples=3)),
      "report.json: n_samples is not an object"),
     ("run-text-fold-mse", "run", _report_json(lambda r: r["fold_mse"].update({"6": "0.5"})),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wingcp.report import EvalReport, error_map, reduction
+from wingcp.report import error_map, fold_report, reduction
 
 # published per-fold test MSEs used to validate the reduction arithmetic
 BASELINE_MSE = {
@@ -59,15 +59,14 @@ class TestReduction:
             reduction({"a": 0.1}, {"b": 0.1})
 
 
-class TestEvalReport:
+class TestFoldReport:
     def test_average_is_unweighted_mean(self):
-        rep = EvalReport.from_folds({"7": 1.0, "12": 3.0}, {"7": 100, "12": 10})
-        assert rep.average_mse == 2.0
-        assert any("unweighted" in note for note in rep.notes)
+        rep = fold_report({"7": 1.0, "12": 3.0}, {"7": 100, "12": 10})
+        assert rep["average_mse"] == 2.0
+        assert any("unweighted" in note for note in rep["notes"])
+        assert set(rep) == {"fold_mse", "average_mse", "n_samples", "notes"}
 
-    def test_attach_baseline(self):
-        rep = EvalReport.from_folds(MODEL_MSE)
-        rep.attach_baseline(BASELINE_MSE)
-        d = rep.to_dict()
-        assert abs(d["average_reduction_pct"] - 15.00) <= 0.05
-        assert set(d["reduction_pct"]) == set(MODEL_MSE)
+    def test_baseline_reduction(self):
+        rep = fold_report(MODEL_MSE, baseline_mse=BASELINE_MSE)
+        assert abs(rep["average_reduction_pct"] - 15.00) <= 0.05
+        assert set(rep["reduction_pct"]) == set(MODEL_MSE)
