@@ -5,21 +5,22 @@ The ``tier1`` profile, the default, draws the same examples on every run
 a test run's result depends only on the code; pinned ``@example`` cases
 still run. ``HYPOTHESIS_PROFILE=explore`` draws new random examples on
 each run and keeps the database, to look for inputs the fixed draws miss.
-Neither profile lowers any test's ``max_examples``.
+Each property test takes its ``max_examples`` from
+``strategies.max_examples``: its count under ``tier1``, ten times it
+under ``explore``.
 """
-
-import os
 
 import pytest
 from hypothesis import settings
 
 from oracles import flat_grid, paraboloid_grid
+from strategies import PROFILE
 
 from wingcp.bezier import PiecewiseManifold
 
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("explore", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.load_profile(PROFILE)
 
 
 @pytest.fixture

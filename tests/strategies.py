@@ -1,6 +1,7 @@
-"""Hypothesis strategies and file edits shared by the property tests of the file formats."""
+"""Hypothesis strategies and file edits shared by the property tests, and their example counts."""
 
 import csv
+import os
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,6 +15,14 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) 
 PATCH_IDS = st.text(st.sampled_from('ab1 ,"'), min_size=1, max_size=6).filter(lambda s: s == s.strip())
 
 NON_FINITE_TEXT = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+
+# the hypothesis profile the suite runs under (tests/conftest.py loads it)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+
+
+def max_examples(n: int) -> int:
+    """A property test's example count: n under the tier1 profile, 10 n under explore."""
+    return 10 * n if PROFILE == "explore" else n
 
 
 def set_non_finite_field(path, draw, columns):

@@ -28,6 +28,7 @@ from oracles import (
     scalar_calibrate_offset,
     scalar_stencil,
 )
+from strategies import max_examples
 
 import wingcp.geometry as geometry
 import wingcp.stencil as stencil
@@ -162,7 +163,7 @@ class TestNewtonAgainstBisection:
             u, v = rng.uniform(0.0, 1.0, (2, 60))
             assert _assert_newton_meets_bisection(wing.manifold.grid(pid), u, v, 0.005) > 0
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=max_examples(25), deadline=None)
     @given(
         m=st.integers(1, 5),
         n=st.integers(1, 5),

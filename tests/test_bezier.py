@@ -17,7 +17,7 @@ from oracles import (
     svd_jacobians,
     svd_singular_values,
 )
-from strategies import FINITE, PATCH_IDS, set_non_finite_field
+from strategies import FINITE, PATCH_IDS, max_examples, set_non_finite_field
 
 from wingcp.bezier import (
     _MAX_REPORTED_PAIRS,
@@ -406,7 +406,7 @@ def _grid_lists(draw):
 
 
 class TestGridFiles:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(grids=_grid_lists())
     def test_finite_grids_round_trip_bitwise(self, grids):
         with tempfile.TemporaryDirectory() as tmp:
@@ -417,7 +417,7 @@ class TestGridFiles:
         for orig, got in zip(grids, back):
             assert got.points.shape == orig.points.shape and got.points.tobytes() == orig.points.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=max_examples(40), deadline=None)
     @given(grids=_grid_lists(), data=st.data())
     def test_one_non_finite_coordinate_refused(self, grids, data):
         with tempfile.TemporaryDirectory() as tmp:

@@ -72,4 +72,9 @@ def test_default_wing_steps_leave_blas_workers_asleep(tmp_path):
     if result["threads"] == 1:
         pytest.skip("the child runs a single thread")
     first, *later = result["after"]
-    assert later == [first] * len(later), [step[0] for step in steps]
+    # on failure, the ticks each non-main thread gained in each step (in extract: since it started)
+    gained = {
+        step[0]: {tid: ticks - before.get(tid, 0) for tid, ticks in after.items()}
+        for step, before, after in zip(steps, [{}] + result["after"], result["after"])
+    }
+    assert later == [first] * len(later), f"CPU ticks gained per step and thread: {gained}"

@@ -35,7 +35,7 @@ from oracles import (
     flat_grid, loop_meta_rows, mask_normalize, paraboloid_grid, pointwise_batch, sample_points,
     write_features_points_rows, write_meta_rows,
 )
-from strategies import FINITE, PATCH_IDS, set_non_finite_field
+from strategies import FINITE, PATCH_IDS, max_examples, set_non_finite_field
 
 
 def sample_row(pid, u, v, aoa=7.0, cp=0.5, ma=0.175, re=1.35e6, span=None):
@@ -138,7 +138,7 @@ class TestLoadSamples:
         save_samples(tmp_path / "out.csv", samples)
         assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(samples=_sample_tables())
     def test_finite_samples_round_trip_bitwise(self, samples):
         with tempfile.TemporaryDirectory() as tmp:
@@ -147,7 +147,7 @@ class TestLoadSamples:
             back = load_samples(path)
         assert _sample_bits(back) == _sample_bits(samples)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=max_examples(40), deadline=None)
     @given(samples=_sample_tables(), data=st.data())
     def test_one_non_finite_field_refused(self, samples, data):
         with tempfile.TemporaryDirectory() as tmp:
@@ -353,7 +353,7 @@ def _normalizer_batch(data, n):
 class TestNormalizerAgainstMasks:
     """``NormalizationSpec.apply`` over every column equals the boolean-mask form of tests/oracles.py bit for bit."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(data=st.data(), normalize_targets=st.booleans())
     def test_bitwise_on_fitted_and_other_batches(self, data, normalize_targets):
         """Applied to its own batch and to another, whose values lie outside the fitted bounds and in constant columns."""
@@ -469,7 +469,7 @@ class TestFeatureCache:
         assert len(rows) == 1 + 2 * 9  # header + 9 stencil points per sample
         assert [r[-1] for r in rows[1:10]] == [str(s) for s in range(9)]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=max_examples(40), deadline=None)
     @given(data=st.data())
     def test_finite_batches_round_trip_bitwise(self, data):
         batch = data.draw(_batches())
@@ -481,7 +481,7 @@ class TestFeatureCache:
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), key
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=max_examples(20), deadline=None)
     @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_one_non_finite_entry_refused(self, data, bad):
         batch = data.draw(_batches())

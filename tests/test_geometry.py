@@ -21,6 +21,7 @@ from oracles import (
     sample_points,
     scalar_jet,
 )
+from strategies import max_examples
 
 from wingcp.bezier import ControlGrid, PiecewiseManifold, SurfacePoint, jet
 from wingcp.data import Samples, assemble, save_feature_cache
@@ -313,7 +314,7 @@ _FLAT_TWIST = ControlGrid("general", [
 
 
 class TestGaussReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=max_examples(150), deadline=None)
     @given(general_patches())
     @example((_FLAT_TWIST, np.zeros(1), np.zeros(1)))
     def test_general_patches_match_50_digit_gauss_equation(self, patch):
