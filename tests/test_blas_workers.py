@@ -7,7 +7,9 @@ second or two, on the caller's CPU when both are scheduled on one. A
 child process at two OpenBLAS threads runs a default-wing extract, a
 2-epoch rgfil train, a predict and a 2-fold crossval, and reads the CPU
 time of its threads other than the main one after each step: from the
-first step on, it must not grow. The child reads utime + stime of
+first step on, it must not grow. It reads them once before the first step
+too, so a failure's message gives each thread's ticks at import and in
+each step. The child reads utime + stime of
 ``/proc/self/task/*/stat`` and nothing else; the test skips where that
 directory is missing or the child has a single thread.
 """
@@ -22,8 +24,9 @@ import pytest
 import wingcp
 from wingcp.cli import main
 
-# runs the CLI steps given as a JSON list in one process and prints, after each, the
-# CPU time in clock ticks of every thread but the main one, as JSON; "threads" counts them all
+# runs the CLI steps given as a JSON list in one process and prints, before the first and
+# after each, the CPU time in clock ticks of every thread but the main one, as JSON;
+# "threads" counts them all
 CHILD = """
 import json, os, sys
 from wingcp.cli import main
@@ -37,12 +40,13 @@ def others():
             ticks[tid] = int(fields[11]) + int(fields[12])  # utime, stime
     return ticks
 
+before = others()  # OpenBLAS's workers spin for a while once numpy's import starts them
 after = []
 for step in json.loads(sys.argv[1]):
     if main(step) != 0:
         sys.exit(f"{step[0]} failed")
     after.append(others())
-print(json.dumps({"threads": len(os.listdir("/proc/self/task")), "after": after}))
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")), "before": before, "after": after}))
 """
 
 
@@ -72,9 +76,10 @@ def test_default_wing_steps_leave_blas_workers_asleep(tmp_path):
     if result["threads"] == 1:
         pytest.skip("the child runs a single thread")
     first, *later = result["after"]
-    # on failure, the ticks each non-main thread gained in each step (in extract: since it started)
+    # on failure, the ticks each non-main thread gained before the first step and in each step
+    names, snapshots = ["import"] + [step[0] for step in steps], [result["before"]] + result["after"]
     gained = {
-        step[0]: {tid: ticks - before.get(tid, 0) for tid, ticks in after.items()}
-        for step, before, after in zip(steps, [{}] + result["after"], result["after"])
+        name: {tid: ticks - before.get(tid, 0) for tid, ticks in after.items()}
+        for name, before, after in zip(names, [{}] + snapshots, snapshots)
     }
     assert later == [first] * len(later), f"CPU ticks gained per step and thread: {gained}"
