@@ -30,13 +30,13 @@ from . import __version__
 from .bezier import load_manifold
 from .data import (
     FOLD_AOAS_DEFAULT,
+    POINTWISE_COLUMNS,
     assemble,
     fit_normalizer,
     fold_split,
     load_feature_cache,
     load_meta,
     load_samples,
-    meta_rows,
     save_feature_cache,
     train_val_split,
 )
@@ -180,11 +180,13 @@ def _write_weight_log(path, result, probe_rows):
     write_rows(path, header, rows)
 
 
-def _write_err_map(path, meta, indices, predictions, targets):
+def _write_err_map(path, where, indices, batch, predictions):
+    """One row per sample: its source row, ``where[row]`` (patch id, u, v), centre x, y, z, AoA and cp."""
     fields = ("patch_id", "u", "v", "x", "y", "z", "AoA", "cp")
+    values = np.column_stack([batch.x[:, POINTWISE_COLUMNS["x2"]], batch.x[:, 1], batch.y]).tolist()
     rows = (
-        [int(src), *(meta[int(src)][f] for f in fields), p, e]
-        for src, p, e in zip(indices, predictions, error_map(predictions, targets))
+        [int(src), *where[int(src)], *v, p, e]
+        for src, v, p, e in zip(indices, values, predictions, error_map(predictions, batch.y))
     )
     write_rows(path, ["row", *fields, "prediction", "abs_err"], rows)
 
@@ -234,7 +236,7 @@ def _prepare(batch, model_name, cfg, seed, fold_note) -> _Prepared:
     if cfg.get("probe_points", 0) < 0:
         raise ConfigError(f"probe_points must be >= 0, got {cfg['probe_points']}")
     train_idx, val_idx = train_val_split(
-        np.arange(batch.n), batch.x1[:, 1], seed=seed, **_given(cfg, train_val_split)
+        np.arange(batch.n), batch.x[:, 1], seed=seed, **_given(cfg, train_val_split)
     )
     train_batch = batch.subset(train_idx)
     normalizer = fit_normalizer(train_batch, fitted_on=f"train({fold_note})", **_given(cfg, fit_normalizer))
@@ -276,15 +278,16 @@ def _predict(model, normalizer, batch):
     return normalizer.invert_targets(model.forward(model.inputs(batch, normalizer)))
 
 
-def _evaluate(outdir, model, normalizer, batch, meta, indices, **fields):
+def _evaluate(outdir, model, normalizer, batch, where, indices, **fields):
     """Predict rows ``indices``; write err_map.csv and eval.json; return the MSE.
 
-    eval.json holds ``fields`` with ``test_mse`` and ``n_test``.
+    ``where`` holds each batch row's (patch id, u, v). eval.json holds
+    ``fields`` with ``test_mse`` and ``n_test``.
     """
     sub = batch.subset(indices)
     pred = _predict(model, normalizer, sub)
     mse = loss_mse(pred, sub.y)
-    _write_err_map(os.path.join(outdir, "err_map.csv"), meta, indices, pred, sub.y)
+    _write_err_map(os.path.join(outdir, "err_map.csv"), where, indices, sub, pred)
     write_json(os.path.join(outdir, "eval.json"), {**fields, "test_mse": mse, "n_test": int(sub.n)})
     return mse
 
@@ -403,10 +406,11 @@ def cmd_train(args, cfg):
 
 def cmd_crossval(args, cfg):
     result = _extract(args, cfg)
-    batch, meta = result.batch, meta_rows(result)
+    batch, s = result.batch, result.samples
+    where = list(zip(s.patch_id.tolist(), s.u.tolist(), s.v.tolist()))
     settings = {"d": args.d, "convention": DEFAULT_CONVENTION}
     fold_aoas = cfg.get("fold_aoas", FOLD_AOAS_DEFAULT)
-    folds = fold_split(batch.x1[:, 1], fold_aoas)
+    folds = fold_split(batch.x[:, 1], fold_aoas)  # column 1 of x: AoA
 
     fold_mse, fold_n = {}, {}
     for k, (train_idx, test_idx) in enumerate(folds):
@@ -415,7 +419,7 @@ def cmd_crossval(args, cfg):
         note, seed = f"fold={label}", args.seed + k
         prepared = _prepare(batch.subset(train_idx), args.model, cfg, seed, note)
         _train_once(prepared, args.model, cfg, seed, fold_dir, note, settings)
-        mse = _evaluate(fold_dir, prepared.model, prepared.normalizer, batch, meta, test_idx, fold=label)
+        mse = _evaluate(fold_dir, prepared.model, prepared.normalizer, batch, where, test_idx, fold=label)
         fold_mse[label] = mse
         fold_n[label] = int(test_idx.size)
         print(f"crossval fold {label}: test MSE {mse:.6g} ({test_idx.size} samples)")
@@ -431,8 +435,8 @@ def cmd_crossval(args, cfg):
 
 def cmd_eval(args, cfg):
     model, normalizer, batch = _load_for_inference(args)
-    meta = load_meta(args.features, batch.n)
-    mse = _evaluate(args.out, model, normalizer, batch, meta, np.arange(batch.n))
+    where = [(r["patch_id"], r["u"], r["v"]) for r in load_meta(args.features, batch.n)]
+    mse = _evaluate(args.out, model, normalizer, batch, where, np.arange(batch.n))
     print(f"eval: MSE {mse:.6g} over {batch.n} samples -> {args.out}")
     return 0
 

@@ -3,8 +3,10 @@
 Each measured sample is a surface location (patch id, u, v), a flight
 condition (Ma, AoA, Re), an optional span station and a pressure
 coefficient; a Samples table holds one array per column. Assembly
-expands the samples into one TensorBatch of five feature groups built
-from a 9-point stencil (per sample):
+expands the samples into one TensorBatch: a feature matrix x with one
+row of 147 columns per sample, and the targets y. The row holds five
+feature groups built from a 9-point stencil, side by side in this order
+(``GROUP_COLUMNS``):
 
     x1  (3,)         Ma, AoA, Re
     x2  (1, 9, 3)    3D positions of the stencil points
@@ -12,23 +14,21 @@ from a 9-point stencil (per sample):
     x4  (2, 18, 2)   nine Christoffel arrays, upper index as channel
     x5  (9,)         nine scalar curvatures
 
-Slot order is identical across x2..x5. The feature cache stores each
-array as a .npy file (x1.npy .. x5.npy, y.npy), which the program reads
-back bit for bit; its text files are written for people and for eval:
-features_points.csv (one row per stencil point, taken from these
-arrays), meta.csv (each sample's source, read only by eval for its
-error map) and y.csv.
+Slot order is identical across x2..x5. The feature cache stores x and y
+as x.npy and y.npy, which the program reads back bit for bit; its text
+files are written for people and for eval: features_points.csv (one row
+per stencil point, taken from these arrays), meta.csv (each sample's
+source, read only by eval for its error map) and y.csv.
 Geometry is computed patch by patch over arrays: each distinct stencil
 centre is calibrated once and each distinct stencil point's chain runs
 once, whatever the number of samples that share them.
 Normalization is componentwise max-min to [0, 1], fit on training data
 only; constant columns map to 0.0. A fitted normalizer covers every
-column of the five groups, and applying it normalizes only the columns a
-model reads (``NormalizationSpec.apply``). Cross-validation folds are
+column of x, and applying it normalizes only the columns a model reads
+(``NormalizationSpec.apply``). Cross-validation folds are
 leave-one-AoA-out.
 """
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ import numpy as np
 
 from .bezier import PiecewiseManifold, SurfacePoint
 from .errors import (
-    AssemblyError, ConfigError, DegenerateMetric, SampleParseError, StencilOutOfPatch, check_keys,
+    AssemblyError, ConfigError, DegenerateMetric, SampleParseError, StencilOutOfPatch, check_int, check_keys,
 )
 from .files import read_json, read_rows, write_json, write_rows
 from .geometry import DEFAULT_CONVENTION, feature_bundle, point_features
@@ -56,7 +56,6 @@ __all__ = [
     "fit_normalizer",
     "fold_split",
     "train_val_split",
-    "meta_rows",
     "save_feature_cache",
     "load_feature_cache",
     "load_meta",
@@ -72,10 +71,15 @@ GROUP_SHAPES = {"x1": (3,), "x2": (1, 9, 3), "x3": (1, 18, 2), "x4": (2, 18, 2),
 # the centre-slot layout of POINTWISE_COLUMNS, which single-point models take
 POINTWISE_SHAPES = {"x1": (3,), "x2": (3,), "x3": (1, 2, 2), "x4": (2, 2, 2), "x5": (1,)}
 
+# each group's columns of a batch's x: the groups side by side, flattened, in GROUP_SHAPES order
+_ENDS = np.cumsum([0] + [math.prod(shape) for shape in GROUP_SHAPES.values()]).tolist()
+GROUP_COLUMNS = {key: np.arange(lo, hi) for key, lo, hi in zip(GROUP_SHAPES, _ENDS, _ENDS[1:])}
+N_FEATURES = _ENDS[-1]
+
 
 def _centre_columns():
-    """Each group's flat columns at the stencil centre (slot 4; rows 8-9 of x3, x4), in POINTWISE_SHAPES order."""
-    index = {key: np.arange(math.prod(shape)).reshape(shape) for key, shape in GROUP_SHAPES.items()}
+    """Each group's columns of x at the stencil centre (slot 4; rows 8-9 of x3, x4), in POINTWISE_SHAPES order."""
+    index = {key: GROUP_COLUMNS[key].reshape(shape) for key, shape in GROUP_SHAPES.items()}
     centre = {
         "x1": index["x1"],
         "x2": index["x2"][0, 4, :],
@@ -123,38 +127,25 @@ class Samples:
 
 @dataclass
 class TensorBatch:
-    """Stacked feature groups for B samples: x1 (B,3) ... x5 (B,9), y (B,)."""
+    """The features of B samples, x (B, N_FEATURES) laid out by GROUP_COLUMNS, and their targets y (B,)."""
 
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    x4: np.ndarray
-    x5: np.ndarray
+    x: np.ndarray
     y: np.ndarray
 
     @property
     def n(self):
-        return self.x1.shape[0]
+        return self.x.shape[0]
 
     def groups(self):
-        return {"x1": self.x1, "x2": self.x2, "x3": self.x3, "x4": self.x4, "x5": self.x5}
+        """Each group of x as a (B, *GROUP_SHAPES[key]) view."""
+        return {
+            key: self.x[:, lo:hi].reshape(self.n, *shape)
+            for (key, shape), lo, hi in zip(GROUP_SHAPES.items(), _ENDS, _ENDS[1:])
+        }
 
     def subset(self, indices):
         idx = np.asarray(indices)
-        return TensorBatch(
-            self.x1[idx], self.x2[idx], self.x3[idx], self.x4[idx], self.x5[idx], self.y[idx]
-        )
-
-    def columns(self, columns):
-        """The selected ``columns`` side by side, (B, total), un-normalized.
-
-        ``columns`` pairs group keys with flat columns of that group, as
-        for :meth:`NormalizationSpec.apply`.
-        """
-        groups = self.groups()
-        parts = [groups[key].reshape(self.n, -1)[:, cols] for key, cols in columns]
-        # C order, whatever order numpy gives a gather of columns
-        return np.concatenate(parts, axis=1, out=np.empty((self.n, sum(x.shape[1] for x in parts))))
+        return TensorBatch(self.x[idx], self.y[idx])
 
 
 @dataclass
@@ -219,8 +210,12 @@ def assemble(
     only when the drop fraction exceeds ``max_drop_fraction``.
     """
     n = len(samples)
-    uv, pos = np.empty((n, 9, 2)), np.empty((n, 9, 3))
-    g, gamma, scalar = np.empty((n, 9, 2, 2)), np.empty((n, 9, 2, 2, 2)), np.empty((n, 9))
+    uv, x = np.empty((n, 9, 2)), np.empty((n, N_FEATURES))
+    # views of x that take each group in the layout point_features gives it: [sample][slot]...
+    out = TensorBatch(x, samples.cp).groups()
+    out["x1"][:] = np.column_stack([samples.ma, samples.aoa, samples.re])
+    pos, g, scalar = out["x2"].reshape(n, 9, 3), out["x3"].reshape(n, 9, 2, 2), out["x5"]
+    gamma = out["x4"].reshape(n, 2, 9, 2, 2).transpose(0, 2, 1, 3, 4)  # the upper index is x4's channel
     good = np.zeros(n, dtype=bool)
     reasons = {}
     counts = dict.fromkeys(("distinct_centres", "distinct_points", "clamped_stencils", "zero_spacing_slots"), 0)
@@ -270,16 +265,8 @@ def assemble(
             f"dropped {len(dropped)}/{n} samples (> {max_drop_fraction:.0%})", dropped=dropped
         )
     kept = np.flatnonzero(good)
-    m, mine = len(kept), samples.subset(kept)
-    batch = TensorBatch(
-        x1=np.column_stack([mine.ma, mine.aoa, mine.re]),
-        x2=pos[kept].reshape(m, 1, 9, 3),
-        x3=g[kept].reshape(m, 1, 18, 2),
-        x4=gamma[kept].transpose(0, 2, 1, 3, 4).reshape(m, 2, 18, 2),
-        x5=scalar[kept],
-        y=mine.cp,
-    )
-    return AssembleResult(batch, mine, kept.tolist(), dropped, uv[kept], counts)
+    mine = samples.subset(kept)
+    return AssembleResult(TensorBatch(x[kept], mine.cp), mine, kept.tolist(), dropped, uv[kept], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +283,27 @@ class NormalizationSpec:
     model.
     """
 
-    mins: dict
-    maxs: dict
+    mins: np.ndarray  # (N_FEATURES,), one bound per column of x
+    maxs: np.ndarray
     y_min: float
     y_max: float
     normalize_targets: bool
     fitted_on: str
 
     def apply(self, batch: TensorBatch, columns):
-        """The normalized ``columns`` of ``batch`` side by side, and its targets: (xi, y).
+        """The normalized ``columns`` of ``batch.x`` side by side, and its targets: (xi, y).
 
-        ``columns`` pairs group keys with flat columns of that group (an
-        index array or a slice), in xi's order: the columns a model reads
-        (``model.columns``). Each column is (x - lo) / span by its own
-        bounds, and 0.0 where the span is 0 (a constant column), which is
-        computed as (x - 0) / 1, so it raises no floating-point error, and
-        then set to 0.0. Columns do not interact, so xi holds bit for bit
-        these columns of the whole batch normalized. y is normalized when
-        ``normalize_targets`` is set.
+        ``columns`` is an integer index of columns of x, in xi's order: the
+        columns a model reads (``model.columns``). Each column is
+        (x - lo) / span by its own bounds, and 0.0 where the span is 0 (a
+        constant column), which is computed as (x - 0) / 1, so it raises
+        no floating-point error, and then set to 0.0. Columns do not
+        interact, so xi holds bit for bit these columns of the whole batch
+        normalized. y is normalized when ``normalize_targets`` is set.
         """
-        xi = batch.columns(columns)
-        lo = np.concatenate([self.mins[key][cols] for key, cols in columns])
-        span = np.concatenate([self.maxs[key][cols] for key, cols in columns]) - lo
+        xi = np.take(batch.x, columns, axis=1)  # a new C-ordered array (x[:, columns] is F-ordered)
+        lo = self.mins[columns]
+        span = self.maxs[columns] - lo
         const = span == 0.0
         xi -= np.where(const, 0.0, lo)
         xi /= np.where(const, 1.0, span)
@@ -335,8 +321,8 @@ class NormalizationSpec:
 
     def to_dict(self):
         return {
-            "mins": {k: v.tolist() for k, v in self.mins.items()},
-            "maxs": {k: v.tolist() for k, v in self.maxs.items()},
+            "mins": {key: self.mins[cols].tolist() for key, cols in GROUP_COLUMNS.items()},
+            "maxs": {key: self.maxs[cols].tolist() for key, cols in GROUP_COLUMNS.items()},
             "y_min": self.y_min,
             "y_max": self.y_max,
             "normalize_targets": self.normalize_targets,
@@ -358,10 +344,9 @@ class NormalizationSpec:
         for name in ("mins", "maxs"):
             if not isinstance(d[name], dict) or set(d[name]) != set(GROUP_SHAPES):
                 raise ConfigError(f"normalizer {name} must map each of {', '.join(GROUP_SHAPES)} to its bounds")
-            bounds[name] = {
-                k: _finite(d[name][k], f"normalizer {name}.{k}", (math.prod(shape),))
-                for k, shape in GROUP_SHAPES.items()
-            }
+            bounds[name] = np.concatenate(
+                [_finite(d[name][k], f"normalizer {name}.{k}", cols.shape) for k, cols in GROUP_COLUMNS.items()]
+            )
         if not isinstance(d["normalize_targets"], bool):
             got = d["normalize_targets"]
             raise ConfigError(f"normalizer normalize_targets must be true or false, got {got!r}")
@@ -392,14 +377,9 @@ def fit_normalizer(
 ) -> NormalizationSpec:
     if batch.n == 0:
         raise ValueError("cannot fit a normalizer on an empty batch")
-    mins, maxs = {}, {}
-    for key, x in batch.groups().items():
-        flat = x.reshape(batch.n, -1)
-        mins[key] = flat.min(axis=0)
-        maxs[key] = flat.max(axis=0)
     return NormalizationSpec(
-        mins=mins,
-        maxs=maxs,
+        mins=batch.x.min(axis=0),
+        maxs=batch.x.max(axis=0),
         y_min=float(batch.y.min()),
         y_max=float(batch.y.max()),
         normalize_targets=normalize_targets,
@@ -509,9 +489,11 @@ def save_samples(path, samples: Samples):
 
 
 # ---------------------------------------------------------------------------
-# Feature cache: one .npy per batch array + manifest.json, and the text
-# files y.csv, meta.csv and features_points.csv
+# Feature cache: x.npy, y.npy and manifest.json, and the text files y.csv,
+# meta.csv and features_points.csv
 # ---------------------------------------------------------------------------
+
+CACHE_FORMAT = "wingcp-cache-v2"
 
 _META_HEADER = ["row", "patch_id", "u", "v", "x", "y", "z", "Ma", "AoA", "Re", "span", "cp"]
 _META_NUMERIC = ("u", "v", "x", "y", "z", "Ma", "AoA", "Re", "cp")  # span may also be empty
@@ -527,11 +509,11 @@ _UPPER = ([0, 0, 1], [0, 1, 1])  # (i, j) with i <= j, in column order
 
 def _point_values(batch: TensorBatch) -> np.ndarray:
     """Numeric columns of features_points.csv, shape (B, 9, 13): x, y, z, g_ij, Gamma^k_ij, S."""
-    n = batch.n
-    g = batch.x3.reshape(n, 9, 2, 2)[:, :, _UPPER[0], _UPPER[1]]
-    gamma = batch.x4.reshape(n, 2, 9, 2, 2)[:, :, :, _UPPER[0], _UPPER[1]]  # [b][k][slot][ij]
+    n, groups = batch.n, batch.groups()
+    g = groups["x3"].reshape(n, 9, 2, 2)[:, :, _UPPER[0], _UPPER[1]]
+    gamma = groups["x4"].reshape(n, 2, 9, 2, 2)[:, :, :, _UPPER[0], _UPPER[1]]  # [b][k][slot][ij]
     gamma = gamma.transpose(0, 2, 1, 3).reshape(n, 9, 6)
-    return np.concatenate([batch.x2.reshape(n, 9, 3), g, gamma, batch.x5[:, :, None]], axis=2)
+    return np.concatenate([groups["x2"].reshape(n, 9, 3), g, gamma, groups["x5"][:, :, None]], axis=2)
 
 
 def _meta_lines(result: AssembleResult) -> list:
@@ -542,7 +524,7 @@ def _meta_lines(result: AssembleResult) -> list:
     the five values' bytes so that -0.0 and 0.0 stay apart.
     """
     s = result.samples
-    values = np.concatenate([np.column_stack([s.u, s.v]), result.batch.x2[:, 0, 4, :]], axis=1)
+    values = np.concatenate([np.column_stack([s.u, s.v]), result.batch.x[:, POINTWISE_COLUMNS["x2"]]], axis=1)
     pids = s.patch_id.tolist()
     fields = _csv_fields(pids)
     location = {}  # (patch id, the five values as bytes) -> their text
@@ -556,15 +538,6 @@ def _meta_lines(result: AssembleResult) -> list:
             location[key] = ",".join([fields[pid]] + [format(c, ".17g") for c in row.tolist()])
         lines.append(_META_LINE % (out_row, location[key], ma, aoa, re, _span_text(span), cp))
     return lines
-
-
-def meta_rows(result: AssembleResult) -> list:
-    """One ``meta.csv`` row per kept sample: text fields keyed by column name.
-
-    These are the rows ``load_meta`` reads back; x, y, z are the position
-    of the stencil centre.
-    """
-    return [dict(zip(_META_HEADER, r)) for r in csv.reader(_meta_lines(result))]
 
 
 def _csv_field(text: str) -> str:
@@ -589,8 +562,8 @@ def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
     """
     os.makedirs(outdir, exist_ok=True)
     batch = result.batch
-    for key, x in {**batch.groups(), "y": batch.y}.items():
-        np.save(os.path.join(outdir, f"{key}.npy"), x, allow_pickle=False)
+    np.save(os.path.join(outdir, "x.npy"), batch.x, allow_pickle=False)
+    np.save(os.path.join(outdir, "y.npy"), batch.y, allow_pickle=False)
     with open(os.path.join(outdir, "y.csv"), "w", newline="") as fh:
         fh.write("".join(["cp\r\n"] + ["%.17g\r\n" % v for v in batch.y.tolist()]))
     with open(os.path.join(outdir, "meta.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -607,7 +580,7 @@ def save_feature_cache(outdir, result: AssembleResult, manifest: dict):
             if key not in text:
                 text[key] = "".join([fmt % (fields[pid], *r, slot) for slot, r in enumerate(rows.tolist())])
             fh.write(text[key])
-    manifest = dict(manifest)
+    manifest = dict(manifest, format=CACHE_FORMAT)
     manifest["shapes"] = {k: list(v) for k, v in GROUP_SHAPES.items()}
     manifest["n_samples"] = batch.n
     manifest["dropped"] = [{"row": i, "reason": r} for i, r in result.dropped]
@@ -631,22 +604,22 @@ def _load_array(path, shape) -> np.ndarray:
 def load_feature_cache(cachedir):
     """Read a feature cache's arrays back into (TensorBatch, manifest).
 
-    Each ``.npy`` file must hold a finite float64 array of shape
-    (n_samples, *group shape), n_samples from ``manifest.json``;
-    SampleParseError names the first file that does not, and a manifest
-    whose ``convention`` is not ``geometry.DEFAULT_CONVENTION`` (the one
-    sign of S). No CSV file is opened: ``meta.csv`` is read by
-    :func:`load_meta`.
+    ``manifest.json`` must hold the ``format`` tag ``CACHE_FORMAT``, the
+    ``convention`` ``geometry.DEFAULT_CONVENTION`` (the one sign of S)
+    and an integer ``n_samples`` >= 1; ``x.npy`` and ``y.npy`` must hold
+    finite float64 arrays of shape (n_samples, N_FEATURES) and
+    (n_samples,). An error names the first file that does not. No CSV
+    file is opened: ``meta.csv`` is read by :func:`load_meta`.
     """
     path = os.path.join(cachedir, "manifest.json")
     manifest = read_json(path)
-    convention = manifest.get("convention")
-    if convention != DEFAULT_CONVENTION:
-        raise SampleParseError(f"{path}: convention {convention!r}, not {DEFAULT_CONVENTION!r}")
+    for key, want in (("format", CACHE_FORMAT), ("convention", DEFAULT_CONVENTION)):
+        if manifest.get(key) != want:
+            raise SampleParseError(f"{path}: {key} {manifest.get(key)!r}, not {want!r}")
     n = manifest.get("n_samples")
-    shapes = {**GROUP_SHAPES, "y": ()}
-    arrays = {k: _load_array(os.path.join(cachedir, f"{k}.npy"), (n, *shape)) for k, shape in shapes.items()}
-    return TensorBatch(**arrays), manifest
+    check_int(n, f"{path}: n_samples", 1)
+    x = _load_array(os.path.join(cachedir, "x.npy"), (n, N_FEATURES))
+    return TensorBatch(x, _load_array(os.path.join(cachedir, "y.npy"), (n,))), manifest
 
 
 def load_meta(cachedir, n: int) -> list:

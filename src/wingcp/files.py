@@ -6,7 +6,8 @@ it. Writers give floats (``np.float64`` included) 17 significant
 digits, which read back exactly, and sort JSON keys. Four tables are
 formatted by hand in one pass, byte for byte what ``write_rows`` would
 write: the feature cache's y.csv, meta.csv and features_points.csv
-(``wingcp.data``) and predict's predictions.csv (``wingcp.cli``).
+(``wingcp.data``) and predict's predictions.csv (``wingcp.cli``). No
+other module parses CSV; the feature cache's arrays are ``.npy`` files.
 """
 
 import csv

@@ -25,7 +25,8 @@ the initial weights into it, and ``load_checkpoint`` copies
 ``model.inputs(batch, normalizer)`` prepares: each group a function
 network takes, as a view of xi in the shape its stack reads (conv groups
 channel-major), then xi, then y. xi holds only ``model.columns``, the
-columns the model reads, and a normalizer normalizes only those.
+columns of the batch's x the model reads, and a normalizer normalizes
+only those.
 ``train`` takes its training and validation batches in that form, and
 each minibatch and probe set is ``model.rows`` of them, so a step copies
 the rows of xi and y and no other feature array.
@@ -43,7 +44,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import GROUP_SHAPES, POINTWISE_COLUMNS, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
+from .data import GROUP_COLUMNS, GROUP_SHAPES, POINTWISE_COLUMNS, POINTWISE_SHAPES, NormalizationSpec, TensorBatch
 from .errors import ConfigError, TrainingDiverged, check_int, check_keys
 from .files import read_json, write_json
 from .nn import Stack, conv_stack, dense_stack
@@ -207,12 +208,12 @@ class _Model:
     ``stacks`` maps each stack's name to it, in parameter order. Their
     layers' parameter arrays are replaced here, once, by consecutive
     views of one zeroed :class:`FlatParams` buffer, ``params``, which
-    :func:`build_model` or :func:`load_checkpoint` then fills. ``columns`` pairs each active
-    group's key with the flat columns of it the model reads (all of them,
-    or the centre slot's for a 1-point model), in xi's order. ``groups``
-    lists, for each group a stack of the model takes on its own, in xi's
-    order, the group's per-sample shape and whether its stack is a conv
-    stack. A subclass supplies ``_forward(inputs, keep) -> (yhat,
+    :func:`build_model` or :func:`load_checkpoint` then fills. ``columns``
+    indexes the columns of a batch's x the model reads, in xi's order: each
+    active group's (all of them, or the centre slot's for a 1-point model)
+    side by side. ``groups`` lists, for each group a stack of the model
+    takes on its own, in xi's order, the group's per-sample shape and
+    whether its stack is a conv stack. A subclass supplies ``_forward(inputs, keep) -> (yhat,
     weights, cache)`` on :meth:`inputs` output and ``_backward(dyhat,
     cache) -> grads`` in ``params`` order.
     """
@@ -220,10 +221,8 @@ class _Model:
     def __init__(self, config: ModelConfig, stacks: dict, groups=()):
         self.config = config
         self.stacks = stacks
-        pointwise = config.neighbor_mode == "1-point"
-        self.columns = tuple(
-            (f"x{z}", POINTWISE_COLUMNS[f"x{z}"] if pointwise else slice(None)) for z in config.active
-        )
+        layout = POINTWISE_COLUMNS if config.neighbor_mode == "1-point" else GROUP_COLUMNS
+        self.columns = np.concatenate([layout[f"x{z}"] for z in config.active])
         ends = np.cumsum([0] + [math.prod(shape) for shape, _ in groups]).tolist()
         # each group's columns of xi, and its (C, H, W) if its stack takes it channel-major
         self._views = [(lo, hi, shape if conv else None) for (shape, conv), lo, hi in zip(groups, ends, ends[1:])]
@@ -241,14 +240,14 @@ class _Model:
 
         A tuple: for a fusion model each active group in the shape its
         stack takes (dense: (B, D) rows; conv: channel-major (C, B, H, W)),
-        then for either model xi, the :attr:`columns` side by side as
-        (B, sum D), and last the targets y (B,). With a ``normalizer``, xi
-        and y are normalized, and only these columns are. Each group is a
-        view of its columns of xi, so xi and y are the only arrays
-        :meth:`rows` copies.
+        then for either model xi, the :attr:`columns` of ``batch.x`` as a
+        C-ordered (B, sum D), and last the targets y (B,). With a
+        ``normalizer``, xi and y are normalized, and only these columns
+        are. Each group is a view of its columns of xi, so xi and y are the
+        only arrays :meth:`rows` copies.
         """
         if normalizer is None:
-            return self._prepare(batch.columns(self.columns), batch.y)
+            return self._prepare(np.take(batch.x, self.columns, axis=1), batch.y)
         return self._prepare(*normalizer.apply(batch, self.columns))
 
     def rows(self, inputs, indices):
@@ -404,21 +403,18 @@ class AdamState:
     """Adam's moments m and v over all parameters, each one flat buffer.
 
     ``g`` takes the flat gradient and then serves as scratch, with ``s``
-    (one chunk of ADAM_CHUNK elements) beside it. ``shapes`` are the
-    parameter shapes, in order.
+    (one chunk of ADAM_CHUNK elements) beside it.
     """
 
     m: np.ndarray
     v: np.ndarray
     g: np.ndarray
     s: np.ndarray
-    shapes: list
 
     @classmethod
     def init(cls, params):
         n = sum(p.size for p in params)
-        shapes = [p.shape for p in params]
-        return cls(m=np.zeros(n), v=np.zeros(n), g=np.empty(n), s=np.empty(min(n, ADAM_CHUNK)), shapes=shapes)
+        return cls(m=np.zeros(n), v=np.zeros(n), g=np.empty(n), s=np.empty(min(n, ADAM_CHUNK)))
 
 
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
@@ -435,9 +431,9 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     b1, b2 = cfg.beta1, cfg.beta2
     np.concatenate(grads, axis=None, out=state.g)
     if not (np.isfinite(state.g.min()) and np.isfinite(state.g.max())):  # a nan or an infinity
-        ends = np.cumsum([math.prod(shape) for shape in state.shapes])
+        ends = np.cumsum([grad.size for grad in grads])
         i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(state.g))[0], side="right"))
-        raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {state.shapes[i]}) at step {t}")
+        raise TrainingDiverged(f"non-finite gradient in parameter {i} (shape {grads[i].shape}) at step {t}")
     flat = params.flat
     for lo in range(0, flat.size, ADAM_CHUNK):
         p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (flat, state.g, state.m, state.v))

@@ -33,7 +33,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from wingcp.bezier import ControlGrid, SurfacePoint, bernstein_row, eval_patch
-from wingcp.data import TensorBatch
+from wingcp.data import GROUP_SHAPES, TensorBatch
 from wingcp.errors import DegenerateMetric, StencilOutOfPatch, TrainingDiverged
 from wingcp.model import loss_mse
 from wingcp.shapes import surface_from_polynomials
@@ -762,16 +762,16 @@ def write_features_points_rows(path, header, result, samples):
 
     The patch id of batch row r is read from input row ``result.kept[r]`` of ``samples``.
     """
-    b = result.batch
+    b = result.batch.groups()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r, src in enumerate(result.kept):
             for s in range(9):
-                values = [*result.uv[r, s], *b.x2[r, 0, s]]
-                values += [b.x3[r, 0, 2 * s + i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
-                values += [b.x4[r, k, 2 * s + i, j] for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))]
-                values.append(b.x5[r, s])
+                values = [*result.uv[r, s], *b["x2"][r, 0, s]]
+                values += [b["x3"][r, 0, 2 * s + i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
+                values += [b["x4"][r, k, 2 * s + i, j] for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))]
+                values.append(b["x5"][r, s])
                 text = [format(float(x), ".17g") for x in values]
                 writer.writerow([str(samples.patch_id[src]), *text, s])
 
@@ -786,7 +786,7 @@ def loop_meta_rows(result, samples):
     """
     rows = []
     for out_row, src in enumerate(result.kept):
-        x, y, z = (format(c, ".17g") for c in result.batch.x2[out_row, 0, 4, :])
+        x, y, z = (format(c, ".17g") for c in result.batch.groups()["x2"][out_row, 0, 4, :])
         span = float(samples.span[src])
         rows.append({
             "row": str(out_row),
@@ -854,6 +854,20 @@ def tensordot_conv2d_backward(k, cache, dy):
 
 
 # ---------------------------------------------------------------------------
+# The feature layout stated apart from wingcp.data's column table: the five
+# groups flattened and side by side in x1..x5 order.
+# ---------------------------------------------------------------------------
+
+
+def stacked_batch(y, **groups):
+    """A TensorBatch whose x holds the groups ``x1``..``x5``, each (B, *shape), flattened and side by side."""
+    n = len(y)
+    assert set(groups) == set(GROUP_SHAPES)
+    x = np.concatenate([np.reshape(groups[f"x{z}"], (n, -1)) for z in range(1, 6)], axis=1)
+    return TensorBatch(x, np.asarray(y, dtype=float))
+
+
+# ---------------------------------------------------------------------------
 # Normalization oracles: max-min scaling of the whole batch by boolean
 # masks, gathering the columns with a nonzero span and scattering their
 # (x - lo) / span into zeros, and the centre-slot view a single-point
@@ -863,38 +877,33 @@ def tensordot_conv2d_backward(k, cache, dy):
 
 
 def mask_normalize(spec, batch):
-    """The whole ``batch`` normalized by ``spec``, every column of every group, by boolean-mask gathers and scatters.
+    """The whole ``batch`` normalized by ``spec``, every column of x, by boolean-mask gathers and scatters.
 
     ``spec.apply`` over some columns must give bit for bit those columns
     of this batch.
     """
-    out = {}
-    for key, x in batch.groups().items():
-        flat = x.reshape(batch.n, -1)
-        lo, hi = spec.mins[key], spec.maxs[key]
-        span = hi - lo
-        normed = np.zeros_like(flat, dtype=float)
-        nz = span != 0.0
-        normed[..., nz] = (flat[..., nz] - lo[nz]) / span[nz]
-        out[key] = normed.reshape(x.shape)
+    lo, hi = spec.mins, spec.maxs
+    span = hi - lo
+    normed = np.zeros_like(batch.x, dtype=float)
+    nz = span != 0.0
+    normed[..., nz] = (batch.x[..., nz] - lo[nz]) / span[nz]
     y = batch.y
     if spec.normalize_targets:
         span = spec.y_max - spec.y_min
         y = (y - spec.y_min) / span if span != 0.0 else np.zeros_like(y)
-    return TensorBatch(y=y, **out)
+    return TensorBatch(normed, y)
 
 
-def pointwise_batch(batch):
-    """The stencil-centre view of ``batch`` a single-point model reads, by slicing each group's array."""
-    n = batch.n
-    return TensorBatch(
-        x1=batch.x1,
-        x2=batch.x2[:, 0, 4, :],
-        x3=batch.x3[:, :, 8:10, :].reshape(n, 1, 2, 2),
-        x4=batch.x4[:, :, 8:10, :].reshape(n, 2, 2, 2),
-        x5=batch.x5[:, 4:5],
-        y=batch.y,
-    )
+def pointwise_groups(batch):
+    """The stencil-centre part of each group of ``batch`` a single-point model reads, by slicing the group's view."""
+    n, b = batch.n, batch.groups()
+    return {
+        "x1": b["x1"],
+        "x2": b["x2"][:, 0, 4, :],
+        "x3": b["x3"][:, :, 8:10, :].reshape(n, 1, 2, 2),
+        "x4": b["x4"][:, :, 8:10, :].reshape(n, 2, 2, 2),
+        "x5": b["x5"][:, 4:5],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_directional_ablation():
     )
     out = assemble(res.manifold, res.samples, d=0.005)
     batch = out.batch
-    folds = fold_split(batch.x1[:, 1], [4.0, 8.0, 16.0])
+    folds = fold_split(batch.x[:, 1], [4.0, 8.0, 16.0])  # column 1 of x: AoA
 
     def mean_fold_mse(model_name, seed):
         mses = []
@@ -291,7 +291,7 @@ def test_end_to_end_determinism(tmp_path):
     # every file of the feature cache, so a file that embeds a timestamp fails
     features = sorted(name for name in os.listdir(os.path.join(a, "features")) if name != "run_manifest.json")
     assert features == sorted(n for n in os.listdir(os.path.join(b, "features")) if n != "run_manifest.json")
-    assert "x3.npy" in features and "y.csv" in features
+    assert "x.npy" in features and "y.npy" in features and "y.csv" in features
     compare = [
         "data/samples.csv",
         "data/manifold.csv",

@@ -93,5 +93,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append(_outputs(root))
     one, two = outputs
     assert sorted(one) == sorted(two)
-    assert len(one) > 40 and "mlp/crossval/report.json" in one and "features/x2.npy" in one
+    assert len(one) > 40 and "mlp/crossval/report.json" in one and "features/x.npy" in one
     assert [rel for rel in sorted(one) if one[rel] != two[rel]] == []

@@ -231,12 +231,10 @@ class TestExtractCli:
             "--d", "0.005", "--out", str(out),
         ])
         assert rc == 0
-        for name in ("x1.npy", "x2.npy", "x3.npy", "x4.npy", "x5.npy", "y.npy", "y.csv", "meta.csv",
-                     "features_points.csv", "manifest.json"):
-            assert (out / name).exists(), name
-        assert not list(out.glob("x*.csv"))
+        names = {"x.npy", "y.npy", "y.csv", "meta.csv", "features_points.csv", "manifest.json", "run_manifest.json"}
+        assert {path.name for path in out.iterdir()} == names
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["d"] == 0.005
+        assert manifest["format"] == "wingcp-cache-v2" and manifest["d"] == 0.005
         assert manifest["dataset_manifest"]["seed"] == 3
 
     def test_run_manifest_counts(self, synth_dir, tmp_path):
@@ -605,16 +603,45 @@ _FIRST_INDEX = _manifest_json(lambda m: m.update(convention="first-index"))
 _NO_CONVENTION = _manifest_json(lambda m: m.pop("convention"))
 
 
+def _no_samples(path):
+    """A cache edit: n_samples 0 in manifest.json, and x.npy and y.npy cut to 0 rows."""
+    _manifest_json(lambda m: m.update(n_samples=0))(path)
+    for name in ("x.npy", "y.npy"):
+        np.save(path.parent / name, np.load(path.parent / name)[:0])
+
+
+def _previous_format(path):
+    """A cache edit: the cache as the format before wingcp-cache-v2 held it, x1.npy .. x5.npy and no tag."""
+    x = np.load(path.parent / "x.npy")
+    ends = np.cumsum([0, 3, 27, 36, 72, 9])
+    for z in range(1, 6):
+        np.save(path.parent / f"x{z}.npy", x[:, ends[z - 1] : ends[z]])
+    (path.parent / "x.npy").unlink()
+    _manifest_json(lambda m: m.pop("format"))(path)
+
+
 # (file edited, edit); the error names the file. train reads the arrays, eval also meta.csv.
 BAD_FEATURE_CACHES = [
-    pytest.param("x4.npy", lambda path: path.unlink(), id="missing-x4.npy"),
-    pytest.param("x3.npy", _truncate, id="truncated-x3.npy"),
-    pytest.param("x2.npy", _npy(lambda x: x.reshape(len(x), 9, 3)), id="x2.npy-wrong-shape"),
-    pytest.param("x1.npy", _npy(lambda x: x.astype(np.float32)), id="x1.npy-float32"),
+    pytest.param("x.npy", lambda path: path.unlink(), id="missing-x.npy"),
+    pytest.param("y.npy", lambda path: path.unlink(), id="missing-y.npy"),
+    pytest.param("x.npy", _truncate, id="truncated-x.npy"),
+    pytest.param("x.npy", _npy(lambda x: x[:, :146]), id="x.npy-146-columns"),
+    pytest.param("x.npy", _npy(lambda x: x.astype(np.float32)), id="x.npy-float32"),
+    pytest.param("x.npy", _npy(lambda x: x.astype(object)), id="x.npy-object-dtype"),
     pytest.param("y.npy", _npy(lambda x: x.astype(object)), id="y.npy-object-dtype"),
-    pytest.param("x5.npy", _npy(_first_nan), id="x5.npy-nan"),
+    pytest.param("x.npy", _npy(_first_nan), id="x.npy-nan"),
+    pytest.param("y.npy", _npy(_first_nan), id="y.npy-nan"),
     pytest.param("manifest.json", _manifest_json(lambda m: m.update(n_samples=m["n_samples"] + 1)),
                  id="manifest.json-n_samples-off"),
+    pytest.param("manifest.json", _no_samples, id="manifest.json-n_samples-zero"),
+    pytest.param("manifest.json", _manifest_json(lambda m: m.update(n_samples=float(m["n_samples"]))),
+                 id="manifest.json-n_samples-float"),
+    pytest.param("manifest.json", _manifest_json(lambda m: m.update(n_samples=str(m["n_samples"]))),
+                 id="manifest.json-n_samples-text"),
+    pytest.param("manifest.json", _manifest_json(lambda m: m.pop("n_samples")), id="manifest.json-no-n_samples"),
+    pytest.param("manifest.json", _previous_format, id="manifest.json-previous-format"),
+    pytest.param("manifest.json", _manifest_json(lambda m: m.update(format="wingcp-cache-v1")),
+                 id="manifest.json-other-format"),
     pytest.param("manifest.json", _FIRST_INDEX, id="manifest.json-first-index"),
     pytest.param("manifest.json", _NO_CONVENTION, id="manifest.json-no-convention"),
     pytest.param("manifest.json", lambda path: path.write_text("[]"), id="manifest.json-not-an-object"),
@@ -663,6 +690,22 @@ class TestFeatureCacheRejected:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cache}/manifest.json: convention ")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("change", [_previous_format, _no_samples], ids=["previous-format", "n_samples-zero"])
+    def test_manifest_refused_by_inference(self, every_command, tmp_path, capsys, command, change):
+        """A cache of the previous format, or of no samples, ends in one error line naming its manifest.json."""
+        _, features = every_command["extract"]
+        _, run = every_command["train"]
+        cache = tmp_path / "cache"
+        shutil.copytree(features, cache)
+        change(cache / "manifest.json")
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", f"{run}/checkpoint", "--features", str(cache),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cache}/manifest.json: ")
 
 
 @pytest.fixture(scope="module")
@@ -718,7 +761,7 @@ class TestRunManifest:
 
 @pytest.mark.parametrize("command", ["train", "predict", "eval"])
 def test_cache_files_read(every_command, tmp_path, monkeypatch, command):
-    """train and predict read the .npy arrays and manifest.json only; eval also meta.csv."""
+    """train and predict read x.npy, y.npy and manifest.json only; eval also meta.csv."""
     _, features = every_command["extract"]
     train_argv, run = every_command["train"]
     conf = train_argv[train_argv.index("--config") + 1]
@@ -737,7 +780,7 @@ def test_cache_files_read(every_command, tmp_path, monkeypatch, command):
     }[command]
     assert main([command, *rest, "--out", str(tmp_path / "out")]) == 0
     read = {name for name in opened if not name.startswith("..")}
-    arrays = {"manifest.json", "x1.npy", "x2.npy", "x3.npy", "x4.npy", "x5.npy", "y.npy"}
+    arrays = {"manifest.json", "x.npy", "y.npy"}
     assert read == (arrays | {"meta.csv"} if command == "eval" else arrays)
 
 

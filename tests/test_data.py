@@ -12,7 +12,9 @@ from wingcp.bezier import ControlGrid, PiecewiseManifold
 from wingcp.data import (
     FEATURE_POINTS_HEADER,
     FOLD_AOAS_DEFAULT,
+    GROUP_COLUMNS,
     GROUP_SHAPES,
+    N_FEATURES,
     POINTWISE_COLUMNS,
     POINTWISE_SHAPES,
     AssembleResult,
@@ -24,7 +26,6 @@ from wingcp.data import (
     load_feature_cache,
     load_meta,
     load_samples,
-    meta_rows,
     save_feature_cache,
     save_samples,
     train_val_split,
@@ -32,7 +33,7 @@ from wingcp.data import (
 from wingcp.errors import AssemblyError, ConfigError, SampleParseError
 
 from oracles import (
-    flat_grid, loop_meta_rows, mask_normalize, paraboloid_grid, pointwise_batch, sample_points,
+    flat_grid, loop_meta_rows, mask_normalize, paraboloid_grid, pointwise_groups, sample_points, stacked_batch,
     write_features_points_rows, write_meta_rows,
 )
 from strategies import FINITE, PATCH_IDS, max_examples, set_non_finite_field
@@ -163,16 +164,16 @@ class TestAssemble:
         samples = Samples.from_rows([sample_row("flat", 0.5, 0.5), sample_row("flat", 0.3, 0.7)])
         result = assemble(flat_manifold, samples, d=0.01)
         assert result.kept == [0, 1]
-        batch = result.batch
+        groups = result.batch.groups()
         expected_x3 = np.tile(np.eye(2), (9, 1)).reshape(1, 18, 2)
-        np.testing.assert_allclose(batch.x3[0], expected_x3, atol=1e-13)
-        np.testing.assert_allclose(batch.x4, 0.0, atol=1e-13)
-        np.testing.assert_allclose(batch.x5, 0.0, atol=1e-13)
+        np.testing.assert_allclose(groups["x3"][0], expected_x3, atol=1e-13)
+        np.testing.assert_allclose(groups["x4"], 0.0, atol=1e-13)
+        np.testing.assert_allclose(groups["x5"], 0.0, atol=1e-13)
 
     def test_paraboloid_center_curvature(self, paraboloid_manifold):
         samples = Samples.from_rows([sample_row("paraboloid", 0.0, 0.0)])
         result = assemble(paraboloid_manifold, samples, d=0.001)
-        x5 = result.batch.x5[0]
+        x5 = result.batch.groups()["x5"][0]
         assert x5[4] == pytest.approx(8.0, abs=1e-9)
 
     def test_center_slot_matches_bundle(self, paraboloid_manifold):
@@ -180,15 +181,14 @@ class TestAssemble:
 
         samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6), sample_row("paraboloid", 0.2, 0.3)])
         result = assemble(paraboloid_manifold, samples, d=0.005)
-        for point, x5 in zip(sample_points(samples), result.batch.x5):
+        for point, x5 in zip(sample_points(samples), result.batch.groups()["x5"]):
             assert x5[4] == feature_bundle(paraboloid_manifold, point).scalar
 
     def test_deterministic(self, paraboloid_manifold):
         samples = Samples.from_rows([sample_row("paraboloid", u, v) for u, v in [(0.2, 0.2), (0.8, 0.5), (0.5, 0.9)]])
         a = assemble(paraboloid_manifold, samples, d=0.005)
         b = assemble(paraboloid_manifold, samples, d=0.005)
-        for key, x in a.batch.groups().items():
-            assert np.array_equal(x, b.batch.groups()[key])
+        assert a.batch.x.tobytes() == b.batch.x.tobytes() and a.batch.y.tobytes() == b.batch.y.tobytes()
 
     def test_batch_is_bundles_stacked_in_slot_order(self, paraboloid_manifold):
         from wingcp.geometry import feature_bundle
@@ -205,12 +205,13 @@ class TestAssemble:
             result = assemble(manifold, samples, d=0.005)
             b = result.batch
             assert result.kept == list(range(len(samples))) and b.n == len(samples)
+            assert b.x.shape == (len(samples), N_FEATURES) and b.x.flags.c_contiguous
             for r, point in enumerate(sample_points(samples)):
-                assert b.x1[r].tolist() == [samples.ma[r], samples.aoa[r], samples.re[r]]
                 assert b.y[r] == samples.cp[r]
                 stencil = build_stencil(manifold, point, 0.005)
                 f = [feature_bundle(manifold, p) for p in stencil.points]
                 stacked = {
+                    "x1": np.array([samples.ma[r], samples.aoa[r], samples.re[r]]),
                     "x2": np.stack([x.position for x in f])[None],
                     "x3": np.concatenate([x.g for x in f])[None],
                     "x4": np.concatenate([x.gamma for x in f], axis=1),
@@ -219,21 +220,22 @@ class TestAssemble:
                 for key, expected in stacked.items():
                     got = b.groups()[key][r]
                     assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
+                # row r of x: the five groups flattened and side by side, x1 first
+                assert b.x[r].tobytes() == np.concatenate([e.ravel() for e in stacked.values()]).tobytes()
 
     def test_shape_contract(self, paraboloid_manifold):
         samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.4), sample_row("paraboloid", 0.6, 0.6)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
-        assert batch.x1.shape == (2, 3)
-        assert batch.x2.shape == (2, 1, 9, 3)
-        assert batch.x3.shape == (2, 1, 18, 2)
-        assert batch.x4.shape == (2, 2, 18, 2)
-        assert batch.x5.shape == (2, 9)
+        assert batch.x.shape == (2, 147) and batch.y.shape == (2,)
+        assert {key: x.shape for key, x in batch.groups().items()} == {
+            "x1": (2, 3), "x2": (2, 1, 9, 3), "x3": (2, 1, 18, 2), "x4": (2, 2, 18, 2), "x5": (2, 9)
+        }
 
     def test_metric_rows_symmetric(self, paraboloid_manifold):
         samples = Samples.from_rows([sample_row("paraboloid", 0.5, 0.5)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
         for r in range(9):
-            block = batch.x3[0, 0, 2 * r : 2 * r + 2, :]
+            block = batch.groups()["x3"][0, 0, 2 * r : 2 * r + 2, :]
             assert abs(block[0, 1] - block[1, 0]) < 1e-12
 
     def test_patch_ids_that_differ_in_a_trailing_nul_stay_apart(self):
@@ -242,7 +244,8 @@ class TestAssemble:
         samples = Samples.from_rows([sample_row(pid, 0.5, 0.5) for pid in ("p\x00", "p", "p\x00")])
         result = assemble(manifold, samples, d=0.005)
         assert result.kept == [0, 1, 2] and result.samples.patch_id.tolist() == ["p\x00", "p", "p\x00"]
-        assert result.batch.x5[[0, 2], 4].tolist() == [0.0, 0.0] and result.batch.x5[1, 4] != 0.0
+        x5 = result.batch.groups()["x5"]
+        assert x5[[0, 2], 4].tolist() == [0.0, 0.0] and x5[1, 4] != 0.0
 
     def test_drop_policy(self):
         # second patch is a tiny plane whose extent is far below d, so its
@@ -261,24 +264,52 @@ class TestAssemble:
             assemble(manifold, Samples.from_rows(good[:2] + bad), d=0.01)  # 1 of 3 > 10%
 
 
-ALL_COLUMNS = [(key, slice(None)) for key in GROUP_SHAPES]
+class TestLayout:
+    """GROUP_COLUMNS is the one statement of where each group lies in x."""
+
+    def test_groups_side_by_side_in_shape_order(self):
+        assert list(GROUP_COLUMNS) == list(GROUP_SHAPES)
+        assert np.concatenate(list(GROUP_COLUMNS.values())).tolist() == list(range(N_FEATURES)) == list(range(147))
+        for key, cols in GROUP_COLUMNS.items():
+            assert cols.dtype.kind == "i" and cols.size == math.prod(GROUP_SHAPES[key]), key
+
+    def test_groups_are_views_of_x(self):
+        rng = np.random.default_rng(5)
+        batch = TensorBatch(rng.normal(size=(4, N_FEATURES)), rng.normal(size=4))
+        for key, view in batch.groups().items():
+            assert view.shape == (4, *GROUP_SHAPES[key]) and np.shares_memory(view, batch.x), key
+            assert view.reshape(4, -1).tobytes() == batch.x[:, GROUP_COLUMNS[key]].tobytes(), key
+        batch.groups()["x4"][2, 1, 17, 1] = 123.0
+        assert batch.x[2, GROUP_COLUMNS["x4"][-1]] == 123.0
+
+    def test_stacked_groups_are_x(self):
+        """A batch built group by group (tests/oracles.py) holds each group in GROUP_COLUMNS of x."""
+        rng = np.random.default_rng(6)
+        groups = {key: rng.normal(size=(3, *shape)) for key, shape in GROUP_SHAPES.items()}
+        batch = stacked_batch(y=np.zeros(3), **groups)
+        for key, x in batch.groups().items():
+            assert x.tobytes() == groups[key].tobytes(), key
+
+    def test_subset_takes_rows_of_x_and_y(self):
+        rng = np.random.default_rng(7)
+        batch = TensorBatch(rng.normal(size=(5, N_FEATURES)), rng.normal(size=5))
+        sub = batch.subset([3, 0, 3])
+        assert sub.n == 3 and sub.x.flags.c_contiguous
+        assert sub.x.tobytes() == batch.x[[3, 0, 3]].tobytes() and sub.y.tobytes() == batch.y[[3, 0, 3]].tobytes()
+
+
+ALL_COLUMNS = np.arange(N_FEATURES)
 
 
 def apply_all(spec, batch):
-    """``spec.apply`` over every column of every group, split back into the groups of a TensorBatch."""
-    xi, y = spec.apply(batch, ALL_COLUMNS)
-    ends = np.cumsum([0] + [math.prod(shape) for shape in GROUP_SHAPES.values()]).tolist()
-    groups = {
-        key: xi[:, lo:hi].reshape(batch.n, *shape)
-        for (key, shape), lo, hi in zip(GROUP_SHAPES.items(), ends, ends[1:])
-    }
-    return TensorBatch(y=y, **groups)
+    """``spec.apply`` over every column of x, as a TensorBatch."""
+    return TensorBatch(*spec.apply(batch, ALL_COLUMNS))
 
 
 class TestNormalizer:
     def _toy_batch(self, x1_col):
         n = len(x1_col)
-        return TensorBatch(
+        return stacked_batch(
             x1=np.column_stack([x1_col, np.linspace(-1, 1, n), np.full(n, 5.0)]),
             x2=np.zeros((n, 1, 9, 3)),
             x3=np.zeros((n, 1, 18, 2)),
@@ -291,28 +322,28 @@ class TestNormalizer:
         batch = self._toy_batch([0.0, 5.0, 10.0])
         spec = fit_normalizer(batch)
         out = apply_all(spec, batch)
-        np.testing.assert_allclose(out.x1[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
+        np.testing.assert_allclose(out.x[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_constant_column_maps_to_zero(self):
         batch = self._toy_batch([0.175, 0.175, 0.175])
         spec = fit_normalizer(batch)
         out = apply_all(spec, batch)
-        np.testing.assert_array_equal(out.x1[:, 0], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out.x[:, 0], [0.0, 0.0, 0.0])
 
     def test_constant_column_raises_no_error(self):
         """A constant column is not scaled, so a value far from its bound there overflows nothing."""
         batch = self._toy_batch([1.7e308, 1.7e308])
         spec = fit_normalizer(batch)
-        batch.x1[:, 0] = -1.7e308
+        batch.x[:, 0] = -1.7e308
         with np.errstate(all="raise"):
             out = apply_all(spec, batch)
-        assert out.x1[:, 0].tobytes() == np.zeros(2).tobytes()
+        assert out.x[:, 0].tobytes() == np.zeros(2).tobytes()
 
     def test_outputs_in_unit_interval_on_train(self):
         rng = np.random.default_rng(34)
         batch = self._toy_batch(rng.uniform(-5, 5, 8))
         out = apply_all(fit_normalizer(batch), batch)
-        assert out.x1.min() >= 0.0 and out.x1.max() <= 1.0
+        assert out.x[:, :3].min() >= 0.0 and out.x[:, :3].max() <= 1.0
 
     def test_targets_flag(self):
         batch = self._toy_batch([0.0, 5.0, 10.0])
@@ -333,9 +364,21 @@ class TestNormalizer:
         batch = self._toy_batch([0.0, 5.0, 10.0])
         spec = fit_normalizer(batch)
         back = NormalizationSpec.from_dict(spec.to_dict())
+        assert back.mins.tobytes() == spec.mins.tobytes() and back.maxs.tobytes() == spec.maxs.tobytes()
+        assert back.mins.shape == (N_FEATURES,)
         out_a = apply_all(spec, batch)
         out_b = apply_all(back, batch)
-        np.testing.assert_array_equal(out_a.x1, out_b.x1)
+        assert out_a.x.tobytes() == out_b.x.tobytes()
+
+    def test_json_bounds_per_group(self):
+        """to_dict writes each group's bounds under its key, from its columns of the flat bounds."""
+        rng = np.random.default_rng(8)
+        spec = fit_normalizer(TensorBatch(rng.normal(size=(3, N_FEATURES)), rng.normal(size=3)))
+        d = spec.to_dict()
+        for name in ("mins", "maxs"):
+            assert list(d[name]) == list(GROUP_SHAPES)
+            for key, cols in GROUP_COLUMNS.items():
+                assert d[name][key] == getattr(spec, name)[cols].tolist()
 
 
 def _normalizer_batch(data, n):
@@ -347,7 +390,7 @@ def _normalizer_batch(data, n):
         const = data.draw(arrays(np.bool_, width))
         flat[:, const] = flat[0, const]
         groups[key] = flat.reshape(n, *shape)
-    return TensorBatch(y=data.draw(arrays(np.float64, n, elements=FINITE)), **groups)
+    return stacked_batch(y=data.draw(arrays(np.float64, n, elements=FINITE)), **groups)
 
 
 class TestNormalizerAgainstMasks:
@@ -362,9 +405,9 @@ class TestNormalizerAgainstMasks:
         for batch in (fitted, _normalizer_batch(data, data.draw(st.integers(1, 4)))):
             with np.errstate(all="ignore"):  # x - lo and the division overflow at +-1.7e308
                 got, want = apply_all(spec, batch), mask_normalize(spec, batch)
-            for key, x in {**want.groups(), "y": want.y}.items():
-                assert getattr(got, key).shape == x.shape
-                assert getattr(got, key).tobytes() == x.tobytes(), key
+            for key in ("x", "y"):
+                assert getattr(got, key).shape == getattr(want, key).shape
+                assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
 class TestFoldSplit:
@@ -432,7 +475,7 @@ class TestTrainValSplit:
 def _batches(draw):
     n = draw(st.integers(1, 3))
     groups = {k: draw(arrays(np.float64, (n, *shape), elements=FINITE)) for k, shape in GROUP_SHAPES.items()}
-    return TensorBatch(y=draw(arrays(np.float64, (n,), elements=FINITE)), **groups)
+    return stacked_batch(y=draw(arrays(np.float64, (n,), elements=FINITE)), **groups)
 
 
 def _save_batch(cache, batch):
@@ -453,10 +496,11 @@ class TestFeatureCache:
         save_feature_cache(cache, result, {"d": 0.005, "convention": "standard"})
         batch, manifest = load_feature_cache(cache)
         orig = result.batch
-        for key in ("x1", "x2", "x3", "x4", "x5"):
-            np.testing.assert_array_equal(batch.groups()[key], orig.groups()[key])
-        np.testing.assert_array_equal(batch.y, orig.y)
-        assert not list(cache.glob("x*.csv"))
+        assert batch.x.tobytes() == orig.x.tobytes() and batch.y.tobytes() == orig.y.tobytes()
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "features_points.csv", "manifest.json", "meta.csv", "x.npy", "y.csv", "y.npy"
+        ]
+        assert np.load(cache / "x.npy").shape == (2, N_FEATURES) and manifest["format"] == "wingcp-cache-v2"
         meta = load_meta(cache, manifest["n_samples"])
         assert len(meta) == 2
         assert meta[1]["AoA"] == "12"
@@ -476,7 +520,7 @@ class TestFeatureCache:
         with tempfile.TemporaryDirectory() as cache:
             _save_batch(cache, batch)
             back, _ = load_feature_cache(cache)
-        for key in ("x1", "x2", "x3", "x4", "x5", "y"):
+        for key in ("x", "y"):
             got, want = getattr(back, key), getattr(batch, key)
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), key
@@ -485,7 +529,7 @@ class TestFeatureCache:
     @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_one_non_finite_entry_refused(self, data, bad):
         batch = data.draw(_batches())
-        key = data.draw(st.sampled_from(["x1", "x2", "x3", "x4", "x5", "y"]))
+        key = data.draw(st.sampled_from(["x", "y"]))
         x = getattr(batch, key)
         x.flat[data.draw(st.integers(0, x.size - 1))] = bad
         with tempfile.TemporaryDirectory() as cache:
@@ -503,7 +547,7 @@ class TestFeatureCache:
         other = {k: rng.normal(size=(1, *shape)) for k, shape in GROUP_SHAPES.items()}
         order = [row, row, row, signed, row, other, signed]
         pids = ["p,1", "p,1", "q", "p,1", "p,1", 'say "x"', "p,1"]
-        batch = TensorBatch(y=rng.normal(size=len(order)), **{
+        batch = stacked_batch(y=rng.normal(size=len(order)), **{
             k: np.concatenate([r[k] for r in order]) for k in GROUP_SHAPES
         })
         uv = np.repeat(rng.uniform(0, 1, (1, 9, 2)), len(order), axis=0)
@@ -540,7 +584,7 @@ class TestFeatureCache:
         signed = {k: x.copy() for k, x in row.items()}
         signed["x2"][0, 0, 4, 1] = -0.0  # the centre's y differs from ``row`` only in its sign
         order = [row, row, signed, row, row, row, signed]
-        batch = TensorBatch(y=rng.normal(size=len(order)), **{
+        batch = stacked_batch(y=rng.normal(size=len(order)), **{
             k: np.concatenate([r[k] for r in order]) for k in GROUP_SHAPES
         })
         specials = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 7, 2.0 / 3.0, 1e-300]
@@ -559,7 +603,6 @@ class TestFeatureCache:
         got = (tmp_path / "cache" / "meta.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b'"p,1",' in got and b'"say ""x""",' in got
-        assert meta_rows(result) == loop_meta_rows(result, samples)
         assert load_meta(tmp_path / "cache", len(order)) == loop_meta_rows(result, samples)
 
     def test_meta_of_assembled_repeats(self, tmp_path):
@@ -574,15 +617,15 @@ class TestFeatureCache:
         save_feature_cache(tmp_path / "cache", result, {"d": 0.005})
         write_meta_rows(tmp_path / "want.csv", result, samples)
         assert (tmp_path / "cache" / "meta.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert meta_rows(result) == loop_meta_rows(result, samples)
+        assert load_meta(tmp_path / "cache", len(samples)) == loop_meta_rows(result, samples)
 
     def test_pointwise_view(self, paraboloid_manifold):
         """POINTWISE_COLUMNS take the centre slot of each group, in the POINTWISE_SHAPES layout."""
         samples = Samples.from_rows([sample_row("paraboloid", 0.4, 0.6), sample_row("paraboloid", 0.5, 0.3)])
         batch = assemble(paraboloid_manifold, samples, d=0.005).batch
-        want = pointwise_batch(batch)
+        want = pointwise_groups(batch)
         for key, shape in POINTWISE_SHAPES.items():
-            got = batch.columns([(key, POINTWISE_COLUMNS[key])]).reshape(batch.n, *shape)
-            assert got.tobytes() == np.ascontiguousarray(want.groups()[key]).tobytes(), key
-        np.testing.assert_array_equal(want.x2[0], batch.x2[0, 0, 4, :])
-        np.testing.assert_array_equal(want.x5[0, 0], batch.x5[0, 4])
+            got = batch.x[:, POINTWISE_COLUMNS[key]].reshape(batch.n, *shape)
+            assert got.tobytes() == np.ascontiguousarray(want[key]).tobytes(), key
+        assert POINTWISE_COLUMNS["x2"].tolist() == [3 + 12, 3 + 13, 3 + 14]  # the centre's x, y, z
+        np.testing.assert_array_equal(want["x5"][:, 0], batch.groups()["x5"][:, 4])

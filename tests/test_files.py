@@ -13,9 +13,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wingcp"
 
 # the calls that decide how a text file is written or parsed
 FORMAT_CALLS = {"json": {"load", "loads", "dump"}, "csv": {"reader", "writer"}}
-# (module, top-level function, call) outside files.py: the feature-cache fast path that
-# parses the meta.csv lines it formatted by hand
-ALLOWED = {("data.py", "meta_rows", "csv.reader")}
+# (module, top-level function, call) outside files.py that may decide a text format: none
+ALLOWED = set()
 
 
 def _format_uses(source: str):

@@ -6,7 +6,7 @@ import pytest
 
 import wingcp.model
 import wingcp.nn
-from oracles import fd_model_gradients, loop_adam_step, mask_normalize, rel_err
+from oracles import fd_model_gradients, loop_adam_step, mask_normalize, rel_err, stacked_batch
 
 from wingcp.data import Samples, TensorBatch, assemble, fit_normalizer
 from wingcp.errors import ConfigError, TrainingDiverged
@@ -28,7 +28,7 @@ from wingcp.nn import Dense
 
 
 def random_batch(rng, n):
-    return TensorBatch(
+    return stacked_batch(
         x1=rng.uniform(0, 1, (n, 3)),
         x2=rng.uniform(0, 1, (n, 1, 9, 3)),
         x3=rng.uniform(0, 1, (n, 1, 18, 2)),
@@ -136,10 +136,7 @@ class TestBackward:
     def test_zero_residuals_zero_gradients(self):
         model = build_model(tiny_config())
         batch = random_batch(np.random.default_rng(7), 4)
-        fitted = TensorBatch(
-            x1=batch.x1, x2=batch.x2, x3=batch.x3, x4=batch.x4, x5=batch.x5,
-            y=model.forward(model.inputs(batch)),
-        )
+        fitted = TensorBatch(batch.x, model.forward(model.inputs(batch)))
         _, grads, _ = model.loss_and_grads(model.inputs(fitted))
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
@@ -334,10 +331,7 @@ class TestTrain:
     def test_loss_decreases_on_learnable_data(self):
         rng = np.random.default_rng(15)
         batch = random_batch(rng, 32)
-        batch = TensorBatch(
-            x1=batch.x1, x2=batch.x2, x3=batch.x3, x4=batch.x4, x5=batch.x5,
-            y=batch.x1[:, 0] + 0.5 * batch.x5[:, 4],
-        )
+        batch = TensorBatch(batch.x, batch.x[:, 0] + 0.5 * batch.groups()["x5"][:, 4])
         model = build_model(tiny_config(seed=1))
         result = train(model, model.inputs(batch), cfg=TrainConfig(epochs=200, batch_size=32, seed=1))
         assert result.train_curve[-1] < 0.05 * result.train_curve[0]
@@ -708,7 +702,7 @@ class TestNarrowedNormalization:
             samples = _scattered(manifold)
         batch = assemble(manifold, samples, d=0.005).batch
         fitted = fit_normalizer(batch.subset(np.arange(0, batch.n, 2)), normalize_targets=normalize_targets)
-        assert (fitted.maxs["x1"] == fitted.mins["x1"]).tolist() == [True, False, True]  # constant Ma and Re
+        assert (fitted.maxs[:3] == fitted.mins[:3]).tolist() == [True, False, True]  # constant Ma and Re
         model = build_model(preset(name, seed=2))
         got, want = model.inputs(batch, fitted), model.inputs(mask_normalize(fitted, batch))
         assert len(got) == len(want)

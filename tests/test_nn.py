@@ -5,11 +5,12 @@ from oracles import (
     loop_conv2d_backward,
     loop_conv2d_forward,
     rel_err,
+    stacked_batch,
     tensordot_conv2d_backward,
     tensordot_conv2d_forward,
 )
 
-from wingcp.data import GROUP_SHAPES, TensorBatch
+from wingcp.data import GROUP_SHAPES
 from wingcp.model import build_model, input_shapes, preset
 from wingcp import nn
 from wingcp.nn import ChannelFlatten, Conv2d, Dense, LeakyReLU, conv_stack, dense_stack
@@ -337,7 +338,7 @@ class TestMatmul:
         model = build_model(preset(name, seed=3))
         rng = np.random.default_rng(batch)
         groups = {key: rng.normal(size=(batch, *shape)) for key, shape in GROUP_SHAPES.items()}
-        inputs = model.inputs(TensorBatch(y=rng.normal(size=batch), **groups))
+        inputs = model.inputs(stacked_batch(y=rng.normal(size=batch), **groups))
         products = []
         real_product, real_matmul = nn._matmul, np.matmul
 
